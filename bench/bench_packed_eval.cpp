@@ -1,6 +1,8 @@
 // Packed-vs-scalar evaluation bench: measures the bit-parallel engine's
 // throughput (patterns/sec) against the scalar NetlistEvaluator on the
-// paper's circuits, plus the end-to-end serial fault-campaign speedup.
+// paper's circuits, the end-to-end serial fault-campaign speedup, and the
+// provider's detection-table traffic shape (one configuration per table,
+// reported in the same columns as tables/sec).
 //
 // Usage:
 //   bench_packed_eval [--quick] [--json PATH]
@@ -19,7 +21,9 @@
 
 #include "common.hpp"
 #include "core/rng.hpp"
+#include "fault/detection.hpp"
 #include "fault/serial_sim.hpp"
+#include "gate/family.hpp"
 #include "gate/generators.hpp"
 #include "gate/packed_eval.hpp"
 
@@ -126,6 +130,44 @@ Measurement campaignThroughput(const std::string& name,
   return m;
 }
 
+/// One detection table per call, as the provider serves them: one
+/// configuration against every collapsed fault, scalar buildDetectionTable
+/// vs the packed fault-parallel builder. "patterns" counts tables.
+Measurement tableThroughput(const std::string& name, const gate::Netlist& nl,
+                            std::size_t nTables) {
+  Measurement m;
+  m.name = name;
+  m.gates = static_cast<std::size_t>(nl.gateCount());
+  m.patterns = nTables;
+  const auto configs = randomPatterns(nl.inputCount(), nTables, 0xbe1c6);
+  const fault::CollapsedFaults collapsed = fault::collapseAll(nl);
+
+  const gate::NetlistEvaluator eval(nl);
+  std::vector<fault::DetectionTable> scalar, packedTables;
+  const double scalarSec = secondsOf([&] {
+    for (const Word& c : configs) {
+      scalar.push_back(fault::buildDetectionTable(eval, collapsed, c));
+    }
+  });
+  const gate::PackedEvaluator packed(nl);
+  const double packedSec = secondsOf([&] {
+    for (const Word& c : configs) {
+      packedTables.push_back(
+          std::move(fault::buildDetectionTables(packed, collapsed, {c})[0]));
+    }
+  });
+  for (std::size_t i = 0; i < nTables; ++i) {
+    if (scalar[i].toString() != packedTables[i].toString()) {
+      std::fprintf(stderr, "FATAL: %s packed/scalar table %zu disagree\n",
+                   name.c_str(), i);
+      std::exit(1);
+    }
+  }
+  m.scalarPatternsPerSec = static_cast<double>(nTables) / scalarSec;
+  m.packedPatternsPerSec = static_cast<double>(nTables) / packedSec;
+  return m;
+}
+
 void printTable(const std::vector<Measurement>& rows) {
   std::printf("\n%-28s %8s %9s %14s %14s %9s\n", "benchmark", "gates",
               "patterns", "scalar pat/s", "packed pat/s", "speedup");
@@ -202,6 +244,10 @@ int main(int argc, char** argv) {
     rows.push_back(campaignThroughput(
         "campaign/mult6", vcad::gate::makeArrayMultiplier(6), 256));
   }
+
+  rows.push_back(tableThroughput(
+      "table/cone1024", vcad::gate::makeRandomCone(0xc0e1024, 8, 1024, 4),
+      quick ? 4 : 32));
 
   printTable(rows);
   if (!jsonPath.empty()) writeJson(jsonPath, rows);

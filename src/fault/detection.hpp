@@ -63,11 +63,13 @@ DetectionTable buildDetectionTable(const gate::NetlistEvaluator& eval,
                                    const CollapsedFaults& collapsed,
                                    const Word& inputs);
 
-/// Batched provider-side construction on the packed bit-parallel engine: the
-/// input configurations are packed 64 to a block, so each collapsed fault is
-/// simulated once per block instead of once per configuration. The returned
-/// tables (one per input, same order) are identical to calling
-/// buildDetectionTable per configuration.
+/// Batched provider-side construction on the packed bit-parallel engine:
+/// each lane of a pass holds one (configuration, collapsed fault) pair,
+/// filled configuration-major, so a one-configuration call takes ⌈F/64⌉
+/// passes for F faults and C configurations never take more than ⌈C/64⌉·F.
+/// Every pass starts from the fault-free planes and re-evaluates only from
+/// its first forced gate. The returned tables (one per input, same order)
+/// are identical to calling buildDetectionTable per configuration.
 std::vector<DetectionTable> buildDetectionTables(
     const gate::PackedEvaluator& packed, const CollapsedFaults& collapsed,
     const std::vector<Word>& inputs);

@@ -74,7 +74,8 @@ FaultDictionary FaultDictionary::build(
     return d;
   }
 
-  // Packed construction: 64 configurations characterized per fault pass.
+  // Packed construction: every lane of a pass is one (configuration,
+  // fault) pair, so small blocks characterize many configurations per pass.
   const gate::PackedEvaluator packed(netlist);
   d.tables_ = buildDetectionTables(packed, collapsed, inputs);
   return d;

@@ -47,10 +47,11 @@ struct ParallelCampaignConfig {
   std::size_t batchSize = 4;  // patterns whose detection tables are fetched
                               // per round trip (1 = unbatched)
   bool cacheTables = true;    // client-side detection-table cache
-  // Round batchSize up to a multiple of gate::PackedEvaluator::kLanes (64)
-  // so each provider-side GetDetectionTables batch fills whole lanes of the
-  // packed bit-parallel table builder. Off by default: round-trip counts are
-  // part of the protocol-cost experiments and must not shift silently.
+  // Round batchSize up to a multiple of gate::PackedEvaluator::kLanes (64).
+  // The packed table builder fills its lanes with (configuration, fault)
+  // pairs at any batch size, so this only changes how many configurations
+  // share a round trip. Off by default: round-trip counts are part of the
+  // protocol-cost experiments and must not shift silently.
   bool alignBatchesToPackWidth = false;
   /// Shared result store consulted (and warmed) by the per-component table
   /// caches: configurations a previous campaign already characterized are

@@ -1,5 +1,6 @@
 #include "gate/packed_eval.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace vcad::gate {
@@ -11,12 +12,18 @@ PackedEvaluator::PackedEvaluator(const Netlist& nl) : nl_(&nl) {
   outNet_.reserve(nGates);
   inBegin_.reserve(nGates + 1);
   driverPos_.assign(static_cast<std::size_t>(nl.netCount()), -1);
+  firstReader_.assign(static_cast<std::size_t>(nl.netCount()),
+                      static_cast<std::int32_t>(nGates));
   inBegin_.push_back(0);
   for (std::size_t pos = 0; pos < nGates; ++pos) {
     const GateNode& gn = nl.gates()[static_cast<std::size_t>(topo[pos])];
     op_.push_back(static_cast<std::uint8_t>(gn.type));
     outNet_.push_back(gn.output);
-    for (NetId in : gn.inputs) inNets_.push_back(in);
+    for (NetId in : gn.inputs) {
+      inNets_.push_back(in);
+      std::int32_t& first = firstReader_[static_cast<std::size_t>(in)];
+      first = std::min(first, static_cast<std::int32_t>(pos));
+    }
     inBegin_.push_back(static_cast<std::int32_t>(inNets_.size()));
     driverPos_[static_cast<std::size_t>(gn.output)] =
         static_cast<std::int32_t>(pos);
@@ -58,10 +65,10 @@ PackedEvaluator::InputBlock PackedEvaluator::pack(
 
 namespace {
 
-inline void force(LanePlanes& p, Logic stuck) {
-  p.known = ~0ULL;
-  p.val = stuck == Logic::L1 ? ~0ULL : 0ULL;
-  p.z = 0;
+inline void force(LanePlanes& p, const PackedEvaluator::LaneForce& f) {
+  p.known |= f.lanes;
+  p.val = (p.val & ~f.lanes) | (f.ones & f.lanes);
+  p.z &= ~f.lanes;
 }
 
 }  // namespace
@@ -69,6 +76,18 @@ inline void force(LanePlanes& p, Logic stuck) {
 void PackedEvaluator::evaluate(const InputBlock& in,
                                std::vector<LanePlanes>& planes,
                                const StuckFault* fault) const {
+  if (fault == nullptr) {
+    evaluate(in, planes, std::span<const LaneForce>{});
+    return;
+  }
+  const LaneForce all{fault->net, ~0ULL,
+                      fault->stuck == Logic::L1 ? ~0ULL : 0ULL};
+  evaluate(in, planes, std::span<const LaneForce>(&all, 1));
+}
+
+void PackedEvaluator::evaluate(const InputBlock& in,
+                               std::vector<LanePlanes>& planes,
+                               std::span<const LaneForce> forces) const {
   const auto& pis = nl_->primaryInputs();
   if (in.pi.size() != pis.size()) {
     throw std::invalid_argument("PackedEvaluator: input block arity mismatch");
@@ -77,14 +96,48 @@ void PackedEvaluator::evaluate(const InputBlock& in,
   for (std::size_t i = 0; i < pis.size(); ++i) {
     planes[static_cast<std::size_t>(pis[i])] = in.pi[i];
   }
-  std::int32_t forceAfter = -2;  // compiled gate index to force after
-  if (fault != nullptr) {
-    forceAfter = driverPos_[static_cast<std::size_t>(fault->net)];
-    if (forceAfter < 0) force(planes[static_cast<std::size_t>(fault->net)],
-                              fault->stuck);
+  run(planes, 0, forces);
+}
+
+void PackedEvaluator::reevaluate(std::vector<LanePlanes>& planes,
+                                 std::span<const LaneForce> forces) const {
+  if (planes.size() != static_cast<std::size_t>(nl_->netCount())) {
+    throw std::invalid_argument("PackedEvaluator::reevaluate: plane count");
   }
+  // Gates before the first reader of any forced net see only fault-free
+  // inputs, so their fault-free planes already are the answer.
+  std::size_t start = op_.size();
+  for (const LaneForce& f : forces) {
+    const std::size_t net = static_cast<std::size_t>(f.net);
+    if (net >= firstReader_.size()) {
+      throw std::invalid_argument("PackedEvaluator: force on unknown net");
+    }
+    start = std::min(start, static_cast<std::size_t>(firstReader_[net]));
+  }
+  run(planes, start, forces);
+}
+
+void PackedEvaluator::run(std::vector<LanePlanes>& planes, std::size_t start,
+                          std::span<const LaneForce> forces) const {
+  std::size_t next = 0;  // first force not yet applied
+  for (std::size_t i = 0; i < forces.size(); ++i) {
+    const std::size_t net = static_cast<std::size_t>(forces[i].net);
+    if (net >= driverPos_.size()) {
+      throw std::invalid_argument("PackedEvaluator: force on unknown net");
+    }
+    if (i > 0 && driverPos_[net] < topoPosition(forces[i - 1].net)) {
+      throw std::invalid_argument(
+          "PackedEvaluator: force list not in topological order");
+    }
+    if (driverPos_[net] < static_cast<std::int32_t>(start)) {
+      force(planes[net], forces[i]);
+      next = i + 1;
+    }
+  }
+  std::int32_t forceAt = next < forces.size() ? topoPosition(forces[next].net)
+                                              : -1;
   const std::size_t nGates = op_.size();
-  for (std::size_t g = 0; g < nGates; ++g) {
+  for (std::size_t g = start; g < nGates; ++g) {
     const std::int32_t* ins = inNets_.data() + inBegin_[g];
     const int n = inBegin_[g + 1] - inBegin_[g];
     std::uint64_t v = 0, k = 0;
@@ -151,8 +204,10 @@ void PackedEvaluator::evaluate(const InputBlock& in,
     out.val = v;
     out.known = k;
     out.z = 0;
-    if (static_cast<std::int32_t>(g) == forceAfter) {
-      force(planes[static_cast<std::size_t>(fault->net)], fault->stuck);
+    while (static_cast<std::int32_t>(g) == forceAt) {
+      force(out, forces[next]);
+      ++next;
+      forceAt = next < forces.size() ? topoPosition(forces[next].net) : -1;
     }
   }
 }

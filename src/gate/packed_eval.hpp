@@ -1,19 +1,25 @@
 // PackedEvaluator: compiled, levelized, bit-parallel netlist evaluation —
-// 64 independent patterns per pass (classic PPSFP-style pattern
-// parallelism).
+// 64 independent lanes per pass. A lane is one input pattern, optionally
+// with its own stuck-at fault: pattern-parallel campaigns put 64 patterns
+// against one fault, the detection-table builder puts 64 (configuration,
+// fault) pairs into one pass.
 //
 // The netlist is flattened once into cache-friendly CSR arrays (gate opcode,
 // input-net index spans, output net, all in topological order). Four-valued
 // logic is encoded as two 64-bit planes per net — `val` (the value bit,
 // canonical 0 wherever unknown) and `known` (strong 0/1) — so every gate
-// evaluates all 64 pattern lanes with a handful of branch-free bitwise
-// operations. A third `z` plane records high impedance; only primary inputs
-// can carry it (every gate operator normalizes Z to X, exactly like the
-// scalar 4-valued algebra in core/logic.cpp), so the gate loop never touches
-// it. Stuck-at injection forces a net's planes right after its driver
-// evaluates (or at input load for primary-input faults), which makes one
-// packed pass equivalent to 64 scalar NetlistEvaluator::evaluate calls with
-// the same fault — bit-identical after decoding.
+// evaluates all 64 lanes with a handful of branch-free bitwise operations.
+// A third `z` plane records high impedance; only primary inputs can carry it
+// (every gate operator normalizes Z to X, exactly like the scalar 4-valued
+// algebra in core/logic.cpp), so the gate loop never touches it.
+//
+// Stuck-at injection is a per-lane force list: each entry forces a subset of
+// one net's lanes to 0 or 1 right after the net's driver evaluates (or at
+// input load for a primary-input net). A pass whose lane k carries fault k
+// decodes, lane for lane, to the scalar NetlistEvaluator::evaluate with that
+// fault; the single-fault evaluate() is the one-entry, all-lanes case of the
+// same gate loop. reevaluate() starts from a fault-free evaluation and
+// re-runs only the gates from the first one a force can reach.
 //
 // Two-plane forms (per lane; one = known & val, zero = known & ~val):
 //   AND : one = AND over inputs' one;  zero = OR  over inputs' zero
@@ -25,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/word.hpp"
@@ -33,7 +40,7 @@
 namespace vcad::gate {
 
 /// One 64-lane slice of a net: bit k of each plane describes the net's
-/// 4-valued value under pattern lane k.
+/// 4-valued value under lane k.
 struct LanePlanes {
   std::uint64_t val = 0;    // value bit; canonical 0 where !known
   std::uint64_t known = 0;  // lane holds a strong 0/1
@@ -42,7 +49,7 @@ struct LanePlanes {
 
 class PackedEvaluator {
  public:
-  /// Patterns evaluated per pass — one per bit of a machine word.
+  /// Lanes evaluated per pass — one per bit of a machine word.
   static constexpr int kLanes = 64;
 
   explicit PackedEvaluator(const Netlist& nl);
@@ -62,10 +69,38 @@ class PackedEvaluator {
   InputBlock pack(const std::vector<Word>& patterns, std::size_t begin,
                   std::size_t lanes) const;
 
+  /// Stuck-at forces on one net: the lanes in `lanes` are forced, to 1 where
+  /// `ones` is set and to 0 elsewhere.
+  struct LaneForce {
+    NetId net = 0;
+    std::uint64_t lanes = 0;
+    std::uint64_t ones = 0;
+  };
+
   /// Evaluates every lane of `in` in one pass; `planes` is resized to
-  /// netCount(). Lanes >= in.lanes decode as X and must be ignored.
+  /// netCount(). Lanes >= in.lanes decode as X and must be ignored. A fault
+  /// applies to every lane.
   void evaluate(const InputBlock& in, std::vector<LanePlanes>& planes,
                 const StuckFault* fault = nullptr) const;
+
+  /// Same pass with per-lane forces. `forces` must be ordered by
+  /// topoPosition() of their nets (throws std::invalid_argument otherwise);
+  /// two entries may name the same net with disjoint lanes.
+  void evaluate(const InputBlock& in, std::vector<LanePlanes>& planes,
+                std::span<const LaneForce> forces) const;
+
+  /// Applies `forces` to `planes`, which must hold a complete fault-free
+  /// evaluation (any mix of inputs per lane), and re-evaluates only the
+  /// gates from the first one reading a forced net. The result equals a
+  /// full evaluate() of the same lanes with the same forces.
+  void reevaluate(std::vector<LanePlanes>& planes,
+                  std::span<const LaneForce> forces) const;
+
+  /// Compiled index of the gate driving `net`, or -1 for a primary input:
+  /// the order a force list must follow.
+  int topoPosition(NetId net) const {
+    return driverPos_[static_cast<std::size_t>(net)];
+  }
 
   /// Decodes one lane of one net (the packed analogue of the scalar
   /// evaluator's net-value vector entry).
@@ -91,6 +126,14 @@ class PackedEvaluator {
   std::vector<std::int32_t> inNets_;
   std::vector<std::int32_t> driverPos_;  // per net: compiled index of its
                                          // driver, or -1 (primary input)
+  std::vector<std::int32_t> firstReader_;  // per net: lowest compiled index
+                                           // reading it, or gate count
+
+  // The one gate loop: evaluates gates [start, gateCount) over `planes`,
+  // applying each force after its net's driver (forces whose driver lies
+  // before `start` are applied up front).
+  void run(std::vector<LanePlanes>& planes, std::size_t start,
+           std::span<const LaneForce> forces) const;
 };
 
 }  // namespace vcad::gate

@@ -74,13 +74,4 @@ class VirtualClock {
   double elapsed_ = 0.0;
 };
 
-/// Traffic/accounting counters for one channel.
-struct ChannelStats {
-  std::uint64_t calls = 0;
-  std::uint64_t bytesSent = 0;      // client -> server
-  std::uint64_t bytesReceived = 0;  // server -> client
-  double networkSec = 0.0;          // simulated wire time
-  double serverCpuSec = 0.0;        // measured server compute
-};
-
 }  // namespace vcad::net

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/rng.hpp"
 #include "gate/generators.hpp"
 #include "gate/metrics.hpp"
@@ -117,6 +119,100 @@ TEST(PackedEval, FaultOnPrimaryInputNetMatchesScalar) {
     expectAllLanesMatchScalar(nl, patterns, &sa0);
     expectAllLanesMatchScalar(nl, patterns, &sa1);
   }
+}
+
+/// A random netlist with Const0/Const1 gates mixed into its fanin.
+Netlist randomNetlistWithConstants(Rng& rng) {
+  Netlist nl;
+  std::vector<NetId> pool;
+  for (int i = 0; i < 6; ++i) {
+    pool.push_back(nl.addInput("i" + std::to_string(i)));
+  }
+  pool.push_back(nl.addGate(GateType::Const0, {}, "c0"));
+  pool.push_back(nl.addGate(GateType::Const1, {}, "c1"));
+  const GateType ops[] = {GateType::And, GateType::Or,  GateType::Nand,
+                          GateType::Nor, GateType::Xor, GateType::Xnor};
+  for (int g = 0; g < 30; ++g) {
+    const NetId a = pool[rng.below(pool.size())];
+    const NetId b = pool[rng.below(pool.size())];
+    pool.push_back(g % 7 == 6 ? nl.addGate(GateType::Not, {a})
+                              : nl.addGate(ops[rng.below(6)], {a, b}));
+  }
+  for (std::size_t k = pool.size() - 4; k < pool.size(); ++k) {
+    nl.markOutput(pool[k]);
+  }
+  nl.validate();
+  return nl;
+}
+
+TEST(PackedEval, MultiFaultPassMatchesSingleFaultPerLane) {
+  Rng rng(0xbeef07);
+  for (int trial = 0; trial < 6; ++trial) {
+    const Netlist nl = randomNetlistWithConstants(rng);
+    const PackedEvaluator packed(nl);
+    const auto patterns = randomBlock(rng, nl.inputCount(), 64,
+                                      trial % 2 == 0 ? 0 : 25);
+    const auto block = packed.pack(patterns, 0, 64);
+
+    // Lane k carries fault k: random nets (inputs, constants, internal,
+    // outputs) and polarities, several lanes sharing a net.
+    std::vector<StuckFault> faults;
+    for (int k = 0; k < 64; ++k) {
+      faults.push_back(
+          {static_cast<NetId>(
+               rng.below(static_cast<std::uint64_t>(nl.netCount()))),
+           rng.below(2) == 0 ? Logic::L0 : Logic::L1});
+    }
+    std::vector<int> byPos(64);
+    for (int k = 0; k < 64; ++k) byPos[static_cast<std::size_t>(k)] = k;
+    std::stable_sort(byPos.begin(), byPos.end(), [&](int a, int b) {
+      return packed.topoPosition(faults[static_cast<std::size_t>(a)].net) <
+             packed.topoPosition(faults[static_cast<std::size_t>(b)].net);
+    });
+    std::vector<PackedEvaluator::LaneForce> forces;
+    for (int k : byPos) {
+      const StuckFault& f = faults[static_cast<std::size_t>(k)];
+      const std::uint64_t lane = 1ULL << k;
+      forces.push_back({f.net, lane, f.stuck == Logic::L1 ? lane : 0});
+    }
+
+    std::vector<LanePlanes> full, partial, single;
+    packed.evaluate(block, full, forces);
+    packed.evaluate(block, partial);
+    packed.reevaluate(partial, forces);
+    for (int k = 0; k < 64; ++k) {
+      packed.evaluate(block, single, &faults[static_cast<std::size_t>(k)]);
+      for (NetId n = 0; n < nl.netCount(); ++n) {
+        const Logic want = packed.netValue(single, n, k);
+        ASSERT_EQ(packed.netValue(full, n, k), want)
+            << "net " << nl.netName(n) << " lane " << k;
+        ASSERT_EQ(packed.netValue(partial, n, k), want)
+            << "net " << nl.netName(n) << " lane " << k << " (reevaluate)";
+      }
+    }
+  }
+}
+
+TEST(PackedEval, ForceListMustFollowTopologicalOrder) {
+  const Netlist nl = makeRippleCarryAdder(2);
+  const PackedEvaluator packed(nl);
+  const NetId pi = nl.primaryInputs().front();
+  const NetId po = nl.primaryOutputs().back();
+  ASSERT_LT(packed.topoPosition(pi), packed.topoPosition(po));
+  const std::vector<PackedEvaluator::LaneForce> backwards{{po, 1, 0},
+                                                          {pi, 1, 1}};
+  const auto block =
+      packed.pack(std::vector<Word>{Word::fromUint(nl.inputCount(), 0)}, 0, 1);
+  std::vector<LanePlanes> planes;
+  EXPECT_THROW(packed.evaluate(block, planes, backwards),
+               std::invalid_argument);
+  const std::vector<PackedEvaluator::LaneForce> unknownNet{
+      {static_cast<NetId>(nl.netCount()), 1, 0}};
+  EXPECT_THROW(packed.evaluate(block, planes, unknownNet),
+               std::invalid_argument);
+  packed.evaluate(block, planes);
+  EXPECT_THROW(packed.reevaluate(planes, unknownNet), std::invalid_argument);
+  EXPECT_THROW(packed.reevaluate(planes, backwards), std::invalid_argument);
 }
 
 TEST(PackedEval, OutputDiffMaskMatchesWordInequality) {
