@@ -13,6 +13,9 @@
 // scheduler's (slot, generation) pair and are a single lock-free array
 // index; an entry whose stamped generation does not match the reader's
 // reads as all-X, which is how released/reset slots are cleared in O(1).
+// A fault-injection run reads through to its fault-free base run wherever
+// it has not written a value of its own (valueOrBase), so it only has to
+// simulate what its forced outputs change.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +59,24 @@ class Connector {
     return e.generation == generation ? e.value : Word::allX(width_);
   }
   void setValue(std::uint32_t slot, std::uint32_t generation, const Word& w);
+
+  /// Read-through accessor for a run layered on a base run (see
+  /// Scheduler::setBase): the run's own value where it wrote one, else the
+  /// base run's value while that run is still current, else all-X. With no
+  /// base it is value(slot, generation). The base slot is only read.
+  Word valueOrBase(std::uint32_t slot, std::uint32_t generation,
+                   SlotRef base) const {
+    const SlotValue& e = values_[slot];
+    if (e.generation == generation) return e.value;
+    if (base) {
+      const SlotValue& b = values_[base.slot];
+      if (b.generation == base.generation &&
+          SlotRegistry::global().isCurrent(base)) {
+        return b.value;
+      }
+    }
+    return Word::allX(width_);
+  }
 
   /// Compat accessors addressed by scheduler id alone: resolve the slot's
   /// current generation through the registry (one atomic load). Simulation

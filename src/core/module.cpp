@@ -149,7 +149,9 @@ void Module::selfSchedule(SimContext& ctx, SimTime delay, int tag) {
 Word Module::readInput(const SimContext& ctx, const Port& in) const {
   const Connector* conn = in.connector();
   if (conn == nullptr) return Word::allX(in.width());
-  return conn->value(ctx.scheduler.slot(), ctx.scheduler.slotGeneration());
+  return conn->valueOrBase(ctx.scheduler.slot(),
+                           ctx.scheduler.slotGeneration(),
+                           ctx.scheduler.base());
 }
 
 Word Module::lastDriven(const SimContext& ctx, const Port& out) const {

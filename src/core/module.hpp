@@ -130,7 +130,8 @@ class Module {
   /// Schedules a SelfToken for this module `delay` ticks from now.
   void selfSchedule(SimContext& ctx, SimTime delay, int tag = 0);
 
-  /// Current value at an input port, as seen by the context's scheduler.
+  /// Current value at an input port, as seen by the context's scheduler
+  /// (reading through to its base run where it wrote no value of its own).
   Word readInput(const SimContext& ctx, const Port& in) const;
 
   /// Last value driven on an *unconnected* output port by the context's

@@ -51,6 +51,7 @@ void Scheduler::drainQueue() {
 void Scheduler::reset() {
   drainQueue();
   overrides_.clear();
+  base_ = SlotRef{};
   now_ = 0;
   seq_ = 0;
   dispatched_ = 0;
@@ -58,6 +59,14 @@ void Scheduler::reset() {
   generation_ = SlotRegistry::global().renew(slot_);
   ++resets_;
   obs::Registry::global().add(SchedMetrics::get().resets);
+}
+
+void Scheduler::setBase(SlotRef base) {
+  if (base.slot >= SlotRegistry::kCapacity || base.slot == slot_) {
+    throw std::invalid_argument(
+        "Scheduler::setBase: the base must be another scheduler's run");
+  }
+  base_ = base;
 }
 
 void Scheduler::schedule(std::unique_ptr<Token> token, SimTime delay) {

@@ -10,10 +10,12 @@
 // the generation. A module can only schedule a new token on the scheduler
 // that delivered the current one.
 //
-// The scheduler also implements the *output override* hook used by virtual
-// fault simulation: the simulation controller can replace a module's event
-// handling with a function that assigns a fixed (faulty) configuration to
-// the module's outputs regardless of its inputs.
+// The scheduler also implements the two hooks used by virtual fault
+// simulation: the *output override*, which replaces a module's event
+// handling with a fixed (faulty) assignment to its outputs regardless of
+// its inputs, and the read-through *base*, a finished fault-free run whose
+// connector values this scheduler reads wherever it has not written its own
+// (see setBase).
 #pragma once
 
 #include <cstdint>
@@ -58,11 +60,23 @@ class Scheduler {
   SimTime now() const { return now_; }
 
   /// Returns the scheduler to its just-constructed state for reuse by a
-  /// pooled run: drains pending tokens, drops output overrides, rewinds
-  /// time, and renews the slot generation so every connector value and
-  /// module state written by the previous run reads as all-X / empty again
-  /// — no traversal of the design needed. Owner-thread only.
+  /// pooled run: drains pending tokens, drops output overrides and the
+  /// read-through base, rewinds time, and renews the slot generation so
+  /// every connector value and module state written by the previous run
+  /// reads as all-X / empty again — no traversal of the design needed.
+  /// Owner-thread only.
   void reset();
+
+  /// Read-through base: the (slot, generation) of a finished fault-free
+  /// run of the same design. Wherever this run has not written a connector
+  /// value of its own, Module::readInput and Connector::valueOrBase see the
+  /// base run's value instead of all-X, so a fault-injection run only has
+  /// to simulate the fanout of what it forces. The base is only read; it
+  /// must not run, reset or be destroyed while this run reads it (a base
+  /// renewed or released anyway reads as all-X, never as a stale value).
+  /// Module state is not read through. reset() drops the base.
+  void setBase(SlotRef base);
+  SlotRef base() const { return base_; }
 
   /// Times this scheduler has been reset() (pool-reuse accounting).
   std::uint64_t resets() const { return resets_; }
@@ -137,6 +151,7 @@ class Scheduler {
 
   std::uint32_t slot_;
   std::uint32_t generation_;
+  SlotRef base_;
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t dispatched_ = 0;

@@ -114,6 +114,21 @@ void SimulationController::clearForcedOutputs() {
   scheduler_.clearAllOverrides();
 }
 
+std::size_t SimulationController::runInjection(
+    const SimulationController& faultFree, Module& faulty,
+    std::vector<Scheduler::OutputOverride> outputs) {
+  const Scheduler& base = faultFree.scheduler_;
+  scheduler_.setBase(SlotRef{base.slot(), base.slotGeneration()});
+  // The override stays installed: any event the fanout sends back into the
+  // faulty module re-drives the forced values instead of its logic.
+  scheduler_.setOutputOverride(faulty, std::move(outputs));
+  SimContext ctx{scheduler_, setup_};
+  for (const auto& o : *scheduler_.findOverride(faulty)) {
+    faulty.emit(ctx, *o.port, o.value);
+  }
+  return scheduler_.run();
+}
+
 void runConcurrently(const std::vector<SimulationController*>& controllers,
                      SimTime until) {
   std::vector<std::thread> threads;

@@ -4,10 +4,11 @@
 // One simulation controller per concurrent simulation: because all
 // per-simulation state is keyed by scheduler id, many controllers can run
 // over the same design — sequentially or on concurrent threads — without any
-// reset or save/restore action between runs. A controller can also launch
-// and coordinate subordinate single-instant controllers, which is how
-// virtual fault simulation injects faulty output configurations (see
-// src/fault).
+// reset or save/restore action between runs. A controller can also run a
+// fault injection layered on another controller's finished fault-free run
+// (runInjection): it reads through to that run and simulates only the
+// fanout of the forced outputs, which is how virtual fault simulation
+// injects faulty output configurations (see src/fault).
 #pragma once
 
 #include <memory>
@@ -95,6 +96,24 @@ class SimulationController {
   void forceOutputs(const Module& module,
                     std::vector<Scheduler::OutputOverride> outputs);
   void clearForcedOutputs();
+
+  /// Fault injection by read-through: forces `faulty`'s outputs to
+  /// `outputs` on top of `faultFree`'s finished run and simulates only
+  /// their fanout. Installs faultFree's run as this scheduler's base (see
+  /// Scheduler::setBase), installs the output override, emits the forced
+  /// values at t=0, and runs to quiescence without initialize(). Returns
+  /// the delivered event count. Call it on a fresh or reset() controller.
+  ///
+  /// Precondition, which virtual fault simulation already assumes: the
+  /// design is combinational and simulated in a single instant, and every
+  /// module's outputs are a pure function of its current inputs (module
+  /// state only suppresses repeated events). Then every connector outside
+  /// the forced fanout keeps its fault-free value, and the primary outputs
+  /// settle exactly as a full faulty re-simulation from the primary inputs
+  /// would leave them.
+  std::size_t runInjection(const SimulationController& faultFree,
+                           Module& faulty,
+                           std::vector<Scheduler::OutputOverride> outputs);
 
  private:
   Circuit& design_;

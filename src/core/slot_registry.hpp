@@ -36,6 +36,16 @@
 
 namespace vcad {
 
+/// One simulation run's address in the arena: its scheduler's slot and the
+/// generation that run stamps on its writes. A generation of 0 never names
+/// a run (registry generations start at 1), so SlotRef{} means "none".
+struct SlotRef {
+  std::uint32_t slot = 0;
+  std::uint32_t generation = 0;
+
+  explicit operator bool() const { return generation != 0; }
+};
+
 class SlotRegistry {
  public:
   /// Upper bound on concurrently live schedulers. Arena arrays are sized to
@@ -71,6 +81,14 @@ class SlotRegistry {
   /// Current generation of a slot. Used by the by-scheduler-id compat
   /// accessors; throws std::out_of_range for slot >= kCapacity.
   std::uint32_t currentGeneration(std::uint32_t slot) const;
+
+  /// True while `run` is its slot's live run: neither renewed nor released
+  /// since it was addressed. Read-through readers (Connector::valueOrBase)
+  /// check this so a reset or destroyed base run reads as all-X.
+  bool isCurrent(SlotRef run) const {
+    return run && generations_[run.slot].load(std::memory_order_acquire) ==
+                      run.generation;
+  }
 
   // --- metrics -----------------------------------------------------------
 

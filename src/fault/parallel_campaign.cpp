@@ -32,11 +32,6 @@ ParallelFaultSimulator::ParallelFaultSimulator(
   }
   if (config_.threads == 0) config_.threads = 1;
   if (config_.batchSize == 0) config_.batchSize = 1;
-  if (config_.alignBatchesToPackWidth) {
-    const std::size_t lanes =
-        static_cast<std::size_t>(gate::PackedEvaluator::kLanes);
-    config_.batchSize = ((config_.batchSize + lanes - 1) / lanes) * lanes;
-  }
 }
 
 void ParallelFaultSimulator::applyPattern(SimulationController& sim,
@@ -83,6 +78,18 @@ CampaignResult ParallelFaultSimulator::run(
   res.workerInjections.assign(pool.lanes(), 0);
   std::vector<std::uint64_t> laneResets(pool.lanes(), 0);
 
+  // One pinned fault-free controller per batch position: a batch's golden
+  // runs must stay readable until its last injection, because every
+  // injection reads through to its pattern's run. Each is reset before it
+  // takes the next batch's pattern; the pool barrier hands it between
+  // threads. Together with the lanes this is batchSize + lanes arena slots
+  // for the whole campaign (the SlotRegistry throws past kCapacity).
+  std::vector<std::unique_ptr<SimulationController>> faultFree(
+      std::min(config_.batchSize, patterns.size()));
+  for (auto& ff : faultFree) {
+    ff = std::make_unique<SimulationController>(design_);
+  }
+
   // Per-component table cache keyed by observed input configuration, as in
   // the serial engine (pinned tables have stable addresses, so they can be
   // bound by pointer across later insertions), with an optional view onto
@@ -108,9 +115,10 @@ CampaignResult ParallelFaultSimulator::run(
         std::min(base + config_.batchSize, patterns.size());
     const std::size_t nBatch = batchEnd - base;
 
-    // --- Fault-free reference runs for the batch, on the pooled lanes:
-    // golden responses and observed component inputs are snapshotted inside
-    // the job, so no controller has to outlive its run. ------------------
+    // --- Fault-free reference runs for the batch, sharded across the pool,
+    // one pinned controller per batch position: golden responses and
+    // observed component inputs are snapshotted inside the job, and the
+    // runs stay live as the injections' read-through bases. --------------
     obs::SpanScope batchSpan("campaign.batch", "campaign");
     batchSpan.arg("base", static_cast<double>(base));
     batchSpan.arg("patterns", static_cast<double>(nBatch));
@@ -118,9 +126,11 @@ CampaignResult ParallelFaultSimulator::run(
     std::vector<PatternRun> runs(nBatch);
     obs::SpanScope faultFreeSpan("campaign.faultFreeBatch", "campaign");
     pool.parallelFor(nBatch, [&](std::size_t w, std::size_t i) {
-      SimulationController& sim = *lanes[w];
-      sim.reset();
-      ++laneResets[w];
+      SimulationController& sim = *faultFree[i];
+      if (base != 0) {
+        sim.reset();
+        ++laneResets[w];
+      }
       applyPattern(sim, patterns[base + i]);
       PatternRun& pr = runs[i];
       const SimContext ctx{sim.scheduler(), nullptr};
@@ -212,7 +222,8 @@ CampaignResult ParallelFaultSimulator::run(
     // --- Injections: patterns commit strictly in order (preserving the
     // per-pattern coverage curve); within a pattern, the row jobs shard
     // across the pooled lanes, each job reset-and-reusing its lane instead
-    // of constructing a controller. ---------------------------------------
+    // of constructing a controller and reading through to the pattern's
+    // fault-free run, which no thread writes until the next batch. --------
     for (std::size_t i = 0; i < nBatch; ++i) {
       struct Job {
         std::size_t comp;
@@ -233,7 +244,7 @@ CampaignResult ParallelFaultSimulator::run(
         }
       }
 
-      const std::vector<Word>& pattern = patterns[base + i];
+      const SimulationController& ff = *faultFree[i];
       const PatternRun& pr = runs[i];
       obs::SpanScope patternSpan("campaign.pattern", "campaign");
       patternSpan.arg("pattern", static_cast<double>(base + i));
@@ -244,16 +255,9 @@ CampaignResult ParallelFaultSimulator::run(
         SimulationController& inj = *lanes[w];
         inj.reset();
         ++laneResets[w];
-        inj.forceOutputs(comp.module(), comp.overridesFor(job.row->faultyOutput));
-        applyPattern(inj, pattern);
-        for (std::size_t k = 0; k < pos_.size(); ++k) {
-          if (pos_[k]->value(inj.scheduler().slot(),
-                             inj.scheduler().slotGeneration()) !=
-              pr.golden[k]) {
-            job.observable = true;
-            break;
-          }
-        }
+        inj.runInjection(ff, comp.module(),
+                         comp.overridesFor(job.row->faultyOutput));
+        job.observable = outputsDiffer(inj.scheduler(), pos_, pr.golden);
         ++res.workerInjections[w];
       });
 
@@ -270,12 +274,14 @@ CampaignResult ParallelFaultSimulator::run(
     }
   }
 
-  // Physically release the lanes' arena entries before the controllers die
-  // so a finished campaign leaves nothing behind, then verify it.
-  for (auto& lane : lanes) {
-    design_.clearSchedulerState(lane->scheduler().id());
-    assert(design_.residualStateCount(lane->scheduler().slot()) == 0 &&
-           "clearSchedulerState left live lane state behind");
+  // Physically release the pinned controllers' arena entries before they
+  // die so a finished campaign leaves nothing behind, then verify it.
+  for (const auto* pinned : {&lanes, &faultFree}) {
+    for (const auto& sim : *pinned) {
+      design_.clearSchedulerState(sim->scheduler().id());
+      assert(design_.residualStateCount(sim->scheduler().slot()) == 0 &&
+             "clearSchedulerState left live pinned state behind");
+    }
   }
   for (std::uint64_t r : laneResets) res.schedulerResets += r;
   res.slotsLeased = registry.totalLeases() - leasesBefore;

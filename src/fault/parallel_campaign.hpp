@@ -18,7 +18,12 @@
 //     campaign and reset()s it between jobs (an O(1) generation renew), so
 //     the backplane isolates the concurrent runs with no save/restore and
 //     no per-injection controller churn, exactly the paper's
-//     multi-scheduler guarantee. Per-job detection verdicts are recorded
+//     multi-scheduler guarantee. Injection is read-through
+//     (SimulationController::runInjection): a job forces its row's faulty
+//     outputs on top of the pattern's fault-free run and simulates only
+//     their fanout. Each batch position pins its own fault-free controller,
+//     so a batch's fault-free runs stay readable, read-only, while its
+//     injections run concurrently. Per-job detection verdicts are recorded
 //     lock-free and merged after the pattern's pool barrier.
 //
 // Equivalence to the serial path: fault list, detected set, and the
@@ -47,12 +52,6 @@ struct ParallelCampaignConfig {
   std::size_t batchSize = 4;  // patterns whose detection tables are fetched
                               // per round trip (1 = unbatched)
   bool cacheTables = true;    // client-side detection-table cache
-  // Round batchSize up to a multiple of gate::PackedEvaluator::kLanes (64).
-  // The packed table builder fills its lanes with (configuration, fault)
-  // pairs at any batch size, so this only changes how many configurations
-  // share a round trip. Off by default: round-trip counts are part of the
-  // protocol-cost experiments and must not shift silently.
-  bool alignBatchesToPackWidth = false;
   /// Shared result store consulted (and warmed) by the per-component table
   /// caches: configurations a previous campaign already characterized are
   /// served locally, removed from the batched fetch, and counted as

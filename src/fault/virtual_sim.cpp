@@ -175,11 +175,11 @@ CampaignResult VirtualFaultSimulator::runSerialInjection(
         }
         if (!anyUndetected) continue;
 
-        // Inject the erroneous output configuration: a fresh single-instant
-        // controller with the component's event handling overridden.
+        // Inject the erroneous output configuration on a fresh controller
+        // that reads through to the fault-free run.
         SimulationController inj(design_);
-        inj.forceOutputs(comp.module(), comp.overridesFor(row.faultyOutput));
-        applyPattern(inj, pattern);
+        inj.runInjection(ff, comp.module(),
+                         comp.overridesFor(row.faultyOutput));
         ++res.injections;
         if (obs::Tracer::global().verbose()) {
           obs::Tracer::global().instant(
@@ -188,14 +188,7 @@ CampaignResult VirtualFaultSimulator::runSerialInjection(
                {"rowFaults", static_cast<double>(row.faults.size())}});
         }
 
-        bool observable = false;
-        for (std::size_t j = 0; j < pos_.size(); ++j) {
-          if (pos_[j]->value(inj.scheduler().id()) != goldenPo[j]) {
-            observable = true;
-            break;
-          }
-        }
-        if (observable) {
+        if (outputsDiffer(inj.scheduler(), pos_, goldenPo)) {
           for (const std::string& f : row.faults) res.detected.insert(prefix + f);
         }
         design_.clearSchedulerState(inj.scheduler().id());
@@ -339,7 +332,8 @@ CampaignResult VirtualFaultSimulator::runPooled(
     // Row injections shard across the lanes; lane w is only ever driven by
     // pool thread w, so per-slot arena state needs no locks. Each job
     // resets its lane (O(1) generation renew) instead of constructing a
-    // controller.
+    // controller, then reads through to the ff run, whose slot every lane
+    // only reads until the pool barrier.
     std::vector<std::uint64_t> laneResets(lanes.size(), 0);
     pool.parallelFor(jobs.size(), [&](std::size_t w, std::size_t j) {
       Job& job = jobs[j];
@@ -347,8 +341,8 @@ CampaignResult VirtualFaultSimulator::runPooled(
       SimulationController& inj = *lanes[w];
       inj.reset();
       ++laneResets[w];
-      inj.forceOutputs(comp.module(), comp.overridesFor(job.row->faultyOutput));
-      applyPattern(inj, pattern);
+      inj.runInjection(ff, comp.module(),
+                       comp.overridesFor(job.row->faultyOutput));
       if (obs::Tracer::global().verbose()) {
         obs::Tracer::global().instant(
             "campaign.inject", "campaign",
@@ -356,13 +350,7 @@ CampaignResult VirtualFaultSimulator::runPooled(
              {"component", static_cast<double>(job.comp)},
              {"rowFaults", static_cast<double>(job.row->faults.size())}});
       }
-      for (std::size_t k = 0; k < pos_.size(); ++k) {
-        if (pos_[k]->value(inj.scheduler().slot(),
-                           inj.scheduler().slotGeneration()) != goldenPo[k]) {
-          job.observable = true;
-          break;
-        }
-      }
+      job.observable = outputsDiffer(inj.scheduler(), pos_, goldenPo);
       ++res.workerInjections[w];
     });
 
@@ -401,6 +389,19 @@ CampaignResult VirtualFaultSimulator::runPooled(
   campaignSpan.arg("injections", static_cast<double>(res.injections));
   recordCampaignMetrics(res);
   return res;
+}
+
+bool outputsDiffer(const Scheduler& injection,
+                   const std::vector<Connector*>& primaryOutputs,
+                   const std::vector<Word>& golden) {
+  for (std::size_t k = 0; k < primaryOutputs.size(); ++k) {
+    if (primaryOutputs[k]->valueOrBase(injection.slot(),
+                                       injection.slotGeneration(),
+                                       injection.base()) != golden[k]) {
+      return true;
+    }
+  }
+  return false;
 }
 
 CampaignResult VirtualFaultSimulator::runPacked(

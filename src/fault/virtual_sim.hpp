@@ -8,21 +8,30 @@
 //                      hand each component its observed input configuration,
 //                      receive a detection table, and for each table row
 //                      with undetected faults inject the erroneous output
-//                      configuration into the fault-free design (a dedicated
-//                      single-instant scheduler with the faulty module's
-//                      event handling replaced by a forced output
-//                      assignment). If a primary output differs from the
-//                      fault-free response, every fault in the row is
-//                      detected and dropped from the list.
+//                      configuration into the fault-free design. If a
+//                      primary output differs from the fault-free response,
+//                      every fault in the row is detected and dropped from
+//                      the list.
+//
+// Injection is read-through (SimulationController::runInjection): the
+// injection run takes the pattern's finished fault-free run as its base,
+// emits the component's forced outputs at t=0 with the component's event
+// handling replaced by the forced assignment, and simulates only their
+// fanout cone. Every connector the injection does not write reads the
+// fault-free value, so the primary outputs compare exactly as after a full
+// faulty re-simulation from the primary inputs. This relies on the design
+// being combinational and single-instant, with modules that are pure
+// functions of their inputs — which the protocol already assumes.
 //
 // The multi-scheduler backplane makes the injection runs free of any
-// save/restore action: each injection runs under its own scheduler slot,
-// whose state cannot interfere with the fault-free run or with other
-// injections. The serial engine (runSerialInjection) uses a fresh
-// controller per injection; setInjectionWorkers(n) switches phase 2 to a
-// pool of n workers, each with one pinned pooled scheduler reset-and-reused
-// across row injections running concurrently — bit-identical results by
-// construction (see runPooled).
+// save/restore action: each injection writes only its own scheduler slot
+// and only reads the fault-free run's, so it cannot interfere with the
+// fault-free run or with other injections. The serial engine
+// (runSerialInjection) uses a fresh controller per injection;
+// setInjectionWorkers(n) switches phase 2 to a pool of n workers, each with
+// one pinned pooled scheduler reset-and-reused across row injections
+// running concurrently over the one read-only fault-free run —
+// bit-identical results by construction (see runPooled).
 #pragma once
 
 #include <memory>
@@ -131,8 +140,9 @@ class VirtualFaultSimulator {
 
  private:
   CampaignResult runPooled(const std::vector<std::vector<Word>>& patterns);
-  /// Simulates one pattern fault-free; fills PO snapshot; returns the
-  /// controller (kept alive so component input configurations can be read).
+  /// Simulates one pattern fault-free on `sim` (a fresh or reset
+  /// controller). The run stays readable for observed component inputs,
+  /// the golden primary outputs, and as the injections' read-through base.
   void applyPattern(SimulationController& sim,
                     const std::vector<Word>& pattern);
 
@@ -151,6 +161,13 @@ class VirtualFaultSimulator {
 /// campaign engines.
 std::vector<std::vector<Word>> unpackPatterns(
     const std::vector<Word>& packedPatterns, std::size_t primaryInputs);
+
+/// True when a finished injection run (reading through to its fault-free
+/// base) leaves some primary output different from the fault-free response
+/// `golden`. Shared by the serial, pooled and parallel campaign engines.
+bool outputsDiffer(const Scheduler& injection,
+                   const std::vector<Connector*>& primaryOutputs,
+                   const std::vector<Word>& golden);
 
 /// Mirrors a finished campaign's accounting into the global obs::Registry
 /// (campaign.* counters / gauges). Called by every campaign engine right

@@ -621,6 +621,9 @@ Response RmiChannel::transact(const Request& request, bool blocking) {
       finalResponse = std::move(a.response);
       break;
     }
+    if (a.shedByServer && attempt < policy_.maxAttempts) {
+      std::this_thread::sleep_for(kShedRetryPause);
+    }
   }
   if (!delivered) {
     finalResponse = Response::failure(

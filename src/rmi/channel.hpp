@@ -34,6 +34,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -79,6 +80,13 @@ struct RetryPolicy {
   /// first retransmission is attempt 2). Pure function of (key, attempt).
   double backoffSec(std::uint64_t key, int attempt) const;
 };
+
+/// Real-time pause before retransmitting a call the server shed (typed
+/// TooManyPending / Overloaded). The policy's backoff is charged to the
+/// simulated clock only, so without it a crowd of shed clients would spin
+/// against the overloaded server and starve its workers of CPU until their
+/// attempt budgets ran out.
+inline constexpr std::chrono::microseconds kShedRetryPause{200};
 
 struct ChannelStats {
   std::uint64_t calls = 0;  // every attempted call, security rejections

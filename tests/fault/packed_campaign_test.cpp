@@ -290,20 +290,29 @@ Scenario makeScenario(std::uint64_t seed) {
   return s;
 }
 
-TEST(PackAlignedBatches, ConfigRoundsBatchSizeUpToLaneMultiple) {
+TEST(PackAlignedBatches, LaneWidthBatchFetchesOncePerComponentPerBatch) {
+  // A batch of 64 fills the packed table builder's lanes in one round trip
+  // per component; the config keeps the requested size as given.
   Scenario s = makeScenario(0x5eed06);
-  for (const auto& [requested, expected] :
-       {std::pair<std::size_t, std::size_t>{1, 64},
-        {63, 64},
-        {64, 64},
-        {65, 128}}) {
-    ParallelCampaignConfig cfg;
-    cfg.batchSize = requested;
-    cfg.alignBatchesToPackWidth = true;
-    ParallelFaultSimulator sim(*s.inst.circuit, s.components(),
-                               s.inst.piConns, s.inst.poConns, cfg);
-    EXPECT_EQ(sim.config().batchSize, expected);
-  }
+  Rng rng(0x5eed09);
+  const auto patterns = randomPatterns(rng, s.nPis, 80);
+
+  VirtualFaultSimulator serial(*s.inst.circuit, s.components(),
+                               s.inst.piConns, s.inst.poConns);
+  const CampaignResult gold = serial.runPacked(patterns);
+
+  ParallelCampaignConfig cfg;
+  cfg.threads = 2;
+  cfg.batchSize = 64;
+  ParallelFaultSimulator psim(*s.inst.circuit, s.components(), s.inst.piConns,
+                              s.inst.poConns, cfg);
+  EXPECT_EQ(psim.config().batchSize, 64u);
+  const CampaignResult res = psim.runPacked(patterns);
+  const std::size_t batches = 2;  // 64 + 16 patterns
+  EXPECT_GE(res.tableFetchRoundTrips, s.clients.size());
+  EXPECT_LE(res.tableFetchRoundTrips, batches * s.clients.size());
+  EXPECT_EQ(res.detectionTablesRequested, gold.detectionTablesRequested);
+  EXPECT_EQ(res.detected, gold.detected);
 }
 
 TEST(PackAlignedBatches, ThreadSweepBitIdenticalToSerialVirtual) {
@@ -318,8 +327,7 @@ TEST(PackAlignedBatches, ThreadSweepBitIdenticalToSerialVirtual) {
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     ParallelCampaignConfig cfg;
     cfg.threads = threads;
-    cfg.batchSize = 8;  // rounds up to 64: > one full lane block per fetch
-    cfg.alignBatchesToPackWidth = true;
+    cfg.batchSize = 64;  // one full lane block per fetch
     ParallelFaultSimulator psim(*s.inst.circuit, s.components(),
                                 s.inst.piConns, s.inst.poConns, cfg);
     const CampaignResult res = psim.runPacked(patterns);

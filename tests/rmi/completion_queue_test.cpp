@@ -267,6 +267,26 @@ TEST(CompletionQueue, ResetStatsMidCampaignIsRaceFree) {
   EXPECT_DOUBLE_EQ(s.feesCents, 0.0);
 }
 
+TEST(CompletionQueue, ShedRetriesPauseInRealTime) {
+  // A shed call retries after a real-time pause, never in a tight loop, so
+  // shed clients leave the overloaded server's workers the CPU.
+  GatedServer server;
+  RmiChannel ch(server, net::NetworkProfile::ideal());
+  auto& loopback = dynamic_cast<LoopbackTransport&>(ch.wire());
+  loopback.setMaxConcurrentDispatches(1);
+  RmiChannel::CallHandle gated = ch.submit(echoRequest(0xAA));
+  server.awaitEntered(1);
+
+  const auto start = std::chrono::steady_clock::now();
+  const Response shed = ch.call(echoRequest(1));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(shed.status, Status::TransportFailure);
+  EXPECT_GE(elapsed, kShedRetryPause * (ch.retryPolicy().maxAttempts - 1));
+
+  server.release();
+  ASSERT_TRUE(ch.wait(gated).ok());
+}
+
 // waitAny under fire: concurrent submitters and concurrent waitAny
 // consumers racing over a capped loopback, so completions are a mix of
 // successes and typed admission sheds that burned their attempt budget.
