@@ -24,7 +24,6 @@
 #include "common.hpp"
 #include "fault/block_design.hpp"
 #include "fault/dictionary.hpp"
-#include "fault/parallel_campaign.hpp"
 #include "fault/serial_sim.hpp"
 #include "fault/virtual_sim.hpp"
 
@@ -270,8 +269,8 @@ BlockDesign makeHeavyDesign() {
   return d;
 }
 
-void parallelCampaignSweep() {
-  // --- thread sweep: injection wall time on a heavy three-block design ----
+void campaignEngineSweep() {
+  // --- worker sweep: injection wall time on a heavy three-block design ----
   const BlockDesign d = makeHeavyDesign();
   auto inst = d.instantiate();
   std::vector<std::unique_ptr<fault::LocalFaultBlock>> clients;
@@ -291,35 +290,34 @@ void parallelCampaignSweep() {
     sres = vsim.runPacked(pats);
   });
 
-  std::printf("\n[5] parallel campaign: thread sweep (64 patterns, %zu "
-              "faults, %llu serial injections, serial engine = %.1f ms, "
+  std::printf("\n[5] campaign engine: worker sweep (64 patterns, %zu "
+              "faults, %llu injections, inline batch-1 engine = %.1f ms, "
               "host has %u hardware threads)\n",
               sres.faultList.size(),
               static_cast<unsigned long long>(sres.injections),
               serialWall * 1e3, std::thread::hardware_concurrency());
-  std::printf("    %-8s | %10s | %8s | %10s | %9s\n", "threads",
+  std::printf("    %-8s | %10s | %8s | %10s | %9s\n", "workers",
               "wall (ms)", "speedup", "injections", "identical");
   printRule(60);
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    fault::ParallelCampaignConfig cfg;
-    cfg.threads = threads;
-    cfg.batchSize = 4;
+  for (std::size_t workers : {1u, 2u, 4u, 8u}) {
     fault::CampaignResult pres;
     const double wall = wallOf([&] {
-      fault::ParallelFaultSimulator psim(*inst.circuit, comps, inst.piConns,
-                                         inst.poConns, cfg);
-      pres = psim.runPacked(pats);
+      fault::VirtualFaultSimulator sim(*inst.circuit, comps, inst.piConns,
+                                       inst.poConns);
+      sim.setInjectionWorkers(workers);
+      sim.setTableBatch(4);
+      pres = sim.runPacked(pats);
     });
     const bool identical = pres.detected == sres.detected &&
                            pres.detectedAfterPattern == sres.detectedAfterPattern;
-    std::printf("    %8zu | %10.1f | %7.2fx | %10llu | %9s\n", threads,
+    std::printf("    %8zu | %10.1f | %7.2fx | %10llu | %9s\n", workers,
                 wall * 1e3, serialWall / wall,
                 static_cast<unsigned long long>(pres.injections),
                 identical ? "YES" : "NO");
   }
 
   // --- batch sweep: WAN round trips for the remote multiplier IP ----------
-  std::printf("\n[6] parallel campaign: GetDetectionTables batch sweep "
+  std::printf("\n[6] campaign engine: GetDetectionTables batch sweep "
               "(16 patterns on the multiplier IP, WAN profile)\n");
   std::printf("    %-6s | %11s | %9s | %12s | %14s\n", "batch",
               "round trips", "RMI calls", "bytes", "sim stall (ms)");
@@ -349,12 +347,11 @@ void parallelCampaignSweep() {
       pats2.push_back(
           {Word::fromUint(w, rng.next()), Word::fromUint(w, rng.next())});
     }
-    fault::ParallelCampaignConfig cfg;
-    cfg.threads = 1;  // isolate the batching effect
-    cfg.batchSize = batch;
-    fault::ParallelFaultSimulator psim(c, {&client}, {&a, &b}, {&o}, cfg);
+    // Inline injection isolates the batching effect.
+    fault::VirtualFaultSimulator sim(c, {&client}, {&a, &b}, {&o});
+    sim.setTableBatch(batch);
     const auto before = channel.stats();
-    const auto res = psim.run(pats2);
+    const auto res = sim.run(pats2);
     const auto after = channel.stats();
     std::printf("    %6zu | %11llu | %9llu | %12llu | %14.2f\n", batch,
                 static_cast<unsigned long long>(res.tableFetchRoundTrips),
@@ -605,7 +602,7 @@ int main(int argc, char** argv) {
   vcad::bench::collapsingAblation();
   vcad::bench::remoteProfileSweep();
   vcad::bench::staticVsDynamic();
-  vcad::bench::parallelCampaignSweep();
+  vcad::bench::campaignEngineSweep();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

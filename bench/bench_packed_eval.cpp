@@ -26,6 +26,7 @@
 #include "gate/family.hpp"
 #include "gate/generators.hpp"
 #include "gate/packed_eval.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::bench {
 namespace {
@@ -104,7 +105,7 @@ Measurement evalThroughput(const std::string& name, const gate::Netlist& nl,
 }
 
 /// End-to-end serial fault campaign (collapsed faults, fault dropping):
-/// packed run() vs the scalar reference runScalar().
+/// packed run() vs the scalar reference oracles::runScalar().
 Measurement campaignThroughput(const std::string& name,
                                const gate::Netlist& nl,
                                std::size_t nPatterns) {
@@ -118,8 +119,9 @@ Measurement campaignThroughput(const std::string& name,
   std::size_t packedDetected = 0, scalarDetected = 0;
   const double packedSec =
       secondsOf([&] { packedDetected = sim.run(patterns).detected.size(); });
-  const double scalarSec = secondsOf(
-      [&] { scalarDetected = sim.runScalar(patterns).detected.size(); });
+  const double scalarSec = secondsOf([&] {
+    scalarDetected = oracles::runScalar(sim, patterns).detected.size();
+  });
   if (packedDetected != scalarDetected) {
     std::fprintf(stderr, "FATAL: %s packed/scalar campaign disagree\n",
                  name.c_str());

@@ -1,14 +1,14 @@
-// Virtual fault-simulation throughput: serial phase-2 injection engine vs
-// the pooled worker engine (setInjectionWorkers) across a worker sweep, on
-// multiplier IP campaigns. Reports wall time, injections/sec, speedup over
-// serial, bit-identity of the CampaignResult, and the arena/scheduler
-// metrics (slots leased, peak concurrent schedulers, pooled resets, lane
-// balance).
+// Virtual fault-simulation throughput: the serial oracle (a fresh
+// controller per injection, oracles::serialCampaign) vs the campaign engine
+// across an injection-worker sweep (setInjectionWorkers), on multiplier IP
+// campaigns. Reports wall time, injections/sec, speedup over serial,
+// bit-identity of the CampaignResult, and the arena/scheduler metrics
+// (slots leased, peak concurrent schedulers, pooled resets, lane balance).
 //
 // Usage: bench_virtual_sim [--quick] [--json PATH]
 //
-// Acceptance gate: on a host with >= 8 hardware threads, the pooled engine
-// at 8 workers must reach >= 3x the serial phase-2 injection throughput on
+// Acceptance gate: on a host with >= 8 hardware threads, the engine at 8
+// workers must reach >= 3x the serial phase-2 injection throughput on
 // the mult16 campaign. On smaller hosts the sweep still runs (and the
 // bit-identity check still applies) but the speedup gate is skipped — a
 // pool cannot outrun the serial engine without cores to run on.
@@ -26,6 +26,7 @@
 #include "fault/block_design.hpp"
 #include "fault/virtual_sim.hpp"
 #include "gate/generators.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::bench {
 namespace {
@@ -66,7 +67,7 @@ std::vector<Word> randomPatterns(int width, int count, std::uint64_t seed) {
 
 struct Measurement {
   std::string name;         // campaign scenario
-  std::size_t workers = 0;  // 0 = serial engine
+  std::size_t workers = 0;  // 0 = serial oracle
   double wallSec = 0.0;
   std::uint64_t injections = 0;
   bool identical = true;  // CampaignResult matches the serial reference
@@ -89,8 +90,8 @@ bool sameCampaign(const fault::CampaignResult& a,
          a.tableCacheHits == b.tableCacheHits && a.injections == b.injections;
 }
 
-/// Runs the scenario serially, then across the worker sweep; returns one
-/// Measurement per engine configuration (workers == 0 first).
+/// Runs the scenario on the serial oracle, then on the engine across the
+/// worker sweep; returns one Measurement per row (the oracle first).
 std::vector<Measurement> sweepScenario(const std::string& name, int multBits,
                                        int patternCount) {
   const fault::BlockDesign d = makeMultCampaign(multBits);
@@ -107,10 +108,11 @@ std::vector<Measurement> sweepScenario(const std::string& name, int multBits,
     Measurement m;
     m.name = name;
     m.workers = 0;
+    const auto unpacked =
+        fault::unpackPatterns(pats, inst.piConns.size());
     m.wallSec = wallOf([&] {
-      fault::VirtualFaultSimulator sim(*inst.circuit, comps, inst.piConns,
-                                       inst.poConns);
-      serial = sim.runPacked(pats);
+      serial = oracles::serialCampaign(*inst.circuit, comps, inst.piConns,
+                                       inst.poConns, unpacked);
     });
     m.injections = serial.injections;
     m.slotsLeased = serial.slotsLeased;
@@ -235,8 +237,8 @@ int main(int argc, char** argv) {
   if (!obsPrefix.empty()) vcad::obs::Tracer::global().setEnabled(true);
 
   const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("Virtual fault simulation: serial vs pooled phase-2 injection "
-              "(%s mode, %u hardware threads)\n",
+  std::printf("Virtual fault simulation: serial oracle vs engine phase-2 "
+              "injection (%s mode, %u hardware threads)\n",
               quick ? "quick" : "full", hw);
 
   std::vector<Measurement> rows;

@@ -11,7 +11,6 @@ SerialFaultSimulator::SerialFaultSimulator(const Netlist& netlist,
                                            std::vector<StuckFault> faults,
                                            std::vector<std::string> symbols)
     : netlist_(netlist),
-      eval_(netlist),
       packed_(netlist),
       faults_(std::move(faults)),
       symbols_(std::move(symbols)) {
@@ -23,7 +22,7 @@ SerialFaultSimulator::SerialFaultSimulator(const Netlist& netlist,
 
 SerialFaultSimulator::SerialFaultSimulator(const Netlist& netlist,
                                            bool dominance)
-    : netlist_(netlist), eval_(netlist), packed_(netlist) {
+    : netlist_(netlist), packed_(netlist) {
   const CollapsedFaults c = collapseAll(netlist, dominance);
   faults_ = c.representatives;
   for (const StuckFault& f : faults_) symbols_.push_back(symbolOf(netlist, f));
@@ -70,29 +69,6 @@ CampaignResult SerialFaultSimulator::run(const std::vector<Word>& patterns) {
   for (std::size_t p = 0; p < patterns.size(); ++p) {
     cumulative += newlyAt[p];
     res.detectedAfterPattern.push_back(cumulative);
-  }
-  return res;
-}
-
-CampaignResult SerialFaultSimulator::runScalar(
-    const std::vector<Word>& patterns) {
-  CampaignResult res;
-  res.faultList = symbols_;
-  std::vector<bool> detected(faults_.size(), false);
-
-  for (const Word& pattern : patterns) {
-    const Word golden = eval_.evalOutputs(pattern);
-    ++res.faultSimEvaluations;
-    for (std::size_t i = 0; i < faults_.size(); ++i) {
-      if (detected[i]) continue;  // fault dropping
-      const Word faulty = eval_.evalOutputs(pattern, faults_[i]);
-      ++res.faultSimEvaluations;
-      if (faulty != golden) {
-        detected[i] = true;
-        res.detected.insert(symbols_[i]);
-      }
-    }
-    res.detectedAfterPattern.push_back(res.detected.size());
   }
   return res;
 }

@@ -32,23 +32,19 @@ class SerialFaultSimulator {
   ///
   /// Executes on the packed bit-parallel engine — patterns are processed in
   /// 64-wide blocks, one fault propagated across all lanes per pass — and
-  /// produces a CampaignResult identical field-for-field to runScalar():
-  /// same detected set, same per-pattern coverage curve, and the same
-  /// faultSimEvaluations count (a fault detected at pattern p is charged
-  /// one evaluation for every pattern up to and including p, exactly the
-  /// scalar dropping schedule).
+  /// produces the CampaignResult of the classic one-pattern-at-a-time
+  /// loop field for field: same detected set, same per-pattern coverage
+  /// curve, and the same faultSimEvaluations count (a fault detected at
+  /// pattern p is charged one evaluation for every pattern up to and
+  /// including p, exactly the scalar dropping schedule).
   CampaignResult run(const std::vector<Word>& patterns);
 
-  /// The classic one-pattern-at-a-time reference path, kept as the golden
-  /// oracle for the packed engine.
-  CampaignResult runScalar(const std::vector<Word>& patterns);
-
+  const Netlist& netlist() const { return netlist_; }
   const std::vector<StuckFault>& faults() const { return faults_; }
   const std::vector<std::string>& symbols() const { return symbols_; }
 
  private:
   const Netlist& netlist_;
-  gate::NetlistEvaluator eval_;
   gate::PackedEvaluator packed_;
   std::vector<StuckFault> faults_;
   std::vector<std::string> symbols_;

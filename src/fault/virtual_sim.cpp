@@ -1,7 +1,9 @@
 #include "fault/virtual_sim.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <map>
+#include <memory>
+#include <set>
 #include <stdexcept>
 
 #include "core/slot_registry.hpp"
@@ -38,8 +40,10 @@ struct CampaignMetrics {
     return m;
   }
 };
-}  // namespace
 
+/// Mirrors a finished campaign's accounting into the global obs::Registry
+/// (campaign.* counters / gauges); the CampaignResult stays the source of
+/// truth.
 void recordCampaignMetrics(const CampaignResult& res) {
   const CampaignMetrics& ids = CampaignMetrics::get();
   obs::Registry& reg = obs::Registry::global();
@@ -57,6 +61,7 @@ void recordCampaignMetrics(const CampaignResult& res) {
   reg.maxGauge(ids.peakConcurrentSchedulers,
                static_cast<std::int64_t>(res.peakConcurrentSchedulers));
 }
+}  // namespace
 
 VirtualFaultSimulator::VirtualFaultSimulator(
     Circuit& design, std::vector<FaultClient*> components,
@@ -88,142 +93,16 @@ void VirtualFaultSimulator::applyPattern(SimulationController& sim,
 
 CampaignResult VirtualFaultSimulator::run(
     const std::vector<std::vector<Word>>& patterns) {
-  return injectionWorkers_ == 0 ? runSerialInjection(patterns)
-                                : runPooled(patterns);
-}
-
-CampaignResult VirtualFaultSimulator::runSerialInjection(
-    const std::vector<std::vector<Word>>& patterns) {
   SlotRegistry& registry = SlotRegistry::global();
   const std::uint64_t leasesBefore = registry.totalLeases();
   registry.restartPeakTracking();
 
-  obs::SpanScope campaignSpan("campaign.serial", "campaign");
+  obs::SpanScope campaignSpan("campaign.run", "campaign");
+  campaignSpan.arg("workers", static_cast<double>(workers_));
+  campaignSpan.arg("batch", static_cast<double>(batch_));
   CampaignResult res;
 
   // --- Phase 1: compose the symbolic fault lists -------------------------
-  std::vector<std::vector<std::string>> qualified(components_.size());
-  for (std::size_t c = 0; c < components_.size(); ++c) {
-    const std::string prefix = components_[c]->module().name() + "/";
-    for (const std::string& s : components_[c]->faultList()) {
-      qualified[c].push_back(prefix + s);
-      res.faultList.push_back(prefix + s);
-    }
-  }
-
-  // --- Phase 2: per-pattern dynamic estimation ----------------------------
-  // Per-component detection-table cache keyed by the component's observed
-  // input configuration, with an optional view onto the shared result
-  // store. Attached after phase 1: remote stubs learn their netlist-version
-  // digest from the GetFaultList response, so it is known by now.
-  std::vector<DetectionTableCache> tableCache(components_.size());
-  if (store_ != nullptr) {
-    for (std::size_t c = 0; c < components_.size(); ++c) {
-      tableCache[c].attachStore(store_, components_[c]->versionDigest(),
-                                storeNamespace_);
-    }
-  }
-  std::size_t patternIndex = 0;
-  for (const std::vector<Word>& pattern : patterns) {
-    obs::SpanScope patternSpan("campaign.pattern", "campaign");
-    patternSpan.arg("pattern", static_cast<double>(patternIndex++));
-    const std::uint64_t injectionsBefore = res.injections;
-    // Fault-free reference run.
-    SimulationController ff(design_);
-    applyPattern(ff, pattern);
-    const SimContext ffCtx{ff.scheduler(), nullptr};
-    std::vector<Word> goldenPo;
-    goldenPo.reserve(pos_.size());
-    for (Connector* po : pos_) goldenPo.push_back(po->value(ff.scheduler().id()));
-
-    for (std::size_t c = 0; c < components_.size(); ++c) {
-      FaultClient& comp = *components_[c];
-      const std::string prefix = comp.module().name() + "/";
-      const Word inputs = comp.observedInputs(ffCtx);
-      const std::string cacheKey = inputs.toString();
-      auto& cache = tableCache[c];
-      // Bind the table by reference: copying a cached DetectionTable for
-      // every (pattern, component) pair was pure per-pattern overhead.
-      DetectionTable fetched;
-      const DetectionTable* table = nullptr;
-      if (cacheTables_) {
-        table = cache.findPinned(cacheKey);
-        if (table != nullptr) {
-          ++res.tableCacheHits;
-        } else if ((table = cache.findStored(cacheKey, inputs)) != nullptr) {
-          ++res.tableStoreHits;
-        } else {
-          table = cache.insert(cacheKey, inputs, comp.detectionTable(inputs));
-          ++res.detectionTablesRequested;
-          ++res.tableFetchRoundTrips;
-        }
-      } else {
-        fetched = comp.detectionTable(inputs);
-        ++res.detectionTablesRequested;
-        ++res.tableFetchRoundTrips;
-        table = &fetched;
-      }
-
-      for (const DetectionTable::Row& row : table->rows()) {
-        // Skip rows whose faults are all already detected.
-        bool anyUndetected = false;
-        for (const std::string& f : row.faults) {
-          if (res.detected.find(prefix + f) == res.detected.end()) {
-            anyUndetected = true;
-            break;
-          }
-        }
-        if (!anyUndetected) continue;
-
-        // Inject the erroneous output configuration on a fresh controller
-        // that reads through to the fault-free run.
-        SimulationController inj(design_);
-        inj.runInjection(ff, comp.module(),
-                         comp.overridesFor(row.faultyOutput));
-        ++res.injections;
-        if (obs::Tracer::global().verbose()) {
-          obs::Tracer::global().instant(
-              "campaign.inject", "campaign",
-              {{"component", static_cast<double>(c)},
-               {"rowFaults", static_cast<double>(row.faults.size())}});
-        }
-
-        if (outputsDiffer(inj.scheduler(), pos_, goldenPo)) {
-          for (const std::string& f : row.faults) res.detected.insert(prefix + f);
-        }
-        design_.clearSchedulerState(inj.scheduler().id());
-      }
-    }
-    design_.clearSchedulerState(ff.scheduler().id());
-    assert(design_.residualStateCount(ff.scheduler().slot()) == 0 &&
-           "clearSchedulerState left live state behind");
-    res.detectedAfterPattern.push_back(res.detected.size());
-    patternSpan.arg("injections",
-                    static_cast<double>(res.injections - injectionsBefore));
-    patternSpan.arg("detected", static_cast<double>(res.detected.size()));
-  }
-
-  res.slotsLeased = registry.totalLeases() - leasesBefore;
-  res.peakConcurrentSchedulers = registry.peakLeased();
-  campaignSpan.arg("patterns", static_cast<double>(patterns.size()));
-  campaignSpan.arg("faults", static_cast<double>(res.faultList.size()));
-  campaignSpan.arg("detected", static_cast<double>(res.detected.size()));
-  campaignSpan.arg("injections", static_cast<double>(res.injections));
-  recordCampaignMetrics(res);
-  return res;
-}
-
-CampaignResult VirtualFaultSimulator::runPooled(
-    const std::vector<std::vector<Word>>& patterns) {
-  SlotRegistry& registry = SlotRegistry::global();
-  const std::uint64_t leasesBefore = registry.totalLeases();
-  registry.restartPeakTracking();
-
-  obs::SpanScope campaignSpan("campaign.pooled", "campaign");
-  campaignSpan.arg("workers", static_cast<double>(injectionWorkers_));
-  CampaignResult res;
-
-  // --- Phase 1: identical to the serial engine ---------------------------
   std::vector<std::string> prefixes(components_.size());
   for (std::size_t c = 0; c < components_.size(); ++c) {
     prefixes[c] = components_[c]->module().name() + "/";
@@ -232,155 +111,208 @@ CampaignResult VirtualFaultSimulator::runPooled(
     }
   }
 
-  // --- Phase 2: pooled concurrent injection ------------------------------
-  // One pinned controller per pool lane plus one for the fault-free
-  // reference run; all are leased once and reset-and-reused, so a whole
-  // campaign consumes injectionWorkers_ + 1 slots no matter how many
-  // patterns and injections it executes.
-  WorkerPool pool(injectionWorkers_ > 1 ? injectionWorkers_ : 0);
+  // --- Phase 2 -----------------------------------------------------------
+  // Each lane pins one controller — one arena slot — for the whole
+  // campaign; lane w is only ever driven by pool thread w (or the caller
+  // when inline), so the slot arena's thread-ownership rule makes every
+  // state access lock-free.
+  WorkerPool pool(workers_ > 1 ? workers_ : 0);
   std::vector<std::unique_ptr<SimulationController>> lanes(pool.lanes());
   for (auto& lane : lanes) {
     lane = std::make_unique<SimulationController>(design_);
   }
-  SimulationController ff(design_);
-  res.injectionWorkers = injectionWorkers_;
+  res.injectionWorkers = workers_;
   res.workerInjections.assign(pool.lanes(), 0);
+  std::vector<std::uint64_t> laneResets(pool.lanes(), 0);
 
-  std::vector<DetectionTableCache> tableCache(components_.size());
+  // One pinned fault-free controller per batch position: a batch's golden
+  // runs must stay readable until its last injection, because every
+  // injection reads through to its pattern's run. Each is reset before it
+  // takes the next batch's pattern; the pool barrier hands it between
+  // threads. Together with the lanes this is batch + lanes arena slots for
+  // the whole campaign (the SlotRegistry throws past kCapacity).
+  std::vector<std::unique_ptr<SimulationController>> faultFree(
+      std::min(batch_, patterns.size()));
+  for (auto& ff : faultFree) {
+    ff = std::make_unique<SimulationController>(design_);
+  }
+
+  // Per-component table cache keyed by observed input configuration
+  // (pinned tables have stable addresses, so rows are bound by pointer
+  // across later insertions), with an optional view onto the shared result
+  // store. Attached after phase 1: remote stubs learn their netlist-version
+  // digest from the GetFaultList response.
+  std::vector<DetectionTableCache> cache(components_.size());
   if (store_ != nullptr) {
     for (std::size_t c = 0; c < components_.size(); ++c) {
-      tableCache[c].attachStore(store_, components_[c]->versionDigest(),
-                                storeNamespace_);
+      cache[c].attachStore(store_, components_[c]->versionDigest(),
+                           storeNamespace_);
     }
   }
 
+  struct PatternRun {
+    std::vector<Word> golden;      // fault-free primary-output snapshot
+    std::vector<Word> compInputs;  // observed inputs, one per component
+  };
   struct Job {
     std::size_t comp;
     const DetectionTable::Row* row;
     bool observable = false;
   };
 
-  bool firstPattern = true;
-  std::size_t patternIndex = 0;
-  for (const std::vector<Word>& pattern : patterns) {
-    obs::SpanScope patternSpan("campaign.pattern", "campaign");
-    patternSpan.arg("pattern", static_cast<double>(patternIndex++));
-    // Fault-free reference run on the pinned ff controller.
-    if (!firstPattern) {
-      ff.reset();
-      ++res.schedulerResets;
-    }
-    firstPattern = false;
-    applyPattern(ff, pattern);
-    const SimContext ffCtx{ff.scheduler(), nullptr};
-    std::vector<Word> goldenPo;
-    goldenPo.reserve(pos_.size());
-    for (Connector* po : pos_) {
-      goldenPo.push_back(po->value(ff.scheduler().id()));
-    }
+  for (std::size_t base = 0; base < patterns.size(); base += batch_) {
+    const std::size_t nBatch = std::min(batch_, patterns.size() - base);
+    obs::SpanScope batchSpan("campaign.batch", "campaign");
+    batchSpan.arg("base", static_cast<double>(base));
+    batchSpan.arg("patterns", static_cast<double>(nBatch));
 
-    // Table fetch stays serial on the coordinator, in component order, so
-    // the round-trip/cache accounting matches the serial engine exactly.
-    // Uncached tables must outlive this pattern's injection jobs; reserve
-    // keeps the row pointers stable.
-    std::vector<DetectionTable> freshTables;
-    freshTables.reserve(components_.size());
-    std::vector<Job> jobs;
-    for (std::size_t c = 0; c < components_.size(); ++c) {
-      FaultClient& comp = *components_[c];
-      const Word inputs = comp.observedInputs(ffCtx);
-      const DetectionTable* table = nullptr;
-      if (cacheTables_) {
-        auto& cache = tableCache[c];
-        const std::string cacheKey = inputs.toString();
-        table = cache.findPinned(cacheKey);
-        if (table != nullptr) {
-          ++res.tableCacheHits;
-        } else if ((table = cache.findStored(cacheKey, inputs)) != nullptr) {
-          ++res.tableStoreHits;
-        } else {
-          table = cache.insert(cacheKey, inputs, comp.detectionTable(inputs));
-          ++res.detectionTablesRequested;
-          ++res.tableFetchRoundTrips;
-        }
-      } else {
-        freshTables.push_back(comp.detectionTable(inputs));
-        ++res.detectionTablesRequested;
-        ++res.tableFetchRoundTrips;
-        table = &freshTables.back();
+    // --- Fault-free runs, one per batch position, sharded across the
+    // pool: golden responses and observed component inputs are
+    // snapshotted inside the job, and the runs stay live as the
+    // injections' read-through bases. -----------------------------------
+    std::vector<PatternRun> runs(nBatch);
+    pool.parallelFor(nBatch, [&](std::size_t w, std::size_t i) {
+      SimulationController& sim = *faultFree[i];
+      if (base != 0) {
+        sim.reset();
+        ++laneResets[w];
       }
-
-      // Row skip decisions use the detected set as of pattern start. This
-      // reproduces the serial engine's per-row decisions exactly: rows of
-      // one table are fault-disjoint (a fault's faulty output under fixed
-      // inputs is unique, so each fault appears in exactly one row) and
-      // component fault names carry distinct "<module>/" prefixes, so
-      // nothing detected mid-pattern can overlap another pending row of
-      // the same pattern.
-      for (const DetectionTable::Row& row : table->rows()) {
-        bool anyUndetected = false;
-        for (const std::string& f : row.faults) {
-          if (res.detected.find(prefixes[c] + f) == res.detected.end()) {
-            anyUndetected = true;
-            break;
-          }
-        }
-        if (anyUndetected) jobs.push_back(Job{c, &row, false});
+      applyPattern(sim, patterns[base + i]);
+      PatternRun& pr = runs[i];
+      const SimContext ctx{sim.scheduler(), nullptr};
+      pr.golden.reserve(pos_.size());
+      for (Connector* po : pos_) {
+        pr.golden.push_back(po->value(sim.scheduler().slot(),
+                                      sim.scheduler().slotGeneration()));
       }
-    }
-
-    // Row injections shard across the lanes; lane w is only ever driven by
-    // pool thread w, so per-slot arena state needs no locks. Each job
-    // resets its lane (O(1) generation renew) instead of constructing a
-    // controller, then reads through to the ff run, whose slot every lane
-    // only reads until the pool barrier.
-    std::vector<std::uint64_t> laneResets(lanes.size(), 0);
-    pool.parallelFor(jobs.size(), [&](std::size_t w, std::size_t j) {
-      Job& job = jobs[j];
-      FaultClient& comp = *components_[job.comp];
-      SimulationController& inj = *lanes[w];
-      inj.reset();
-      ++laneResets[w];
-      inj.runInjection(ff, comp.module(),
-                       comp.overridesFor(job.row->faultyOutput));
-      if (obs::Tracer::global().verbose()) {
-        obs::Tracer::global().instant(
-            "campaign.inject", "campaign",
-            {{"lane", static_cast<double>(w)},
-             {"component", static_cast<double>(job.comp)},
-             {"rowFaults", static_cast<double>(job.row->faults.size())}});
+      pr.compInputs.reserve(components_.size());
+      for (FaultClient* comp : components_) {
+        pr.compInputs.push_back(comp->observedInputs(ctx));
       }
-      job.observable = outputsDiffer(inj.scheduler(), pos_, goldenPo);
-      ++res.workerInjections[w];
     });
 
-    // Merge after the pool barrier, in job order (set union is
-    // order-independent, but determinism keeps this auditable).
-    for (const Job& job : jobs) {
-      if (!job.observable) continue;
-      for (const std::string& f : job.row->faults) {
-        res.detected.insert(prefixes[job.comp] + f);
+    // --- Table fetch on the coordinating thread, in component order: per
+    // component, the batch's configurations that are neither pinned nor
+    // in the store go out in one round trip. ------------------------------
+    obs::SpanScope tableFetchSpan("campaign.tableFetch", "campaign");
+    std::vector<std::vector<const DetectionTable*>> tables(
+        nBatch, std::vector<const DetectionTable*>(components_.size()));
+    for (std::size_t c = 0; c < components_.size(); ++c) {
+      DetectionTableCache& compCache = cache[c];
+      std::vector<std::string> keys(nBatch);
+      std::set<std::string> pending;     // keys of this batch's misses
+      std::vector<std::size_t> misses;   // batch position of each miss
+      std::vector<Word> missing;         // its input configuration
+      for (std::size_t i = 0; i < nBatch; ++i) {
+        const Word& inputs = runs[i].compInputs[c];
+        keys[i] = inputs.toString();
+        const DetectionTable*& table = tables[i][c];
+        if ((table = compCache.findPinned(keys[i])) != nullptr ||
+            pending.count(keys[i]) != 0) {
+          ++res.tableCacheHits;
+        } else if ((table = compCache.findStored(keys[i], inputs)) !=
+                   nullptr) {
+          ++res.tableStoreHits;
+        } else {
+          pending.insert(keys[i]);
+          misses.push_back(i);
+          missing.push_back(inputs);
+          ++res.detectionTablesRequested;
+        }
+      }
+      if (missing.empty()) continue;
+      FaultClient& comp = *components_[c];
+      std::vector<DetectionTable> fetched;
+      if (missing.size() == 1) {
+        fetched.push_back(comp.detectionTable(missing.front()));
+      } else {
+        fetched = comp.detectionTables(missing);
+        if (fetched.size() != missing.size()) {
+          throw std::runtime_error(
+              "detectionTables returned a short batch for component " +
+              comp.module().name());
+        }
+      }
+      ++res.tableFetchRoundTrips;
+      for (std::size_t j = 0; j < missing.size(); ++j) {
+        compCache.insert(keys[misses[j]], missing[j], std::move(fetched[j]));
+      }
+      for (std::size_t i = 0; i < nBatch; ++i) {
+        if (tables[i][c] == nullptr) {
+          tables[i][c] = compCache.findPinned(keys[i]);
+        }
       }
     }
-    res.injections += jobs.size();
-    for (std::uint64_t r : laneResets) res.schedulerResets += r;
-    res.detectedAfterPattern.push_back(res.detected.size());
-    patternSpan.arg("injections", static_cast<double>(jobs.size()));
-    patternSpan.arg("detected", static_cast<double>(res.detected.size()));
+    tableFetchSpan.end();
+
+    // --- Injections: patterns commit strictly in order (preserving the
+    // per-pattern coverage curve). Row skip decisions use the detected set
+    // as of pattern start, which matches one-row-at-a-time dropping: rows
+    // of one table are fault-disjoint (each fault has one faulty output
+    // under fixed inputs) and component fault names carry distinct
+    // "<module>/" prefixes. Each job resets its lane and reads through to
+    // the pattern's fault-free run, which no thread writes until the next
+    // batch. --------------------------------------------------------------
+    for (std::size_t i = 0; i < nBatch; ++i) {
+      obs::SpanScope patternSpan("campaign.pattern", "campaign");
+      patternSpan.arg("pattern", static_cast<double>(base + i));
+      std::vector<Job> jobs;
+      for (std::size_t c = 0; c < components_.size(); ++c) {
+        for (const DetectionTable::Row& row : tables[i][c]->rows()) {
+          for (const std::string& f : row.faults) {
+            if (res.detected.find(prefixes[c] + f) == res.detected.end()) {
+              jobs.push_back(Job{c, &row, false});
+              break;
+            }
+          }
+        }
+      }
+
+      const SimulationController& ff = *faultFree[i];
+      const std::vector<Word>& golden = runs[i].golden;
+      pool.parallelFor(jobs.size(), [&](std::size_t w, std::size_t j) {
+        Job& job = jobs[j];
+        FaultClient& comp = *components_[job.comp];
+        SimulationController& inj = *lanes[w];
+        inj.reset();
+        ++laneResets[w];
+        inj.runInjection(ff, comp.module(),
+                         comp.overridesFor(job.row->faultyOutput));
+        if (obs::Tracer::global().verbose()) {
+          obs::Tracer::global().instant(
+              "campaign.inject", "campaign",
+              {{"lane", static_cast<double>(w)},
+               {"component", static_cast<double>(job.comp)},
+               {"rowFaults", static_cast<double>(job.row->faults.size())}});
+        }
+        job.observable = outputsDiffer(inj.scheduler(), pos_, golden);
+        ++res.workerInjections[w];
+      });
+
+      // Merge after the pool barrier, in job order — no detected-set mutex.
+      for (const Job& job : jobs) {
+        if (!job.observable) continue;
+        for (const std::string& f : job.row->faults) {
+          res.detected.insert(prefixes[job.comp] + f);
+        }
+      }
+      res.injections += jobs.size();
+      res.detectedAfterPattern.push_back(res.detected.size());
+      patternSpan.arg("injections", static_cast<double>(jobs.size()));
+      patternSpan.arg("detected", static_cast<double>(res.detected.size()));
+    }
   }
 
-  // Pooled lanes are logically clean after every reset; physically release
-  // their arena entries before the controllers die so a finished campaign
-  // leaves nothing behind, then verify it.
-  design_.clearSchedulerState(ff.scheduler().id());
-  assert(design_.residualStateCount(ff.scheduler().slot()) == 0 &&
-         "clearSchedulerState left live ff state behind");
-  for (auto& lane : lanes) {
-    design_.clearSchedulerState(lane->scheduler().id());
-    assert(design_.residualStateCount(lane->scheduler().slot()) == 0 &&
-           "clearSchedulerState left live lane state behind");
+  // Physically release the pinned controllers' arena entries before they
+  // die so a finished campaign leaves nothing behind, then verify it.
+  for (const auto* pinned : {&lanes, &faultFree}) {
+    for (const auto& sim : *pinned) {
+      design_.clearSchedulerState(sim->scheduler().id());
+      assert(design_.residualStateCount(sim->scheduler().slot()) == 0 &&
+             "clearSchedulerState left live pinned state behind");
+    }
   }
-
+  for (std::uint64_t r : laneResets) res.schedulerResets += r;
   res.slotsLeased = registry.totalLeases() - leasesBefore;
   res.peakConcurrentSchedulers = registry.peakLeased();
   campaignSpan.arg("patterns", static_cast<double>(patterns.size()));

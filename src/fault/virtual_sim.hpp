@@ -23,15 +23,28 @@
 // being combinational and single-instant, with modules that are pure
 // functions of their inputs — which the protocol already assumes.
 //
-// The multi-scheduler backplane makes the injection runs free of any
-// save/restore action: each injection writes only its own scheduler slot
-// and only reads the fault-free run's, so it cannot interfere with the
-// fault-free run or with other injections. The serial engine
-// (runSerialInjection) uses a fresh controller per injection;
-// setInjectionWorkers(n) switches phase 2 to a pool of n workers, each with
-// one pinned pooled scheduler reset-and-reused across row injections
-// running concurrently over the one read-only fault-free run —
-// bit-identical results by construction (see runPooled).
+// One engine runs phase 2, with two settings:
+//   * Table batch (setTableBatch): patterns are processed in batches; per
+//     component, the batch's unseen input configurations are fetched in one
+//     round trip (the paper's pattern buffering applied to fault
+//     characterization). A single missing configuration goes out as
+//     detectionTable (GetDetectionTable), two or more as one
+//     detectionTables (GetDetectionTables) call, so batch 1 puts exactly the
+//     per-pattern traffic on the wire.
+//   * Injection workers (setInjectionWorkers): each pattern's row injections
+//     shard across a pool of lanes; 0 or 1 runs them inline. Each lane pins
+//     one SimulationController — one slot of the state arena — for the
+//     whole campaign and reset()s it between jobs (an O(1) generation
+//     renew), and each batch position pins the fault-free controller its
+//     injections read through to. The multi-scheduler backplane isolates
+//     the concurrent runs with no save/restore action.
+//
+// Every setting produces the same CampaignResult: patterns commit strictly
+// in order, a pattern's injection jobs are built from the detected set as
+// of the previous pattern, and rows are fault-disjoint, so the fault list,
+// detected set, coverage curve, injection count and table/cache/store
+// accounting are identical. Only tableFetchRoundTrips shrinks with the
+// batch.
 #pragma once
 
 #include <memory>
@@ -77,7 +90,7 @@ struct CampaignResult {
   std::uint32_t peakConcurrentSchedulers = 0;
   std::uint64_t schedulerResets = 0;
   // Injection-worker pool shape and utilization: workerInjections[w] is the
-  // number of injection jobs lane w executed (empty for the serial path).
+  // number of injection jobs lane w executed (one lane when inline).
   std::size_t injectionWorkers = 0;
   std::vector<std::uint64_t> workerInjections;
 
@@ -98,48 +111,35 @@ class VirtualFaultSimulator {
                         std::vector<Connector*> primaryOutputs);
 
   /// Runs the two-phase campaign over the given patterns. Each pattern
-  /// holds one word per primary-input connector, in order. Dispatches to
-  /// the pooled phase-2 engine when setInjectionWorkers() was given a
-  /// worker count, to the serial engine otherwise; both produce the same
-  /// CampaignResult bit for bit (fault list, detected set, coverage curve,
-  /// table/cache/round-trip accounting).
+  /// holds one word per primary-input connector, in order.
   CampaignResult run(const std::vector<std::vector<Word>>& patterns);
 
   /// Convenience for all-single-bit primary inputs: bit i of each packed
   /// word drives primaryInputs[i].
   CampaignResult runPacked(const std::vector<Word>& packedPatterns);
 
-  /// The serial phase-2 reference engine: one injection at a time, a fresh
-  /// controller per injection. Kept public for differential testing against
-  /// the pooled path.
-  CampaignResult runSerialInjection(
-      const std::vector<std::vector<Word>>& patterns);
-
-  /// Client-side detection-table caching (default on): a component whose
-  /// input configuration repeats across patterns is served from the cache
-  /// instead of a fresh provider round trip.
-  void setTableCache(bool on) { cacheTables_ = on; }
-
   /// Attaches a shared result store to the per-component table caches:
   /// configurations another campaign (or session, or process — the store
   /// may be disk-backed) already characterized are served locally with no
   /// client fetch, counted as CampaignResult::tableStoreHits. Only
-  /// components with a non-zero versionDigest() participate. Requires
-  /// setTableCache(true) (the default) to have any effect.
+  /// components with a non-zero versionDigest() participate.
   void setResultStore(std::shared_ptr<cache::ResultStore> store,
                       std::uint64_t ns = 0) {
     store_ = std::move(store);
     storeNamespace_ = ns;
   }
 
-  /// Phase-2 injection worker pool size. 0 (default) selects the serial
-  /// engine; n >= 1 runs each pattern's row injections across n lanes with
-  /// one pinned pooled scheduler per lane, reset-and-reused between jobs.
-  void setInjectionWorkers(std::size_t n) { injectionWorkers_ = n; }
-  std::size_t injectionWorkers() const { return injectionWorkers_; }
+  /// Phase-2 injection lanes. 0 (default) or 1 runs every injection inline
+  /// on one pinned lane; n > 1 shards each pattern's row injections across
+  /// n pool threads.
+  void setInjectionWorkers(std::size_t n) { workers_ = n; }
+
+  /// Patterns per detection-table fetch (default 1; 0 counts as 1). The
+  /// campaign pins one fault-free controller per batch position plus one per
+  /// lane, so batch + lanes must fit in the SlotRegistry's arena.
+  void setTableBatch(std::size_t n) { batch_ = n == 0 ? 1 : n; }
 
  private:
-  CampaignResult runPooled(const std::vector<std::vector<Word>>& patterns);
   /// Simulates one pattern fault-free on `sim` (a fresh or reset
   /// controller). The run stays readable for observed component inputs,
   /// the golden primary outputs, and as the injections' read-through base.
@@ -150,28 +150,22 @@ class VirtualFaultSimulator {
   std::vector<FaultClient*> components_;
   std::vector<Connector*> pis_;
   std::vector<Connector*> pos_;
-  bool cacheTables_ = true;
-  std::size_t injectionWorkers_ = 0;
+  std::size_t workers_ = 0;
+  std::size_t batch_ = 1;
   std::shared_ptr<cache::ResultStore> store_;
   std::uint64_t storeNamespace_ = 0;
 };
 
 /// Expands packed single-bit patterns (bit i -> primary input i) into the
-/// one-word-per-input form run() consumes. Shared by the serial and parallel
-/// campaign engines.
+/// one-word-per-input form run() consumes.
 std::vector<std::vector<Word>> unpackPatterns(
     const std::vector<Word>& packedPatterns, std::size_t primaryInputs);
 
 /// True when a finished injection run (reading through to its fault-free
 /// base) leaves some primary output different from the fault-free response
-/// `golden`. Shared by the serial, pooled and parallel campaign engines.
+/// `golden`.
 bool outputsDiffer(const Scheduler& injection,
                    const std::vector<Connector*>& primaryOutputs,
                    const std::vector<Word>& golden);
-
-/// Mirrors a finished campaign's accounting into the global obs::Registry
-/// (campaign.* counters / gauges). Called by every campaign engine right
-/// before it returns; the CampaignResult itself stays the source of truth.
-void recordCampaignMetrics(const CampaignResult& res);
 
 }  // namespace vcad::fault

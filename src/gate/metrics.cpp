@@ -73,29 +73,6 @@ double transitionEnergyPj(const Netlist& nl, const std::vector<Logic>& prev,
   return 0.5 * energyfFV2 * tech.vdd * tech.vdd * 1e-3;
 }
 
-PowerResult gateLevelPowerScalar(const Netlist& nl,
-                                 const std::vector<Word>& patterns,
-                                 const TechParams& tech) {
-  PowerResult res;
-  if (patterns.size() < 2) return res;
-  NetlistEvaluator eval(nl);
-  std::vector<Logic> prev = eval.evaluate(patterns[0]);
-  std::vector<Logic> curr;
-  for (size_t p = 1; p < patterns.size(); ++p) {
-    eval.evaluateInto(patterns[p], curr);
-    const double ePj = transitionEnergyPj(nl, prev, curr, tech);
-    // power for this transition: E / T, T = 1/clockHz.
-    const double pMw = ePj * 1e-12 * tech.clockHz * 1e3;
-    res.peakPowerMw = std::max(res.peakPowerMw, pMw);
-    res.avgPowerMw += pMw;
-    res.totalToggles += toggles(prev, curr);
-    ++res.transitions;
-    std::swap(prev, curr);
-  }
-  res.avgPowerMw /= static_cast<double>(res.transitions);
-  return res;
-}
-
 namespace {
 
 /// Packed sweep over consecutive-pattern transitions. Blocks overlap by one

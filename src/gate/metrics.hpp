@@ -56,9 +56,8 @@ double transitionEnergyPj(const Netlist& nl, const std::vector<Logic>& prev,
 ///
 /// Evaluated on the packed bit-parallel engine, 64 patterns per pass; the
 /// per-net toggle counts come from popcounts over XOR-ed lane planes. The
-/// result is bit-identical (including floating point) to
-/// gateLevelPowerScalar, which walks the scalar evaluator one pattern at a
-/// time and is kept as the differential-test reference.
+/// result is bit-identical (including floating point) to walking the scalar
+/// evaluator one pattern at a time and summing transitionEnergyPj.
 struct PowerResult {
   double avgPowerMw = 0.0;
   double peakPowerMw = 0.0;      // max per-transition power
@@ -67,9 +66,6 @@ struct PowerResult {
 };
 PowerResult gateLevelPower(const Netlist& nl, const std::vector<Word>& patterns,
                            const TechParams& tech = {});
-PowerResult gateLevelPowerScalar(const Netlist& nl,
-                                 const std::vector<Word>& patterns,
-                                 const TechParams& tech = {});
 
 /// Per-transition switching energies (pJ) of a pattern sequence on the
 /// packed engine: energies[t] covers patterns[t] -> patterns[t+1].

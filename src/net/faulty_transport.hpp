@@ -10,7 +10,7 @@
 // Determinism is the whole point: a fault plan is a *pure function* of
 // (transport seed, request idempotency key, attempt number). It does not
 // consume a shared random stream, so the fault schedule is identical across
-// runs and across ParallelFaultSimulator thread counts, and any chaos-run
+// runs and across campaign injection-worker counts, and any chaos-run
 // failure replays exactly from its seed.
 #pragma once
 

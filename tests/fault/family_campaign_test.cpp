@@ -1,9 +1,9 @@
 // Property-based differential sweep of the circuit-generator family through
-// fault campaigns: virtual-vs-flat-disclosure and serial-vs-parallel must be
-// bit-identical at every family point. On a mismatch the test shrinks the
-// pattern set to the first divergent prefix and emits the flattened netlist
-// text plus the (family, seed) pair in the assert message, so any failure is
-// reproducible from the log alone.
+// fault campaigns: virtual-vs-flat-disclosure and the engine grid against
+// the serial oracle must be bit-identical at every family point. On a
+// mismatch the test shrinks the pattern set to the first divergent prefix
+// and emits the flattened netlist text plus the (family, seed) pair in the
+// assert message, so any failure is reproducible from the log alone.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,12 +11,13 @@
 
 #include "core/rng.hpp"
 #include "fault/block_design.hpp"
-#include "fault/parallel_campaign.hpp"
+#include "fault/engine_grid.hpp"
 #include "fault/serial_sim.hpp"
 #include "fault/virtual_sim.hpp"
 #include "gate/family.hpp"
 #include "gate/netlist_io.hpp"
 #include "gate/netlist_module.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::fault {
 namespace {
@@ -147,23 +148,26 @@ TEST_P(FamilySweep, SerialMatchesParallelCampaign) {
   const auto patterns =
       packedPatterns(rig.nPis, 10, static_cast<std::uint64_t>(seed) * 97);
 
-  VirtualFaultSimulator serial(*rig.inst.circuit, rig.components(),
-                               rig.inst.piConns, rig.inst.poConns);
-  const CampaignResult gold = serial.runPacked(patterns);
+  const auto unpacked =
+      unpackPatterns(patterns, static_cast<std::size_t>(rig.nPis));
+  const CampaignResult gold =
+      oracles::serialCampaign(*rig.inst.circuit, rig.components(),
+                              rig.inst.piConns, rig.inst.poConns, unpacked);
 
-  for (std::size_t threads : {2u, 4u}) {
-    ParallelCampaignConfig cfg;
-    cfg.threads = threads;
-    cfg.batchSize = 3;
-    ParallelFaultSimulator psim(*rig.inst.circuit, rig.components(),
-                                rig.inst.piConns, rig.inst.poConns, cfg);
-    const CampaignResult res = psim.runPacked(patterns);
-    if (res.faultList != gold.faultList || res.detected != gold.detected ||
-        res.detectedAfterPattern != gold.detectedAfterPattern) {
-      FAIL() << "serial/parallel mismatch, threads=" << threads << ", "
-             << reproducer(rig, firstDivergence(res, gold));
+  const auto cells = grid::expectGridMatchesOracle(
+      gold,
+      [&](std::size_t workers, std::size_t batch) {
+        return grid::runEngine(*rig.inst.circuit, rig.components(),
+                               rig.inst.piConns, rig.inst.poConns, unpacked,
+                               workers, batch);
+      },
+      "family point");
+  for (const grid::Cell& cell : cells) {
+    if (cell.result.detected != gold.detected ||
+        cell.result.detectedAfterPattern != gold.detectedAfterPattern) {
+      FAIL() << "engine/oracle mismatch, " << cell.label << ", "
+             << reproducer(rig, firstDivergence(cell.result, gold));
     }
-    EXPECT_EQ(res.detectionTablesRequested, gold.detectionTablesRequested);
   }
 }
 

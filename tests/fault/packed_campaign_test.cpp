@@ -1,7 +1,7 @@
 // Campaign-level golden tests for the packed bit-parallel engine: every
 // consumer (serial campaigns, detection-table batches, dictionaries, ATPG,
-// the parallel virtual campaign) must produce results bit-identical to the
-// scalar reference paths.
+// the virtual campaign at lane-width table batches) must produce results
+// bit-identical to the scalar and serial reference paths.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,10 +10,11 @@
 #include "fault/atpg.hpp"
 #include "fault/block_design.hpp"
 #include "fault/dictionary.hpp"
-#include "fault/parallel_campaign.hpp"
+#include "fault/engine_grid.hpp"
 #include "fault/serial_sim.hpp"
 #include "fault/virtual_sim.hpp"
 #include "gate/generators.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::fault {
 namespace {
@@ -58,7 +59,7 @@ TEST(PackedSerialCampaign, BitIdenticalToScalarOnFixedCircuits) {
       const auto patterns = randomPatterns(rng, nl.inputCount(), n);
       SerialFaultSimulator sim(nl);
       expectCampaignsIdentical(
-          sim.run(patterns), sim.runScalar(patterns),
+          sim.run(patterns), oracles::runScalar(sim, patterns),
           "n=" + std::to_string(n) + " inputs=" +
               std::to_string(nl.inputCount()));
     }
@@ -76,7 +77,8 @@ TEST(PackedSerialCampaign, BitIdenticalOnRandomNetlistsWithUnknowns) {
     const auto patterns =
         randomPatterns(rng, nl.inputCount(), 90, trial % 2 == 0 ? 0 : 20);
     SerialFaultSimulator sim(nl, /*dominance=*/trial % 2 == 0);
-    expectCampaignsIdentical(sim.run(patterns), sim.runScalar(patterns),
+    expectCampaignsIdentical(sim.run(patterns),
+                             oracles::runScalar(sim, patterns),
                              "trial=" + std::to_string(trial));
   }
 }
@@ -232,7 +234,7 @@ TEST(PackedAtpg, AdderCoverageStaysHigh) {
   EXPECT_LE(res.patterns.size(), res.beforeCompaction);
 }
 
-// --- parallel campaign with pack-width-aligned batches --------------------
+// --- virtual campaign with pack-width-aligned table batches ---------------
 
 std::shared_ptr<const Netlist> share(Netlist nl) {
   return std::make_shared<const Netlist>(std::move(nl));
@@ -292,7 +294,7 @@ Scenario makeScenario(std::uint64_t seed) {
 
 TEST(PackAlignedBatches, LaneWidthBatchFetchesOncePerComponentPerBatch) {
   // A batch of 64 fills the packed table builder's lanes in one round trip
-  // per component; the config keeps the requested size as given.
+  // per component.
   Scenario s = makeScenario(0x5eed06);
   Rng rng(0x5eed09);
   const auto patterns = randomPatterns(rng, s.nPis, 80);
@@ -301,13 +303,11 @@ TEST(PackAlignedBatches, LaneWidthBatchFetchesOncePerComponentPerBatch) {
                                s.inst.piConns, s.inst.poConns);
   const CampaignResult gold = serial.runPacked(patterns);
 
-  ParallelCampaignConfig cfg;
-  cfg.threads = 2;
-  cfg.batchSize = 64;
-  ParallelFaultSimulator psim(*s.inst.circuit, s.components(), s.inst.piConns,
-                              s.inst.poConns, cfg);
-  EXPECT_EQ(psim.config().batchSize, 64u);
-  const CampaignResult res = psim.runPacked(patterns);
+  VirtualFaultSimulator batched(*s.inst.circuit, s.components(),
+                                s.inst.piConns, s.inst.poConns);
+  batched.setInjectionWorkers(2);
+  batched.setTableBatch(64);
+  const CampaignResult res = batched.runPacked(patterns);
   const std::size_t batches = 2;  // 64 + 16 patterns
   EXPECT_GE(res.tableFetchRoundTrips, s.clients.size());
   EXPECT_LE(res.tableFetchRoundTrips, batches * s.clients.size());
@@ -320,22 +320,21 @@ TEST(PackAlignedBatches, ThreadSweepBitIdenticalToSerialVirtual) {
   Rng rng(0x5eed08);
   const auto patterns = randomPatterns(rng, s.nPis, 80);
 
-  VirtualFaultSimulator serial(*s.inst.circuit, s.components(),
-                               s.inst.piConns, s.inst.poConns);
-  const CampaignResult gold = serial.runPacked(patterns);
+  const auto unpacked =
+      unpackPatterns(patterns, static_cast<std::size_t>(s.nPis));
+  const CampaignResult gold =
+      oracles::serialCampaign(*s.inst.circuit, s.components(),
+                              s.inst.piConns, s.inst.poConns, unpacked);
 
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    ParallelCampaignConfig cfg;
-    cfg.threads = threads;
-    cfg.batchSize = 64;  // one full lane block per fetch
-    ParallelFaultSimulator psim(*s.inst.circuit, s.components(),
-                                s.inst.piConns, s.inst.poConns, cfg);
-    const CampaignResult res = psim.runPacked(patterns);
-    const std::string label = "threads=" + std::to_string(threads);
-    EXPECT_EQ(res.faultList, gold.faultList) << label;
-    EXPECT_EQ(res.detected, gold.detected) << label;
-    EXPECT_EQ(res.detectedAfterPattern, gold.detectedAfterPattern) << label;
-  }
+  // Batch 64 is one full lane block per fetch; 80 patterns make it two.
+  grid::expectGridMatchesOracle(
+      gold,
+      [&](std::size_t workers, std::size_t batch) {
+        return grid::runEngine(*s.inst.circuit, s.components(),
+                               s.inst.piConns, s.inst.poConns, unpacked,
+                               workers, batch);
+      },
+      "80 patterns");
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
-// Differential proof of read-through fault injection: every campaign engine
-// (serial, pooled, ParallelFaultSimulator) injects by forcing a row's faulty
-// outputs on top of the pattern's fault-free run and simulating only their
-// fanout. On the scenario-matrix cone and datapath designs and on a
-// hand-built design with reconvergent fanout through Fanout and Delay
-// modules, each engine must reproduce both the flat full-disclosure
-// SerialFaultSimulator and a full re-simulation injection oracle kept here:
-// the injection the engines ran before, a faulty run from the primary
-// inputs with the component's event handling overridden.
+// Differential proof of read-through fault injection: the campaign engine
+// and the serial oracle inject by forcing a row's faulty outputs on top of
+// the pattern's fault-free run and simulating only their fanout. On the
+// scenario-matrix cone and datapath designs and on a hand-built design with
+// reconvergent fanout through Fanout and Delay modules, the engine at every
+// grid setting must reproduce the serial oracle field by field, and both
+// the flat full-disclosure SerialFaultSimulator and a full re-simulation
+// injection oracle kept here: a faulty run from the primary inputs with the
+// component's event handling overridden.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,11 +16,12 @@
 #include "core/slot_registry.hpp"
 #include "core/wiring.hpp"
 #include "fault/block_design.hpp"
-#include "fault/parallel_campaign.hpp"
+#include "fault/engine_grid.hpp"
 #include "fault/serial_sim.hpp"
 #include "fault/virtual_sim.hpp"
 #include "gate/generators.hpp"
 #include "integration/matrix_harness.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::fault {
 namespace {
@@ -157,7 +158,7 @@ void applyPattern(SimulationController& sim, const Rig& r,
   sim.start();
 }
 
-/// The pre-read-through serial engine, reduced to its decisions: every
+/// The pre-read-through serial campaign, reduced to its decisions: every
 /// injection re-simulates the whole design from the primary inputs with the
 /// faulty component's event handling replaced by its forced outputs.
 CampaignResult fullResimulationCampaign(
@@ -239,29 +240,22 @@ TEST_P(ReadThroughInjection, EveryEngineMatchesFlatSerialAndFullResimulation) {
   ASSERT_GT(oracle.detected.size(), 0u);
   expectSameDecisions(oracle, flat, GetParam() + " oracle vs flat");
 
-  std::vector<std::pair<std::string, CampaignResult>> runs;
-  {
-    VirtualFaultSimulator sim(*r.circuit, r.components(), r.pis, r.pos);
-    runs.emplace_back("serial", sim.run(patterns));
-    EXPECT_EQ(runs.back().second.injections, oracle.injections) << GetParam();
-  }
-  for (std::size_t workers : {1u, 2u, 8u}) {
-    VirtualFaultSimulator sim(*r.circuit, r.components(), r.pis, r.pos);
-    sim.setInjectionWorkers(workers);
-    runs.emplace_back("pooled/" + std::to_string(workers), sim.run(patterns));
-  }
-  for (std::size_t batch : {1u, 4u, 64u}) {
-    ParallelCampaignConfig cfg;
-    cfg.threads = 4;
-    cfg.batchSize = batch;
-    ParallelFaultSimulator sim(*r.circuit, r.components(), r.pis, r.pos, cfg);
-    runs.emplace_back("parallel/batch" + std::to_string(batch),
-                      sim.run(patterns));
-  }
-  for (const auto& [engine, res] : runs) {
-    const std::string label = GetParam() + " " + engine;
-    expectSameDecisions(res, flat, label + " vs flat");
-    expectSameDecisions(res, oracle, label + " vs full re-simulation");
+  const CampaignResult serial = oracles::serialCampaign(
+      *r.circuit, r.components(), r.pis, r.pos, patterns);
+  expectSameDecisions(serial, oracle, GetParam() + " serial oracle");
+  EXPECT_EQ(serial.injections, oracle.injections) << GetParam();
+
+  const auto cells = grid::expectGridMatchesOracle(
+      serial,
+      [&](std::size_t workers, std::size_t batch) {
+        return grid::runEngine(*r.circuit, r.components(), r.pis, r.pos,
+                               patterns, workers, batch);
+      },
+      GetParam());
+  for (const grid::Cell& cell : cells) {
+    expectSameDecisions(cell.result, flat, cell.label + " vs flat");
+    expectSameDecisions(cell.result, oracle,
+                        cell.label + " vs full re-simulation");
   }
 }
 
@@ -340,21 +334,20 @@ TEST(ReadThroughEvents, UpstreamBlockSimulatesOnlyItsFanout) {
 }
 
 TEST(ReadThroughCapacity, BatchBeyondArenaFailsLoudlyAndRecovers) {
-  // ParallelFaultSimulator pins one fault-free run per batch position, so
-  // batch size + lanes must fit in the slot arena.
+  // The engine pins one fault-free run per batch position, so batch size +
+  // lanes must fit in the slot arena.
   Rig r = makeRig("handbuilt");
   const std::size_t n = SlotRegistry::kCapacity + 2;
   const auto patterns = unpackPatterns(
       randomPatterns(r.pis.size(), static_cast<int>(n), 7), r.pis.size());
-  ParallelCampaignConfig cfg;
-  cfg.threads = 2;
-  cfg.batchSize = n;
-  ParallelFaultSimulator tooWide(*r.circuit, r.components(), r.pis, r.pos,
-                                 cfg);
+  VirtualFaultSimulator tooWide(*r.circuit, r.components(), r.pis, r.pos);
+  tooWide.setInjectionWorkers(2);
+  tooWide.setTableBatch(n);
   EXPECT_THROW(tooWide.run(patterns), std::runtime_error);
 
-  cfg.batchSize = 64;
-  ParallelFaultSimulator fits(*r.circuit, r.components(), r.pis, r.pos, cfg);
+  VirtualFaultSimulator fits(*r.circuit, r.components(), r.pis, r.pos);
+  fits.setInjectionWorkers(2);
+  fits.setTableBatch(64);
   VirtualFaultSimulator serial(*r.circuit, r.components(), r.pis, r.pos);
   expectSameDecisions(fits.run(patterns), serial.run(patterns),
                       "batch 64 after exhaustion");

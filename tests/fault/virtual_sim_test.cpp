@@ -144,16 +144,6 @@ TEST(VirtualFaultSim, AccountsProtocolEffort) {
   EXPECT_GT(res.injections, 0u);
   EXPECT_GT(res.faultList.size(), 0u);
   EXPECT_LE(res.detected.size(), res.faultList.size());
-
-  // Disabling the cache fetches a table every time.
-  VirtualFaultSimulator uncached(*s.inst.circuit, s.components(),
-                                 s.inst.piConns, s.inst.poConns);
-  uncached.setTableCache(false);
-  const CampaignResult res2 = uncached.runPacked(patterns);
-  EXPECT_EQ(res2.detectionTablesRequested,
-            patterns.size() * s.clients.size());
-  EXPECT_EQ(res2.tableCacheHits, 0u);
-  EXPECT_EQ(res2.detected, res.detected);  // identical outcome either way
 }
 
 TEST(VirtualFaultSim, RejectsEmptyConfiguration) {

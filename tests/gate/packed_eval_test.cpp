@@ -12,6 +12,7 @@
 #include "gate/generators.hpp"
 #include "gate/metrics.hpp"
 #include "gate/netlist.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::gate {
 namespace {
@@ -301,7 +302,7 @@ TEST(PackedPower, GateLevelPowerBitIdenticalToScalar) {
   const Netlist mult = makeArrayMultiplier(4);
   const auto patterns = randomBlock(rng, mult.inputCount(), 200, 0);
   const PowerResult packed = gateLevelPower(mult, patterns);
-  const PowerResult scalar = gateLevelPowerScalar(mult, patterns);
+  const PowerResult scalar = oracles::gateLevelPowerScalar(mult, patterns);
   EXPECT_EQ(packed.avgPowerMw, scalar.avgPowerMw);    // exact, incl. FP
   EXPECT_EQ(packed.peakPowerMw, scalar.peakPowerMw);  // exact, incl. FP
   EXPECT_EQ(packed.totalToggles, scalar.totalToggles);
@@ -315,7 +316,7 @@ TEST(PackedPower, UnknownHeavyPatternsStillBitIdentical) {
     const Netlist nl = makeRandomNetlist(gen, 7, 50, 4);
     const auto patterns = randomBlock(rng, 7, 130, 40);
     const PowerResult packed = gateLevelPower(nl, patterns);
-    const PowerResult scalar = gateLevelPowerScalar(nl, patterns);
+    const PowerResult scalar = oracles::gateLevelPowerScalar(nl, patterns);
     EXPECT_EQ(packed.avgPowerMw, scalar.avgPowerMw);
     EXPECT_EQ(packed.peakPowerMw, scalar.peakPowerMw);
     EXPECT_EQ(packed.totalToggles, scalar.totalToggles);

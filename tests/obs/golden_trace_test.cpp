@@ -361,9 +361,18 @@ TEST(GoldenTrace, TimestampsAreMonotonicPerThreadAndSpansNestProperly) {
 
   // The expected span taxonomy showed up: the campaign root, its per-pattern
   // children, the client RMI spans, and the provider's adopted spans.
-  const auto campaignSpans = spansWithPrefix(events, "campaign.serial");
+  const auto campaignSpans = spansWithPrefix(events, "campaign.run");
   ASSERT_EQ(campaignSpans.size(), 1u);
   const TraceEvent root = campaignSpans[0];
+  // The campaign span names the engine setting it ran with.
+  std::map<std::string, double> rootArgs;
+  for (std::uint8_t a = 0; a < root.argCount; ++a) {
+    rootArgs[root.args[a].key] = root.args[a].value;
+  }
+  EXPECT_EQ(rootArgs.count("workers"), 1u);
+  EXPECT_EQ(rootArgs["workers"], 0.0);
+  EXPECT_EQ(rootArgs.count("batch"), 1u);
+  EXPECT_EQ(rootArgs["batch"], 1.0);
   const auto patternSpans = spansWithPrefix(events, "campaign.pattern");
   EXPECT_GT(patternSpans.size(), 0u);
   for (const TraceEvent& p : patternSpans) {

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "oracles/oracles.hpp"
+
 namespace vcad::chaos {
 namespace {
 
@@ -131,16 +133,16 @@ TEST(ChaosCampaign, SameSeedReplaysTheRunBitForBit) {
 }
 
 TEST(ChaosCampaign, ThreadCountDoesNotChangeTheFaultScheduleOrTheResult) {
-  // The parallel engine issues all RMI from its coordinating thread, and the
-  // fault plan is a pure function of (seed, key, attempt) — so sweeping the
+  // The engine issues all RMI from its coordinating thread, and the fault
+  // plan is a pure function of (seed, key, attempt) — so sweeping the
   // worker count over a lossy transport must not move a single counter.
   const ChaosOutcome gold = runChaosCampaign(net::FaultProfile::none(), 1);
   ChaosOutcome first;
   bool haveFirst = false;
-  for (std::size_t threads : {1u, 2u, 4u}) {
-    const std::string label = "threads=" + std::to_string(threads);
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    const std::string label = "workers=" + std::to_string(workers);
     const ChaosOutcome run = runChaosCampaign(net::FaultProfile::lossy(), 5, 6,
-                                              0, threads, /*batch=*/2);
+                                              0, workers, /*batch=*/2);
     expectMatchesGold(run, gold, label);
     if (!haveFirst) {
       first = run;
@@ -159,15 +161,20 @@ TEST(ChaosCampaign, ThreadCountDoesNotChangeTheFaultScheduleOrTheResult) {
 }
 
 TEST(ChaosCampaign, PooledInjectionIsBitIdenticalToSerialUnderChaos) {
-  // The pooled phase-2 engine must reproduce the serial run to the last
+  // The engine at batch 1 must reproduce the serial oracle to the last
   // counter — not just coverage, but the whole protocol/effort ledger —
   // under a faulty transport, for every worker count. Table fetches stay on
   // the coordinating thread, so the RMI fault schedule cannot move either.
-  const ChaosOutcome serial = runChaosCampaign(net::FaultProfile::lossy(), 9);
+  const ChaosOutcome serial = runChaosWith(
+      [](ChaosRig& rig, const std::vector<std::vector<Word>>& patterns) {
+        return oracles::serialCampaign(rig.circuit, rig.components(), rig.pis,
+                                       rig.pos, patterns);
+      },
+      net::FaultProfile::lossy(), 9);
   for (std::size_t workers : {1u, 2u, 4u, 8u}) {
-    const std::string label = "pooledWorkers=" + std::to_string(workers);
-    const ChaosOutcome run = runChaosCampaign(net::FaultProfile::lossy(), 9, 6,
-                                              0, 0, 1, nullptr, workers);
+    const std::string label = "workers=" + std::to_string(workers);
+    const ChaosOutcome run =
+        runChaosCampaign(net::FaultProfile::lossy(), 9, 6, 0, workers);
     EXPECT_EQ(run.result.faultList, serial.result.faultList) << label;
     EXPECT_EQ(run.result.detected, serial.result.detected) << label;
     EXPECT_EQ(run.result.detectedAfterPattern,
@@ -192,7 +199,7 @@ TEST(ChaosCampaign, PooledInjectionIsBitIdenticalToSerialUnderChaos) {
     std::uint64_t laneSum = 0;
     for (std::uint64_t n : run.result.workerInjections) laneSum += n;
     EXPECT_EQ(laneSum, run.result.injections) << label;
-    EXPECT_LE(run.result.slotsLeased, workers + 1) << label;
+    EXPECT_EQ(run.result.slotsLeased, workers + 1) << label;
   }
 }
 
@@ -242,7 +249,7 @@ TEST(ChaosCampaign, CompletionQueuePathIsBitIdenticalToBlockingPath) {
           " viaQueue";
       const ChaosOutcome sync = runChaosCampaign(profile, seed);
       const ChaosOutcome queued = runChaosCampaign(profile, seed, 6, 0, 0, 1,
-                                                   nullptr, 0, true,
+                                                   nullptr, true,
                                                    /*viaQueue=*/true);
       EXPECT_EQ(queued.result.faultList, sync.result.faultList) << label;
       EXPECT_EQ(queued.result.detected, sync.result.detected) << label;
@@ -284,7 +291,7 @@ TEST(ChaosCampaign, CompletionQueuePathSurvivesProviderRestart) {
   const ChaosOutcome gold = runChaosCampaign(net::FaultProfile::none(), 1);
   const ChaosOutcome run =
       runChaosCampaign(net::FaultProfile::lossy(), 13, 6, /*restartAfter=*/7,
-                       0, 1, nullptr, 0, true, /*viaQueue=*/true);
+                       0, 1, nullptr, true, /*viaQueue=*/true);
   EXPECT_EQ(run.restarts, 1u);
   EXPECT_GE(run.recoveries, 1u);
   EXPECT_EQ(run.result.faultList, gold.result.faultList);

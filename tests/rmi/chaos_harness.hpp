@@ -10,13 +10,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/rng.hpp"
-#include "fault/parallel_campaign.hpp"
 #include "fault/virtual_sim.hpp"
 #include "gate/generators.hpp"
 #include "ip/provider_server.hpp"
@@ -192,24 +192,21 @@ inline std::string chaosFailureReport(const ChaosOutcome& run) {
   return s;
 }
 
-/// Runs the campaign under the given transport behaviour. threads == 0 uses
-/// the VirtualFaultSimulator — serially when pooledWorkers == 0, with a
-/// pooled concurrent phase-2 injection engine of that many pinned
-/// schedulers otherwise; threads > 0 uses the parallel (batched) engine
-/// with the given worker count and table batch size. `traced` runs the
-/// campaign with the global tracer on (cleared first, prior state restored
-/// after), so a failing invariant can dump the run's final trace events;
-/// tracing never feeds back into the simulation, so outcomes are identical
-/// either way (tests/obs/overhead_test.cpp holds that line).
-inline ChaosOutcome runChaosCampaign(const net::FaultProfile& profile,
-                                     std::uint64_t seed, int patternCount = 6,
-                                     std::uint64_t restartAfter = 0,
-                                     std::size_t threads = 0,
-                                     std::size_t batch = 1,
-                                     const rmi::RetryPolicy* policy = nullptr,
-                                     std::size_t pooledWorkers = 0,
-                                     bool traced = true,
-                                     bool viaQueue = false) {
+/// A fault campaign over a chaos rig's design.
+using ChaosCampaign = std::function<fault::CampaignResult(
+    ChaosRig&, const std::vector<std::vector<Word>>&)>;
+
+/// Runs `campaign` under the given transport behaviour. `traced` runs it
+/// with the global tracer on (cleared first, prior state restored after),
+/// so a failing invariant can dump the run's final trace events; tracing
+/// never feeds back into the simulation, so outcomes are identical either
+/// way (tests/obs/overhead_test.cpp holds that line).
+inline ChaosOutcome runChaosWith(const ChaosCampaign& campaign,
+                                 const net::FaultProfile& profile,
+                                 std::uint64_t seed, int patternCount = 6,
+                                 std::uint64_t restartAfter = 0,
+                                 const rmi::RetryPolicy* policy = nullptr,
+                                 bool traced = true, bool viaQueue = false) {
   obs::Tracer& tracer = obs::Tracer::global();
   const bool wasEnabled = tracer.enabled();
   if (traced) {
@@ -218,23 +215,10 @@ inline ChaosOutcome runChaosCampaign(const net::FaultProfile& profile,
   }
   ChaosRig rig(profile, seed, restartAfter, viaQueue);
   if (policy != nullptr) rig.channel.setRetryPolicy(*policy);
-  const auto patterns = chaosPatterns(patternCount);
   ChaosOutcome out;
   out.profileName = profile.name;
   out.seed = seed;
-  if (threads == 0) {
-    fault::VirtualFaultSimulator sim(rig.circuit, rig.components(), rig.pis,
-                                     rig.pos);
-    sim.setInjectionWorkers(pooledWorkers);
-    out.result = sim.run(patterns);
-  } else {
-    fault::ParallelCampaignConfig cfg;
-    cfg.threads = threads;
-    cfg.batchSize = batch;
-    fault::ParallelFaultSimulator sim(rig.circuit, rig.components(), rig.pis,
-                                      rig.pos, cfg);
-    out.result = sim.run(patterns);
-  }
+  out.result = campaign(rig, chaosPatterns(patternCount));
   out.stats = rig.channel.stats();
   out.transport = rig.transport.stats();
   out.providerFeesCents = rig.server.sessionFeesCents(rig.provider->session());
@@ -243,6 +227,27 @@ inline ChaosOutcome runChaosCampaign(const net::FaultProfile& profile,
   out.remoteErrors = rig.mult->remoteErrors();
   if (traced) tracer.setEnabled(wasEnabled);
   return out;
+}
+
+/// Runs the campaign engine (VirtualFaultSimulator) with `workers`
+/// injection lanes and table `batch` under the given transport behaviour.
+inline ChaosOutcome runChaosCampaign(const net::FaultProfile& profile,
+                                     std::uint64_t seed, int patternCount = 6,
+                                     std::uint64_t restartAfter = 0,
+                                     std::size_t workers = 0,
+                                     std::size_t batch = 1,
+                                     const rmi::RetryPolicy* policy = nullptr,
+                                     bool traced = true,
+                                     bool viaQueue = false) {
+  return runChaosWith(
+      [&](ChaosRig& rig, const std::vector<std::vector<Word>>& patterns) {
+        fault::VirtualFaultSimulator sim(rig.circuit, rig.components(),
+                                         rig.pis, rig.pos);
+        sim.setInjectionWorkers(workers);
+        sim.setTableBatch(batch);
+        return sim.run(patterns);
+      },
+      profile, seed, patternCount, restartAfter, policy, traced, viaQueue);
 }
 
 }  // namespace vcad::chaos

@@ -217,7 +217,7 @@ TEST(MtChaos, FourTenantsBitIdenticalToFourSerialRuns) {
   bases.reserve(plans.size());
   for (const TenantPlan& p : plans) {
     bases.push_back(chaos::runChaosCampaign(p.profile, p.seed, 6, 0, 0, 1,
-                                            nullptr, 0, /*traced=*/false));
+                                            nullptr, /*traced=*/false));
   }
 
   ip::MultiTenantProviderServer::Config cfg;
@@ -268,7 +268,7 @@ TEST(MtChaos, SheddingQueuePreservesCoverageAndFees) {
   bases.reserve(plans.size());
   for (const TenantPlan& p : plans) {
     bases.push_back(chaos::runChaosCampaign(p.profile, p.seed, 6, 0, 0, 1,
-                                            nullptr, 0, /*traced=*/false));
+                                            nullptr, /*traced=*/false));
   }
 
   ip::MultiTenantProviderServer::Config cfg;
@@ -318,7 +318,7 @@ TEST(MtChaos, MidRunShardRestartStaysBitIdentical) {
   constexpr std::uint64_t kSeed = 3;
   constexpr std::uint64_t kRestartAfter = 7;
   ChaosOutcome base = chaos::runChaosCampaign(profile, kSeed, 6, kRestartAfter,
-                                              0, 1, nullptr, 0,
+                                              0, 1, nullptr,
                                               /*traced=*/false);
   ASSERT_EQ(base.restarts, 1u);  // the crash point actually fired
 
@@ -346,10 +346,10 @@ TEST(MtChaos, QuotaThrottledNeighbourNeverPerturbsOtherTenants) {
   const TenantPlan planA{1, net::FaultProfile::none(), 31};
   const TenantPlan planC{3, net::FaultProfile::lossy(), 33};
   ChaosOutcome baseA = chaos::runChaosCampaign(planA.profile, planA.seed, 6,
-                                               0, 0, 1, nullptr, 0,
+                                               0, 0, 1, nullptr,
                                                /*traced=*/false);
   ChaosOutcome baseC = chaos::runChaosCampaign(planC.profile, planC.seed, 6,
-                                               0, 0, 1, nullptr, 0,
+                                               0, 0, 1, nullptr,
                                                /*traced=*/false);
 
   ip::MultiTenantProviderServer::Config cfg;
