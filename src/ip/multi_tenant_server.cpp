@@ -131,7 +131,8 @@ std::uint16_t MultiTenantProviderServer::listenTcp(std::uint16_t port) {
 void MultiTenantProviderServer::start() {
   if (listenFd_ < 0 || acceptThread_.joinable()) return;
   acceptThread_ = std::thread([this] { acceptLoop(); });
-  // Readiness handshake, same contract as ProviderSocketServer::start().
+  // Readiness handshake: don't return until the loop is live, so callers
+  // can treat "start() returned" as "a connect will be served".
   std::unique_lock<std::mutex> lock(mutex_);
   statsCv_.wait(lock, [this] { return accepting_ || stopping_.load(); });
 }

@@ -8,7 +8,9 @@
 //
 // The wire underneath is a pluggable net::Transport: the default loopback
 // backend dispatches in-process, while net::SocketTransport carries the
-// same framed exchanges to a provider in another process. Everything that
+// same framed exchanges to a provider in another process, served by
+// ip::MultiTenantProviderServer (a single-tenant client is tenant 0, the
+// default). Everything that
 // decides the *simulated* outcome — fault plans, time charges, retries,
 // backoff — runs client-side in the channel, so the two backends produce
 // bit-identical coverage, fees, and networkSec for the same seeds.
@@ -28,9 +30,10 @@
 // shares one channel across its worker pool). Stats/model updates are
 // guarded by one mutex, and the loopback transport serializes endpoint
 // dispatch, so a ServerEndpoint behind *this channel's loopback* only ever
-// sees one in-flight request. Servers reached by many channels or by a
-// multi-tenant worker pool (ProviderServer) must still be internally
-// thread-safe — see the dispatch-concurrency section in DESIGN.md.
+// sees one in-flight request. Servers reached by many channels or over a
+// socket, where the provider front end's job-queue workers dispatch
+// concurrently (ProviderServer), must be internally thread-safe — see the
+// dispatch-concurrency section in DESIGN.md.
 #pragma once
 
 #include <atomic>

@@ -21,8 +21,8 @@ void LoopbackTransport::send(const net::RequestFrameHeader& header,
                              const std::vector<std::uint8_t>& sealedPayload) {
   const std::uint64_t requestId = header.requestId;
 
-  // Admission control, checked exactly like the socket front end: before
-  // any receive work, against the count of dispatches already executing.
+  // Admission control before any receive work, as the socket front end's
+  // job queue does: against the count of dispatches already executing.
   const std::size_t cap =
       maxConcurrentDispatches_.load(std::memory_order_acquire);
   if (cap != 0 && dispatching_.load(std::memory_order_acquire) >= cap) {

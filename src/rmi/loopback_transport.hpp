@@ -38,11 +38,11 @@ class LoopbackTransport final : public net::Transport {
 
   ServerEndpoint& endpoint() { return *endpoint_; }
 
-  /// Admission control mirroring ProviderSocketServer: a request arriving
-  /// while `cap` dispatches are already executing is answered with a typed
-  /// FrameStatus::TooManyPending frame instead of queueing behind the
-  /// dispatch mutex. Default 0 = unlimited. Gives the in-process backend
-  /// the same shed surface as the socket one, so channel-level shed
+  /// Test-only admission cap: a request arriving while `cap` dispatches are
+  /// already executing is answered with a typed FrameStatus::TooManyPending
+  /// frame instead of queueing behind the dispatch mutex. Default 0 =
+  /// unlimited. Gives the in-process backend the shed surface the provider
+  /// front end's job queue has over a socket, so channel-level shed
   /// accounting can be proven uniform across both.
   void setMaxConcurrentDispatches(std::size_t cap);
 

@@ -20,8 +20,8 @@
 #include "fault/dictionary.hpp"
 #include "fault/virtual_sim.hpp"
 #include "gate/generators.hpp"
+#include "ip/multi_tenant_server.hpp"
 #include "ip/provider_server.hpp"
-#include "ip/provider_socket.hpp"
 #include "ip/remote_component.hpp"
 #include "net/socket_transport.hpp"
 
@@ -59,6 +59,14 @@ ip::PublicPart multiplierPublicPart(std::uint64_t w) {
   };
   return pub;
 }
+
+/// Client-side public part for a multiplier served from another process.
+struct MultiplierSource : ip::PublicPartSource {
+  ip::PublicPart downloadPublicPart(const std::string&,
+                                    std::uint64_t w) const override {
+    return multiplierPublicPart(w);
+  }
+};
 
 void registerMultiplier(ip::ProviderServer& server) {
   server.registerComponent(
@@ -273,24 +281,32 @@ TEST(WarmCampaign, LoopbackAndSocketBackendsCountCachesIdentically) {
   Rig loopWarm(loopServer, /*seed=*/22);
   const CampaignResult loopWarmRes = loopWarm.runCampaign(pats);
 
-  // Socket lane: the same provider config served over a Unix socket.
-  auto sockStore = cache::ResultStore::inMemory();
-  ip::ProviderServer sockServer("provider.host", nullptr);
-  registerMultiplier(sockServer);
-  sockServer.setResultStore(sockStore);
-  ip::ProviderSocketServer front(sockServer);
+  // Socket lane: the same provider config served over a Unix socket, as
+  // tenant 0 of the provider front end. The public part comes from a local
+  // source, as for any provider in another process.
+  ip::MultiTenantProviderServer::Config cfg;
+  cfg.resultStore = cache::ResultStore::inMemory();
+  ip::MultiTenantProviderServer front(
+      [](ip::TenantId) {
+        auto server =
+            std::make_unique<ip::ProviderServer>("provider.host", nullptr);
+        registerMultiplier(*server);
+        return server;
+      },
+      cfg);
   const std::string path =
       "cache_parity_" + std::to_string(::getpid()) + ".sock";
   ASSERT_TRUE(front.listenUnix(path));
   front.start();
 
+  const MultiplierSource source;
   auto coldTransport = net::SocketTransport::connectUnix(path);
   ASSERT_NE(coldTransport, nullptr);
-  Rig sockCold(std::move(coldTransport), &sockServer, /*seed=*/11);
+  Rig sockCold(std::move(coldTransport), &source, /*seed=*/11);
   const CampaignResult sockColdRes = sockCold.runCampaign(pats);
   auto warmTransport = net::SocketTransport::connectUnix(path);
   ASSERT_NE(warmTransport, nullptr);
-  Rig sockWarm(std::move(warmTransport), &sockServer, /*seed=*/22);
+  Rig sockWarm(std::move(warmTransport), &source, /*seed=*/22);
   const CampaignResult sockWarmRes = sockWarm.runCampaign(pats);
   front.stop();
 

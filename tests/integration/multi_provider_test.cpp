@@ -1,6 +1,6 @@
 // Multi-provider integration: one design whose IP blocks are instantiated
-// from three *separate provider processes* (real ProviderSocketServers over
-// Unix-domain sockets, spawned with the --matrix catalog), campaigned
+// from three *separate provider processes* (each a MultiTenantProviderServer
+// over a Unix-domain socket, spawned with the --matrix catalog), campaigned
 // concurrently. Coverage, the coverage curve, the serialized detection
 // tables, and the summed client fee ledgers must come out bit-identical to
 // the single-provider composition (every block served by one process) and

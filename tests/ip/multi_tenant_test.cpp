@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "ip/provider_socket.hpp"
 #include "net/socket_transport.hpp"
 #include "rmi/loopback_transport.hpp"
 
@@ -301,6 +300,25 @@ class GatedShard : public rmi::ServerEndpoint {
   bool released_ = false;
 };
 
+/// Factory building a GatedShard and publishing it through `slot`.
+MultiTenantProviderServer::EndpointFactory gatedFactory(
+    std::atomic<GatedShard*>& slot) {
+  return [&slot](TenantId) {
+    auto ep = std::make_unique<GatedShard>();
+    slot.store(ep.get(), std::memory_order_release);
+    return std::unique_ptr<rmi::ServerEndpoint>(std::move(ep));
+  };
+}
+
+/// The factory runs on the reader thread when a tenant's first frame
+/// arrives; waits for it to have published the shard.
+GatedShard* awaitShard(const std::atomic<GatedShard*>& slot) {
+  while (slot.load(std::memory_order_acquire) == nullptr) {
+    std::this_thread::yield();
+  }
+  return slot.load(std::memory_order_acquire);
+}
+
 TEST(MultiTenantServer, QueueVerdictsSurfaceAsTypedFrameStatuses) {
   std::atomic<GatedShard*> shard{nullptr};
   MultiTenantProviderServer::Config cfg;
@@ -308,13 +326,7 @@ TEST(MultiTenantServer, QueueVerdictsSurfaceAsTypedFrameStatuses) {
   cfg.queue.maxQueueDepth = 2;
   cfg.queue.perPriorityDepth[static_cast<std::size_t>(
       net::JobPriority::Compute)] = 1;
-  MultiTenantProviderServer server(
-      [&shard](TenantId) {
-        auto ep = std::make_unique<GatedShard>();
-        shard.store(ep.get(), std::memory_order_release);
-        return std::unique_ptr<rmi::ServerEndpoint>(std::move(ep));
-      },
-      cfg);
+  MultiTenantProviderServer server(gatedFactory(shard), cfg);
   const std::uint16_t port = server.listenTcp(0);
   ASSERT_NE(port, 0);
   server.start();
@@ -328,12 +340,7 @@ TEST(MultiTenantServer, QueueVerdictsSurfaceAsTypedFrameStatuses) {
   // #1 occupies the single worker (gated inside dispatch).
   h.requestId = 1;
   wire->send(h, sealedEchoRequest(1));
-  // The factory runs on the reader thread when frame #1 arrives; wait for
-  // the shard to exist, then for its dispatch to start.
-  while (shard.load(std::memory_order_acquire) == nullptr) {
-    std::this_thread::yield();
-  }
-  shard.load()->awaitEntered(1);
+  awaitShard(shard)->awaitEntered(1);
   // #2 queues in the Compute lane (depth 1 == lane bound).
   h.requestId = 2;
   wire->send(h, sealedEchoRequest(2));
@@ -390,32 +397,43 @@ TEST(ShedUniformity, LoopbackAndSocketBackendsCountShedsIdentically) {
   EXPECT_TRUE(loopCh.wait(gated).ok());
   const rmi::ChannelStats loop = loopCh.stats();
 
-  // Socket backend: admission cap on the provider socket front end. The
-  // slot is occupied over a separate raw connection — the socket server
-  // dispatches inline on the occupying connection's reader thread, so the
-  // shed probe must arrive on its own connection to be seen at all.
-  GatedShard sockShard;
-  ProviderSocketServer server(sockShard);
+  // Socket backend: admission on the provider front end's job queue. With
+  // one worker and a Compute lane bound of 1, a gated frame occupies the
+  // worker and a second fills the lane, so the channel's probe (a
+  // Compute-lane EvalFunction) is shed on every attempt.
+  std::atomic<GatedShard*> sockShard{nullptr};
+  MultiTenantProviderServer::Config cfg;
+  cfg.queue.workers = 1;
+  cfg.queue.perPriorityDepth[static_cast<std::size_t>(
+      net::JobPriority::Compute)] = 1;
+  MultiTenantProviderServer server(gatedFactory(sockShard), cfg);
   const std::uint16_t port = server.listenTcp(0);
   ASSERT_NE(port, 0);
-  server.setMaxConcurrentDispatches(1);
   server.start();
   auto occupier = net::SocketTransport::connectTcp("127.0.0.1", port);
   ASSERT_NE(occupier, nullptr);
   net::RequestFrameHeader h;
   h.methodId = static_cast<std::uint32_t>(rmi::MethodId::EvalFunction);
+  h.priority = net::JobPriority::Compute;
   h.requestId = 900;
   occupier->send(h, sealedEchoRequest(0xF0));
-  sockShard.awaitEntered(1);  // the only slot is now occupied
+  awaitShard(sockShard)->awaitEntered(1);  // the only worker is occupied
+  h.requestId = 901;
+  occupier->send(h, sealedEchoRequest(0xF2));
+  while (server.queueStats().enqueued < 2) {  // the lane is now full
+    std::this_thread::yield();
+  }
   auto transport = net::SocketTransport::connectTcp("127.0.0.1", port);
   ASSERT_NE(transport, nullptr);
   rmi::RmiChannel sockCh(std::move(transport), net::NetworkProfile::lan());
   rmi::Response sockRejected = sockCh.call(echoRequest(0xF1));
   EXPECT_EQ(sockRejected.status, rmi::Status::TransportFailure);
-  sockShard.release();
-  net::TransportReply fin = occupier->awaitReply(900, 5.0);
-  EXPECT_TRUE(fin.delivered);
-  EXPECT_EQ(fin.status, net::FrameStatus::Ok);
+  sockShard.load()->release();
+  for (std::uint64_t id : {900, 901}) {
+    net::TransportReply fin = occupier->awaitReply(id, 5.0);
+    EXPECT_TRUE(fin.delivered) << "request " << id;
+    EXPECT_EQ(fin.status, net::FrameStatus::Ok) << "request " << id;
+  }
   const rmi::ChannelStats sock = sockCh.stats();
   server.stop();
 
@@ -436,7 +454,7 @@ TEST(ShedUniformity, LoopbackAndSocketBackendsCountShedsIdentically) {
   EXPECT_EQ(sock.quotaRejections, 0u);
   // And the server-side counters saw the same thing.
   EXPECT_EQ(loopback.shedRequests(), budget);
-  EXPECT_EQ(server.stats().shedRequests, budget);
+  EXPECT_EQ(server.stats().shedTooManyPending, budget);
 }
 
 TEST(MultiTenantServer, ConnectionCapLimitsOneTenantNotItsNeighbours) {

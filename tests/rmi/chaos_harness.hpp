@@ -9,6 +9,7 @@
 // turbulence visible only in the channel's retry/timeout counters.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -29,6 +30,9 @@ namespace vcad::chaos {
 /// Endpoint decorator that simulates a provider process crash/restart after
 /// the N-th dispatched request (0 = never): every session and instance is
 /// lost mid-campaign, and the client must recover to finish the run.
+/// MultiTenantProviderServer may dispatch one tenant's frames on several
+/// workers at once, so the counters are atomic: exactly one dispatch sees
+/// the count reach N and fires the restart.
 class RestartingEndpoint : public rmi::ServerEndpoint,
                            public ip::PublicPartSource {
  public:
@@ -36,9 +40,9 @@ class RestartingEndpoint : public rmi::ServerEndpoint,
       : target_(target), restartAfter_(restartAfter) {}
 
   rmi::Response dispatch(const rmi::Request& request) override {
-    if (restartAfter_ != 0 && ++dispatched_ == restartAfter_) {
+    if (restartAfter_ != 0 && dispatched_.fetch_add(1) + 1 == restartAfter_) {
       target_.restart();
-      ++restarts_;
+      restarts_.fetch_add(1);
     }
     return target_.dispatch(request);
   }
@@ -48,13 +52,13 @@ class RestartingEndpoint : public rmi::ServerEndpoint,
     return target_.downloadPublicPart(component, param);
   }
 
-  std::uint64_t restarts() const { return restarts_; }
+  std::uint64_t restarts() const { return restarts_.load(); }
 
  private:
   ip::ProviderServer& target_;
   std::uint64_t restartAfter_;
-  std::uint64_t dispatched_ = 0;
-  std::uint64_t restarts_ = 0;
+  std::atomic<std::uint64_t> dispatched_{0};
+  std::atomic<std::uint64_t> restarts_{0};
 };
 
 /// The chaos multiplier's public part, shared by the in-process provider
@@ -100,6 +104,33 @@ inline void registerChaosMultiplier(ip::ProviderServer& server) {
       },
       [](std::uint64_t w) { return chaosMultiplierPublicPart(w); });
 }
+
+/// One MultiTenantProviderServer endpoint shard: a ProviderServer (its own
+/// sessions, fee ledger and replay cache) behind the restart injector. The
+/// multi-tenant rigs build one per tenant; a single-tenant provider process
+/// serves one as tenant 0, the channel's default tenant.
+class ProviderShard : public rmi::ServerEndpoint {
+ public:
+  using Catalog = std::function<void(ip::ProviderServer&)>;
+
+  explicit ProviderShard(std::uint64_t restartAfter = 0,
+                         const Catalog& catalog = registerChaosMultiplier)
+      : server_("chaos-provider.host", nullptr),
+        restarting_(server_, restartAfter) {
+    catalog(server_);
+  }
+
+  rmi::Response dispatch(const rmi::Request& request) override {
+    return restarting_.dispatch(request);
+  }
+  std::string hostName() const override { return server_.hostName(); }
+
+  std::uint64_t restarts() const { return restarting_.restarts(); }
+
+ private:
+  ip::ProviderServer server_;
+  RestartingEndpoint restarting_;
+};
 
 /// Provider + (optionally restarting) endpoint + fault-injecting channel +
 /// a circuit holding one remote multiplier IP, ready for a campaign.

@@ -1,6 +1,7 @@
 // chaos_provider_server: a real provider process for the two-process socket
-// chaos tests. Serves the chaos multiplier catalog over a Unix-domain
-// socket and exits when stdin reaches EOF (the parent test closes the pipe).
+// chaos tests. Serves the chaos multiplier catalog through
+// MultiTenantProviderServer over a Unix-domain socket and exits when stdin
+// reaches EOF (the parent test closes the pipe).
 //
 //   chaos_provider_server <unix-socket-path> [--restart-after N]
 //                         [--trace-out PATH] [--matrix FAMILY:SCALE:SEED]
@@ -19,10 +20,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include "integration/matrix_harness.hpp"
-#include "ip/provider_socket.hpp"
+#include "ip/multi_tenant_server.hpp"
 #include "obs/trace.hpp"
 #include "rmi/chaos_harness.hpp"
 
@@ -82,21 +84,29 @@ int main(int argc, char** argv) {
     obs::Tracer::global().setEnabled(true);
   }
 
-  ip::ProviderServer server("chaos-provider.host", nullptr);
+  chaos::ProviderShard::Catalog catalog = chaos::registerChaosMultiplier;
   if (!matrixSpec.empty()) {
     gate::FamilySpec fs;
     if (!parseFamilySpec(matrixSpec, fs)) {
       std::fprintf(stderr, "bad --matrix spec: %s\n", matrixSpec.c_str());
       return 2;
     }
-    // The catalog lambdas capture the block netlists by shared_ptr, so the
-    // design itself need not outlive registration.
-    matrix::registerMatrixCatalog(server, matrix::makeMatrixDesign(fs));
-  } else {
-    chaos::registerChaosMultiplier(server);
+    catalog = [design = matrix::makeMatrixDesign(fs)](ip::ProviderServer& s) {
+      matrix::registerMatrixCatalog(s, design);
+    };
   }
-  chaos::RestartingEndpoint endpoint(server, restartAfter);
-  ip::ProviderSocketServer socket(endpoint, nullptr);
+  // The client speaks as tenant 0, the channel's default, so the factory
+  // builds exactly one shard. One worker and an unbounded queue give one
+  // dispatch at a time in arrival order and never shed: the dispatch order
+  // the in-process chaos rig produces.
+  ip::MultiTenantProviderServer::Config config;
+  config.queue.workers = 1;
+  config.queue.maxQueueDepth = 0;
+  ip::MultiTenantProviderServer socket(
+      [restartAfter, &catalog](ip::TenantId) {
+        return std::make_unique<chaos::ProviderShard>(restartAfter, catalog);
+      },
+      config);
   if (!socket.listenUnix(socketPath)) {
     std::fprintf(stderr, "failed to listen on %s\n", socketPath.c_str());
     return 1;

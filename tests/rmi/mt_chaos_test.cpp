@@ -28,36 +28,12 @@ namespace {
 using chaos::ChaosOutcome;
 using chaos::ChaosRig;
 
-/// One tenant's endpoint shard: a full ProviderServer (own sessions, fee
-/// ledger, replay cache) serving the chaos multiplier, wrapped in the
-/// harness's restart injector so a shard can crash mid-campaign.
-class TenantShard : public rmi::ServerEndpoint {
- public:
-  explicit TenantShard(std::uint64_t restartAfter)
-      : server_("chaos-provider.host", nullptr),
-        restarting_(server_, restartAfter) {
-    chaos::registerChaosMultiplier(server_);
-  }
-
-  rmi::Response dispatch(const rmi::Request& request) override {
-    return restarting_.dispatch(request);
-  }
-  std::string hostName() const override { return restarting_.hostName(); }
-
-  ip::ProviderServer& server() { return server_; }
-  std::uint64_t restarts() const { return restarting_.restarts(); }
-
- private:
-  ip::ProviderServer server_;
-  chaos::RestartingEndpoint restarting_;
-};
-
 /// Shared rig: the multi-tenant server plus a registry of the shards its
 /// factory built, so tests can query per-tenant provider ledgers after the
 /// campaigns finish.
 struct MtRig {
   std::mutex mutex;
-  std::map<ip::TenantId, TenantShard*> shards;
+  std::map<ip::TenantId, chaos::ProviderShard*> shards;
   std::unique_ptr<ip::MultiTenantProviderServer> server;
   std::string path;
 
@@ -68,7 +44,7 @@ struct MtRig {
            std::to_string(counter++) + ".sock";
     server = std::make_unique<ip::MultiTenantProviderServer>(
         [this, restartAfter](ip::TenantId tenant) {
-          auto shard = std::make_unique<TenantShard>(restartAfter);
+          auto shard = std::make_unique<chaos::ProviderShard>(restartAfter);
           {
             std::lock_guard<std::mutex> lock(mutex);
             shards[tenant] = shard.get();
@@ -86,7 +62,7 @@ struct MtRig {
     ASSERT_TRUE(server->listenUnix(path));
     server->start();
   }
-  TenantShard* shard(ip::TenantId tenant) {
+  chaos::ProviderShard* shard(ip::TenantId tenant) {
     std::lock_guard<std::mutex> lock(mutex);
     auto it = shards.find(tenant);
     return it == shards.end() ? nullptr : it->second;
@@ -331,7 +307,7 @@ TEST(MtChaos, MidRunShardRestartStaysBitIdentical) {
   expectBitIdentical(base, got);
   EXPECT_GE(got.recoveries, 1u) << chaos::chaosFailureReport(got);
   EXPECT_EQ(got.remoteErrors, 0u);
-  TenantShard* shard = rig.shard(5);
+  chaos::ProviderShard* shard = rig.shard(5);
   ASSERT_NE(shard, nullptr);
   EXPECT_EQ(shard->restarts(), 1u);
   rig.server->stop();

@@ -1,10 +1,11 @@
 // Socket-backend tests: the framed SocketTransport demux driven raw over a
-// socketpair, the provider socket front end's typed statuses, and the
-// two-process chaos sweep — a real provider process behind a Unix-domain
-// socket must produce bit-identical coverage, fees, and deterministic
-// networkSec to the in-process loopback run for every shipped fault
-// profile × seed, including a mid-run provider restart and the
-// completion-queue call path.
+// socketpair, the provider front end's typed statuses and connection
+// handling, and the two-process chaos sweep — a real provider process
+// (MultiTenantProviderServer, tenant 0) behind a Unix-domain socket must
+// produce bit-identical coverage, fees, and deterministic networkSec to the
+// in-process loopback run for every shipped fault profile × seed, including
+// a mid-run provider restart and the completion-queue call path.
+#include <netinet/in.h>
 #include <spawn.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -13,17 +14,16 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <fstream>
-#include <mutex>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "ip/provider_socket.hpp"
+#include "ip/multi_tenant_server.hpp"
 #include "net/socket_transport.hpp"
 #include "net/transport.hpp"
 #include "rmi/chaos_harness.hpp"
@@ -230,38 +230,31 @@ TEST(SocketFraming, AwaitDeadlineExpiresCleanly) {
   EXPECT_TRUE(pair.transport->alive());  // a timeout is not a wire death
 }
 
-// --- provider socket front end --------------------------------------------
+// --- provider front end ---------------------------------------------------
 
-/// Endpoint whose dispatch blocks until released (to hold the admission
-/// window open) and echoes the request's first word.
-class GatedEndpoint : public rmi::ServerEndpoint {
+/// Endpoint that echoes the request's first word.
+class EchoEndpoint : public rmi::ServerEndpoint {
  public:
   rmi::Response dispatch(const rmi::Request& request) override {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ++entered_;
-    cv_.notify_all();
-    cv_.wait(lock, [this] { return released_; });
     rmi::Response r;
     rmi::Args args = request.args;
     r.payload.writeWord(args.takeWord());
     return r;
   }
-  std::string hostName() const override { return "gated.host"; }
-  void awaitEntered(int n) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this, n] { return entered_ >= n; });
-  }
-  void release() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    released_ = true;
-    cv_.notify_all();
-  }
+  std::string hostName() const override { return "echo.host"; }
+};
 
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  int entered_ = 0;
-  bool released_ = false;
+/// A single-tenant provider front end: MultiTenantProviderServer serving an
+/// EchoEndpoint shard on an ephemeral loopback TCP port.
+struct EchoServer {
+  ip::MultiTenantProviderServer server{
+      [](ip::TenantId) { return std::make_unique<EchoEndpoint>(); }, {}};
+  std::uint16_t port = server.listenTcp(0);
+
+  EchoServer() {
+    EXPECT_NE(port, 0);
+    server.start();
+  }
 };
 
 std::vector<std::uint8_t> sealedEchoRequest(std::uint64_t value) {
@@ -273,48 +266,10 @@ std::vector<std::uint8_t> sealedEchoRequest(std::uint64_t value) {
   return bytes;
 }
 
-TEST(ProviderSocket, ShedsWithTypedTooManyPendingStatus) {
-  GatedEndpoint endpoint;
-  ip::ProviderSocketServer server(endpoint);
-  const std::uint16_t port = server.listenTcp(0);
-  ASSERT_NE(port, 0);
-  server.setMaxConcurrentDispatches(1);
-  server.start();
-
-  auto busy = net::SocketTransport::connectTcp("127.0.0.1", port);
-  auto shed = net::SocketTransport::connectTcp("127.0.0.1", port);
-  ASSERT_NE(busy, nullptr);
-  ASSERT_NE(shed, nullptr);
-  sendRaw(*busy, 5, 1, sealedEchoRequest(0xAB));
-  endpoint.awaitEntered(1);  // the only dispatch slot is now occupied
-  sendRaw(*shed, 5, 2, sealedEchoRequest(0xCD));
-  net::TransportReply rejected = shed->awaitReply(2, 5.0);
-  ASSERT_TRUE(rejected.delivered);
-  EXPECT_EQ(rejected.status, net::FrameStatus::TooManyPending);
-  endpoint.release();
-  net::TransportReply served = busy->awaitReply(1, 5.0);
-  ASSERT_TRUE(served.delivered);
-  EXPECT_EQ(served.status, net::FrameStatus::Ok);
-  // The reply frame can reach the client before the handler thread bumps
-  // the serve counter — wait on the stats condition variable instead of
-  // asserting the instant snapshot.
-  EXPECT_TRUE(server.awaitStats(
-      [](const ip::ProviderSocketServer::Stats& s) {
-        return s.framesServed == 1;
-      },
-      2.0));
-  EXPECT_EQ(server.stats().shedRequests, 1u);
-  server.stop();
-}
-
 TEST(ProviderSocket, ChecksumFailureIsSilentlyDiscarded) {
-  GatedEndpoint endpoint;
-  endpoint.release();  // never gate in this test
-  ip::ProviderSocketServer server(endpoint);
-  const std::uint16_t port = server.listenTcp(0);
-  ASSERT_NE(port, 0);
-  server.start();
-  auto transport = net::SocketTransport::connectTcp("127.0.0.1", port);
+  EchoServer echo;
+  ip::MultiTenantProviderServer& server = echo.server;
+  auto transport = net::SocketTransport::connectTcp("127.0.0.1", echo.port);
   ASSERT_NE(transport, nullptr);
   // Valid frame, damaged sealed payload: emulated wire damage. The server
   // must stay silent (the client's deadline owns the outcome).
@@ -323,7 +278,7 @@ TEST(ProviderSocket, ChecksumFailureIsSilentlyDiscarded) {
   sendRaw(*transport, 5, 9, damaged);
   EXPECT_FALSE(transport->awaitReply(9, 0.2).delivered);
   ASSERT_TRUE(server.awaitStats(
-      [](const ip::ProviderSocketServer::Stats& s) {
+      [](const ip::MultiTenantProviderServer::Stats& s) {
         return s.discardedFrames == 1;
       },
       2.0));
@@ -337,13 +292,9 @@ TEST(ProviderSocket, ChecksumFailureIsSilentlyDiscarded) {
 }
 
 TEST(ProviderSocket, UnparseableSealedPayloadGetsTypedReject) {
-  GatedEndpoint endpoint;
-  endpoint.release();
-  ip::ProviderSocketServer server(endpoint);
-  const std::uint16_t port = server.listenTcp(0);
-  ASSERT_NE(port, 0);
-  server.start();
-  auto transport = net::SocketTransport::connectTcp("127.0.0.1", port);
+  EchoServer echo;
+  ip::MultiTenantProviderServer& server = echo.server;
+  auto transport = net::SocketTransport::connectTcp("127.0.0.1", echo.port);
   ASSERT_NE(transport, nullptr);
   // Correctly sealed junk: the checksum passes, the unmarshal cannot — a
   // protocol violation worth a typed answer, unlike wire damage.
@@ -354,6 +305,39 @@ TEST(ProviderSocket, UnparseableSealedPayloadGetsTypedReject) {
   ASSERT_TRUE(r.delivered);
   EXPECT_EQ(r.status, net::FrameStatus::MalformedRequest);
   EXPECT_EQ(server.stats().malformedPayloads, 1u);
+  server.stop();
+}
+
+TEST(ProviderSocket, MalformedHeaderClosesOnlyThatConnection) {
+  EchoServer echo;
+  ip::MultiTenantProviderServer& server = echo.server;
+  // A raw client writes a header-sized run of junk: the magic is wrong, the
+  // stream cannot be resynchronized, and the server closes the connection.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(echo.port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  writeAll(fd, std::vector<std::uint8_t>(net::kRequestHeaderBytes, 0xFF));
+  std::uint8_t byte = 0;
+  EXPECT_EQ(::read(fd, &byte, 1), 0);  // EOF: the server hung up
+  ::close(fd);
+  EXPECT_TRUE(server.awaitStats(
+      [](const ip::MultiTenantProviderServer::Stats& s) {
+        return s.malformedHeaders == 1;
+      },
+      2.0));
+  // The listener is unharmed: a fresh connection is served.
+  auto transport = net::SocketTransport::connectTcp("127.0.0.1", echo.port);
+  ASSERT_NE(transport, nullptr);
+  sendRaw(*transport, 5, 1, sealedEchoRequest(0x33));
+  net::TransportReply ok = transport->awaitReply(1, 5.0);
+  ASSERT_TRUE(ok.delivered);
+  EXPECT_EQ(ok.status, net::FrameStatus::Ok);
+  EXPECT_EQ(server.stats().malformedHeaders, 1u);
   server.stop();
 }
 
