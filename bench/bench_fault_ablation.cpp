@@ -18,7 +18,6 @@
 
 #include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "cache/result_store.hpp"
 #include "common.hpp"
@@ -252,72 +251,9 @@ void staticVsDynamic() {
               "traffic stays bounded by the patterns actually applied)\n");
 }
 
-/// A heavier design for the thread sweep: two chained 4-bit multipliers and
-/// a parity tree. Large per-block fault lists mean hundreds of injection
-/// jobs per early pattern — enough work to shard across a pool.
-BlockDesign makeHeavyDesign() {
-  BlockDesign d;
-  for (int i = 0; i < 8; ++i) d.addPrimaryInput("pi" + std::to_string(i));
-  const int m1 = d.addBlock("M1", share(gate::makeArrayMultiplier(4)));
-  const int m2 = d.addBlock("M2", share(gate::makeArrayMultiplier(4)));
-  const int par = d.addBlock("PAR", share(gate::makeParityTree(8)));
-  for (int i = 0; i < 8; ++i) d.connect({-1, i}, m1, i);
-  for (int i = 0; i < 8; ++i) d.connect({m1, i}, m2, i);
-  for (int i = 0; i < 8; ++i) d.connect({m2, i}, par, i);
-  for (int i = 0; i < 8; ++i) d.markPrimaryOutput(m2, i);
-  d.markPrimaryOutput(par, 0, "PARITY");
-  return d;
-}
-
-void campaignEngineSweep() {
-  // --- worker sweep: injection wall time on a heavy three-block design ----
-  const BlockDesign d = makeHeavyDesign();
-  auto inst = d.instantiate();
-  std::vector<std::unique_ptr<fault::LocalFaultBlock>> clients;
-  for (int b = 0; b < d.blockCount(); ++b) {
-    clients.push_back(std::make_unique<fault::LocalFaultBlock>(
-        *inst.blockModules[static_cast<size_t>(b)], true,
-        fault::FaultScope{false, true}));
-  }
-  std::vector<fault::FaultClient*> comps;
-  for (auto& c : clients) comps.push_back(c.get());
-  const auto pats = patterns(d.primaryInputCount(), 64);
-
-  fault::CampaignResult sres;
-  const double serialWall = wallOf([&] {
-    fault::VirtualFaultSimulator vsim(*inst.circuit, comps, inst.piConns,
-                                      inst.poConns);
-    sres = vsim.runPacked(pats);
-  });
-
-  std::printf("\n[5] campaign engine: worker sweep (64 patterns, %zu "
-              "faults, %llu injections, inline batch-1 engine = %.1f ms, "
-              "host has %u hardware threads)\n",
-              sres.faultList.size(),
-              static_cast<unsigned long long>(sres.injections),
-              serialWall * 1e3, std::thread::hardware_concurrency());
-  std::printf("    %-8s | %10s | %8s | %10s | %9s\n", "workers",
-              "wall (ms)", "speedup", "injections", "identical");
-  printRule(60);
-  for (std::size_t workers : {1u, 2u, 4u, 8u}) {
-    fault::CampaignResult pres;
-    const double wall = wallOf([&] {
-      fault::VirtualFaultSimulator sim(*inst.circuit, comps, inst.piConns,
-                                       inst.poConns);
-      sim.setInjectionWorkers(workers);
-      sim.setTableBatch(4);
-      pres = sim.runPacked(pats);
-    });
-    const bool identical = pres.detected == sres.detected &&
-                           pres.detectedAfterPattern == sres.detectedAfterPattern;
-    std::printf("    %8zu | %10.1f | %7.2fx | %10llu | %9s\n", workers,
-                wall * 1e3, serialWall / wall,
-                static_cast<unsigned long long>(pres.injections),
-                identical ? "YES" : "NO");
-  }
-
-  // --- batch sweep: WAN round trips for the remote multiplier IP ----------
-  std::printf("\n[6] campaign engine: GetDetectionTables batch sweep "
+/// Table-batch sweep: WAN round trips for the remote multiplier IP.
+void tableBatchSweep() {
+  std::printf("\n[5] campaign engine: GetDetectionTables batch sweep "
               "(16 patterns on the multiplier IP, WAN profile)\n");
   std::printf("    %-6s | %11s | %9s | %12s | %14s\n", "batch",
               "round trips", "RMI calls", "bytes", "sim stall (ms)");
@@ -347,7 +283,6 @@ void campaignEngineSweep() {
       pats2.push_back(
           {Word::fromUint(w, rng.next()), Word::fromUint(w, rng.next())});
     }
-    // Inline injection isolates the batching effect.
     fault::VirtualFaultSimulator sim(c, {&client}, {&a, &b}, {&o});
     sim.setTableBatch(batch);
     const auto before = channel.stats();
@@ -602,7 +537,7 @@ int main(int argc, char** argv) {
   vcad::bench::collapsingAblation();
   vcad::bench::remoteProfileSweep();
   vcad::bench::staticVsDynamic();
-  vcad::bench::campaignEngineSweep();
+  vcad::bench::tableBatchSweep();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

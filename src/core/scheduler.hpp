@@ -60,7 +60,7 @@ class Scheduler {
   SimTime now() const { return now_; }
 
   /// Returns the scheduler to its just-constructed state for reuse by a
-  /// pooled run: drains pending tokens, drops output overrides and the
+  /// later run: drains pending tokens, drops output overrides and the
   /// read-through base, rewinds time, and renews the slot generation so
   /// every connector value and module state written by the previous run
   /// reads as all-X / empty again — no traversal of the design needed.

@@ -69,8 +69,8 @@ class SimulationController {
   /// Returns the controller to its just-constructed state for another run:
   /// the scheduler drains, drops forced outputs, rewinds time, and renews
   /// its slot generation, which logically clears every connector value and
-  /// module state of the previous run in O(1). Pooled campaign workers
-  /// reset-and-reuse one controller per lane instead of paying
+  /// module state of the previous run in O(1). The fault campaign
+  /// reset-and-reuses its pinned controllers instead of paying
   /// construct/destroy (and slot lease churn) per injection.
   void reset();
 

@@ -17,9 +17,9 @@
 //
 // Thread-ownership rule: a leased slot's arena entries are only ever touched
 // by the thread currently running its scheduler. acquire()/release() are
-// serialized by the registry mutex, and handing a pooled scheduler to a
-// worker thread synchronizes through the pool's own barrier, so no per-entry
-// synchronization is needed on the simulation path.
+// serialized by the registry mutex, and handing a scheduler to another
+// thread (runConcurrently) synchronizes through thread start and join, so
+// no per-entry synchronization is needed on the simulation path.
 //
 // The registry is process-global rather than per-Circuit: connectors and
 // modules size their slot arrays from kCapacity at construction, before they
@@ -48,11 +48,12 @@ struct SlotRef {
 
 class SlotRegistry {
  public:
-  /// Upper bound on concurrently live schedulers. Arena arrays are sized to
-  /// this at construction so they never reallocate (reallocation under a
-  /// concurrent reader would be a race). 128 comfortably covers the widest
-  /// existing consumer (a 64-pattern batch plus a worker pool) while keeping
-  /// the per-connector footprint in the kilobytes.
+  /// Arena size. Slot 0 is reserved, so at most kCapacity - 1 schedulers
+  /// are live at once. Arena arrays are sized to this at construction so
+  /// they never reallocate (reallocation under a concurrent reader would be
+  /// a race). 128 comfortably covers the widest existing consumer (a
+  /// 64-pattern batch plus its injection controller) while keeping the
+  /// per-connector footprint in the kilobytes.
   static constexpr std::uint32_t kCapacity = 128;
 
   struct Lease {

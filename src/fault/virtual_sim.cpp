@@ -8,7 +8,6 @@
 
 #include "core/slot_registry.hpp"
 #include "fault/table_cache.hpp"
-#include "fault/worker_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -98,7 +97,6 @@ CampaignResult VirtualFaultSimulator::run(
   registry.restartPeakTracking();
 
   obs::SpanScope campaignSpan("campaign.run", "campaign");
-  campaignSpan.arg("workers", static_cast<double>(workers_));
   campaignSpan.arg("batch", static_cast<double>(batch_));
   CampaignResult res;
 
@@ -112,25 +110,13 @@ CampaignResult VirtualFaultSimulator::run(
   }
 
   // --- Phase 2 -----------------------------------------------------------
-  // Each lane pins one controller — one arena slot — for the whole
-  // campaign; lane w is only ever driven by pool thread w (or the caller
-  // when inline), so the slot arena's thread-ownership rule makes every
-  // state access lock-free.
-  WorkerPool pool(workers_ > 1 ? workers_ : 0);
-  std::vector<std::unique_ptr<SimulationController>> lanes(pool.lanes());
-  for (auto& lane : lanes) {
-    lane = std::make_unique<SimulationController>(design_);
-  }
-  res.injectionWorkers = workers_;
-  res.workerInjections.assign(pool.lanes(), 0);
-  std::vector<std::uint64_t> laneResets(pool.lanes(), 0);
-
-  // One pinned fault-free controller per batch position: a batch's golden
-  // runs must stay readable until its last injection, because every
-  // injection reads through to its pattern's run. Each is reset before it
-  // takes the next batch's pattern; the pool barrier hands it between
-  // threads. Together with the lanes this is batch + lanes arena slots for
-  // the whole campaign (the SlotRegistry throws past kCapacity).
+  // One pinned injection controller, and one pinned fault-free controller
+  // per batch position: a batch's golden runs must stay readable until its
+  // last injection, because every injection reads through to its
+  // pattern's run. Each is reset before its next run. This is batch + 1
+  // arena slots for the whole campaign (the SlotRegistry throws once its
+  // kCapacity - 1 leasable slots are taken).
+  SimulationController inj(design_);
   std::vector<std::unique_ptr<SimulationController>> faultFree(
       std::min(batch_, patterns.size()));
   for (auto& ff : faultFree) {
@@ -154,11 +140,6 @@ CampaignResult VirtualFaultSimulator::run(
     std::vector<Word> golden;      // fault-free primary-output snapshot
     std::vector<Word> compInputs;  // observed inputs, one per component
   };
-  struct Job {
-    std::size_t comp;
-    const DetectionTable::Row* row;
-    bool observable = false;
-  };
 
   for (std::size_t base = 0; base < patterns.size(); base += batch_) {
     const std::size_t nBatch = std::min(batch_, patterns.size() - base);
@@ -166,16 +147,15 @@ CampaignResult VirtualFaultSimulator::run(
     batchSpan.arg("base", static_cast<double>(base));
     batchSpan.arg("patterns", static_cast<double>(nBatch));
 
-    // --- Fault-free runs, one per batch position, sharded across the
-    // pool: golden responses and observed component inputs are
-    // snapshotted inside the job, and the runs stay live as the
-    // injections' read-through bases. -----------------------------------
+    // --- Fault-free runs, one per batch position: golden responses and
+    // observed component inputs are snapshotted, and the runs stay live as
+    // the injections' read-through bases. --------------------------------
     std::vector<PatternRun> runs(nBatch);
-    pool.parallelFor(nBatch, [&](std::size_t w, std::size_t i) {
+    for (std::size_t i = 0; i < nBatch; ++i) {
       SimulationController& sim = *faultFree[i];
       if (base != 0) {
         sim.reset();
-        ++laneResets[w];
+        ++res.schedulerResets;
       }
       applyPattern(sim, patterns[base + i]);
       PatternRun& pr = runs[i];
@@ -189,11 +169,11 @@ CampaignResult VirtualFaultSimulator::run(
       for (FaultClient* comp : components_) {
         pr.compInputs.push_back(comp->observedInputs(ctx));
       }
-    });
+    }
 
-    // --- Table fetch on the coordinating thread, in component order: per
-    // component, the batch's configurations that are neither pinned nor
-    // in the store go out in one round trip. ------------------------------
+    // --- Table fetch, in component order: per component, the batch's
+    // configurations that are neither pinned nor in the store go out in
+    // one round trip. ------------------------------------------------------
     obs::SpanScope tableFetchSpan("campaign.tableFetch", "campaign");
     std::vector<std::vector<const DetectionTable*>> tables(
         nBatch, std::vector<const DetectionTable*>(components_.size()));
@@ -246,73 +226,58 @@ CampaignResult VirtualFaultSimulator::run(
     tableFetchSpan.end();
 
     // --- Injections: patterns commit strictly in order (preserving the
-    // per-pattern coverage curve). Row skip decisions use the detected set
-    // as of pattern start, which matches one-row-at-a-time dropping: rows
-    // of one table are fault-disjoint (each fault has one faulty output
-    // under fixed inputs) and component fault names carry distinct
-    // "<module>/" prefixes. Each job resets its lane and reads through to
-    // the pattern's fault-free run, which no thread writes until the next
-    // batch. --------------------------------------------------------------
+    // per-pattern coverage curve). A row is skipped once all its faults
+    // are detected. Rows of one table are fault-disjoint (each fault has
+    // one faulty output under fixed inputs) and component fault names
+    // carry distinct "<module>/" prefixes, so each skip decision sees the
+    // detected set as of pattern start. Each injection resets the pinned
+    // controller and reads through to the pattern's fault-free run. -------
     for (std::size_t i = 0; i < nBatch; ++i) {
       obs::SpanScope patternSpan("campaign.pattern", "campaign");
       patternSpan.arg("pattern", static_cast<double>(base + i));
-      std::vector<Job> jobs;
+      const std::uint64_t injectionsBefore = res.injections;
       for (std::size_t c = 0; c < components_.size(); ++c) {
+        FaultClient& comp = *components_[c];
         for (const DetectionTable::Row& row : tables[i][c]->rows()) {
-          for (const std::string& f : row.faults) {
-            if (res.detected.find(prefixes[c] + f) == res.detected.end()) {
-              jobs.push_back(Job{c, &row, false});
-              break;
+          const bool undetected = std::any_of(
+              row.faults.begin(), row.faults.end(), [&](const std::string& f) {
+                return res.detected.count(prefixes[c] + f) == 0;
+              });
+          if (!undetected) continue;
+          inj.reset();
+          ++res.schedulerResets;
+          inj.runInjection(*faultFree[i], comp.module(),
+                           comp.overridesFor(row.faultyOutput));
+          if (obs::Tracer::global().verbose()) {
+            obs::Tracer::global().instant(
+                "campaign.inject", "campaign",
+                {{"component", static_cast<double>(c)},
+                 {"rowFaults", static_cast<double>(row.faults.size())}});
+          }
+          ++res.injections;
+          if (outputsDiffer(inj.scheduler(), pos_, runs[i].golden)) {
+            for (const std::string& f : row.faults) {
+              res.detected.insert(prefixes[c] + f);
             }
           }
         }
       }
-
-      const SimulationController& ff = *faultFree[i];
-      const std::vector<Word>& golden = runs[i].golden;
-      pool.parallelFor(jobs.size(), [&](std::size_t w, std::size_t j) {
-        Job& job = jobs[j];
-        FaultClient& comp = *components_[job.comp];
-        SimulationController& inj = *lanes[w];
-        inj.reset();
-        ++laneResets[w];
-        inj.runInjection(ff, comp.module(),
-                         comp.overridesFor(job.row->faultyOutput));
-        if (obs::Tracer::global().verbose()) {
-          obs::Tracer::global().instant(
-              "campaign.inject", "campaign",
-              {{"lane", static_cast<double>(w)},
-               {"component", static_cast<double>(job.comp)},
-               {"rowFaults", static_cast<double>(job.row->faults.size())}});
-        }
-        job.observable = outputsDiffer(inj.scheduler(), pos_, golden);
-        ++res.workerInjections[w];
-      });
-
-      // Merge after the pool barrier, in job order — no detected-set mutex.
-      for (const Job& job : jobs) {
-        if (!job.observable) continue;
-        for (const std::string& f : job.row->faults) {
-          res.detected.insert(prefixes[job.comp] + f);
-        }
-      }
-      res.injections += jobs.size();
       res.detectedAfterPattern.push_back(res.detected.size());
-      patternSpan.arg("injections", static_cast<double>(jobs.size()));
+      patternSpan.arg("injections",
+                      static_cast<double>(res.injections - injectionsBefore));
       patternSpan.arg("detected", static_cast<double>(res.detected.size()));
     }
   }
 
   // Physically release the pinned controllers' arena entries before they
   // die so a finished campaign leaves nothing behind, then verify it.
-  for (const auto* pinned : {&lanes, &faultFree}) {
-    for (const auto& sim : *pinned) {
-      design_.clearSchedulerState(sim->scheduler().id());
-      assert(design_.residualStateCount(sim->scheduler().slot()) == 0 &&
-             "clearSchedulerState left live pinned state behind");
-    }
-  }
-  for (std::uint64_t r : laneResets) res.schedulerResets += r;
+  const auto release = [&](SimulationController& sim) {
+    design_.clearSchedulerState(sim.scheduler().id());
+    assert(design_.residualStateCount(sim.scheduler().slot()) == 0 &&
+           "clearSchedulerState left live pinned state behind");
+  };
+  release(inj);
+  for (const auto& ff : faultFree) release(*ff);
   res.slotsLeased = registry.totalLeases() - leasesBefore;
   res.peakConcurrentSchedulers = registry.peakLeased();
   campaignSpan.arg("patterns", static_cast<double>(patterns.size()));

@@ -23,28 +23,22 @@
 // being combinational and single-instant, with modules that are pure
 // functions of their inputs — which the protocol already assumes.
 //
-// One engine runs phase 2, with two settings:
-//   * Table batch (setTableBatch): patterns are processed in batches; per
-//     component, the batch's unseen input configurations are fetched in one
-//     round trip (the paper's pattern buffering applied to fault
-//     characterization). A single missing configuration goes out as
-//     detectionTable (GetDetectionTable), two or more as one
-//     detectionTables (GetDetectionTables) call, so batch 1 puts exactly the
-//     per-pattern traffic on the wire.
-//   * Injection workers (setInjectionWorkers): each pattern's row injections
-//     shard across a pool of lanes; 0 or 1 runs them inline. Each lane pins
-//     one SimulationController — one slot of the state arena — for the
-//     whole campaign and reset()s it between jobs (an O(1) generation
-//     renew), and each batch position pins the fault-free controller its
-//     injections read through to. The multi-scheduler backplane isolates
-//     the concurrent runs with no save/restore action.
+// One engine runs phase 2, on the calling thread. Patterns are processed in
+// batches (setTableBatch): per component, the batch's unseen input
+// configurations are fetched in one round trip (the paper's pattern
+// buffering applied to fault characterization). A single missing
+// configuration goes out as detectionTable (GetDetectionTable), two or more
+// as one detectionTables (GetDetectionTables) call, so batch 1 puts exactly
+// the per-pattern traffic on the wire. The campaign pins one
+// SimulationController per batch position for the fault-free runs and one
+// for injections — one slot of the state arena each — and reset()s them
+// between runs (an O(1) generation renew) instead of reconstructing them.
 //
-// Every setting produces the same CampaignResult: patterns commit strictly
-// in order, a pattern's injection jobs are built from the detected set as
-// of the previous pattern, and rows are fault-disjoint, so the fault list,
-// detected set, coverage curve, injection count and table/cache/store
-// accounting are identical. Only tableFetchRoundTrips shrinks with the
-// batch.
+// Every batch size produces the same CampaignResult: patterns commit
+// strictly in order and a row's skip decision reads only its own faults,
+// which no other row of the pattern holds, so the fault list, detected set,
+// coverage curve, injection count and table/cache/store accounting are
+// identical. Only tableFetchRoundTrips shrinks with the batch.
 #pragma once
 
 #include <memory>
@@ -82,17 +76,13 @@ struct CampaignResult {
   std::uint64_t injections = 0;
   std::uint64_t faultSimEvaluations = 0;  // serial baseline only
 
-  // Arena/scheduler metrics (perf-PR baseline): how many scheduler slots
-  // the campaign leased from the SlotRegistry, the high-water mark of
-  // concurrently live schedulers while it ran, and how often pooled
-  // controllers were reset-and-reused instead of reconstructed.
+  // Arena/scheduler metrics: how many scheduler slots the campaign leased
+  // from the SlotRegistry, the high-water mark of concurrently live
+  // schedulers while it ran, and how often pinned controllers were
+  // reset-and-reused instead of reconstructed.
   std::uint64_t slotsLeased = 0;
   std::uint32_t peakConcurrentSchedulers = 0;
   std::uint64_t schedulerResets = 0;
-  // Injection-worker pool shape and utilization: workerInjections[w] is the
-  // number of injection jobs lane w executed (one lane when inline).
-  std::size_t injectionWorkers = 0;
-  std::vector<std::uint64_t> workerInjections;
 
   double coverage() const {
     return faultList.empty() ? 0.0
@@ -129,14 +119,10 @@ class VirtualFaultSimulator {
     storeNamespace_ = ns;
   }
 
-  /// Phase-2 injection lanes. 0 (default) or 1 runs every injection inline
-  /// on one pinned lane; n > 1 shards each pattern's row injections across
-  /// n pool threads.
-  void setInjectionWorkers(std::size_t n) { workers_ = n; }
-
   /// Patterns per detection-table fetch (default 1; 0 counts as 1). The
-  /// campaign pins one fault-free controller per batch position plus one per
-  /// lane, so batch + lanes must fit in the SlotRegistry's arena.
+  /// campaign pins one fault-free controller per batch position plus one
+  /// injection controller, so batch + 1 must fit in the SlotRegistry's
+  /// arena.
   void setTableBatch(std::size_t n) { batch_ = n == 0 ? 1 : n; }
 
  private:
@@ -150,7 +136,6 @@ class VirtualFaultSimulator {
   std::vector<FaultClient*> components_;
   std::vector<Connector*> pis_;
   std::vector<Connector*> pos_;
-  std::size_t workers_ = 0;
   std::size_t batch_ = 1;
   std::shared_ptr<cache::ResultStore> store_;
   std::uint64_t storeNamespace_ = 0;

@@ -6,9 +6,10 @@
 // atomic arrays reached through a thread_local table, so add() is one
 // relaxed atomic add with no shared cache line between threads. A snapshot
 // aggregates the live shards plus the totals of shards retired by exited
-// threads (worker pools churn threads per campaign; retirement keeps the
-// shard list bounded by the number of *live* threads, not the number that
-// ever existed).
+// threads (runConcurrently spawns threads per call, and provider job-queue
+// and channel completion-queue workers exit with their owners; retirement
+// keeps the shard list bounded by the number of *live* threads, not the
+// number that ever existed).
 //
 // Metric names are interned once into dense ids; instrumentation sites cache
 // the ids in function-local statics so steady-state recording never touches

@@ -26,14 +26,15 @@
 // and matched back by per-attempt request ids — not one OS thread per call.
 //
 // Thread safety: call(), callAsync() and the completion-queue API may be
-// used concurrently from any number of threads (the parallel fault campaign
-// shares one channel across its worker pool). Stats/model updates are
-// guarded by one mutex, and the loopback transport serializes endpoint
-// dispatch, so a ServerEndpoint behind *this channel's loopback* only ever
-// sees one in-flight request. Servers reached by many channels or over a
-// socket, where the provider front end's job-queue workers dispatch
-// concurrently (ProviderServer), must be internally thread-safe — see the
-// dispatch-concurrency section in DESIGN.md.
+// used concurrently from any number of threads (the channel's own
+// completion-queue workers run non-blocking calls while caller threads
+// issue blocking ones). Stats/model updates are guarded by one mutex, and
+// the loopback transport serializes endpoint dispatch, so a ServerEndpoint
+// behind *this channel's loopback* only ever sees one in-flight request.
+// Servers reached by many channels or over a socket, where the provider
+// front end's job-queue workers dispatch concurrently (ProviderServer),
+// must be internally thread-safe — see the dispatch-concurrency section in
+// DESIGN.md.
 #pragma once
 
 #include <atomic>

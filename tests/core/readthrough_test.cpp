@@ -101,7 +101,7 @@ TEST(ReadThrough, ResetDropsTheBase) {
 }
 
 TEST(ReadThrough, RenewedBaseReadsAllXNeverThePreviousPattern) {
-  // The pooled engine resets its fault-free controller between patterns:
+  // The campaign engine resets its fault-free controller between patterns:
   // a run still pointing at the old pattern's generation must not see the
   // stale value, nor the next pattern's once the base writes again.
   WordConnector c(8, "c");

@@ -1,5 +1,5 @@
-// The campaign engine's test grid: every (injection workers, table batch)
-// setting of VirtualFaultSimulator, each held to the serial oracle
+// The campaign engine's test grid: VirtualFaultSimulator at every table
+// batch of the grid, each held to the serial oracle
 // (oracles::serialCampaign) field by field.
 #pragma once
 
@@ -15,18 +15,16 @@
 
 namespace vcad::fault::grid {
 
-inline constexpr std::size_t kWorkers[] = {0, 1, 2, 8};
 inline constexpr std::size_t kBatches[] = {1, 4, 64};
 
 /// The engine at one grid setting.
 inline CampaignResult runEngine(
     Circuit& design, std::vector<FaultClient*> components,
     std::vector<Connector*> pis, std::vector<Connector*> pos,
-    const std::vector<std::vector<Word>>& patterns, std::size_t workers,
-    std::size_t batch, std::shared_ptr<cache::ResultStore> store = {}) {
+    const std::vector<std::vector<Word>>& patterns, std::size_t batch,
+    std::shared_ptr<cache::ResultStore> store = {}) {
   VirtualFaultSimulator sim(design, std::move(components), std::move(pis),
                             std::move(pos));
-  sim.setInjectionWorkers(workers);
   sim.setTableBatch(batch);
   if (store != nullptr) sim.setResultStore(std::move(store));
   return sim.run(patterns);
@@ -54,27 +52,23 @@ inline void expectMatchesOracle(const CampaignResult& got,
 }
 
 struct Cell {
-  std::size_t workers;
   std::size_t batch;
   CampaignResult result;
   std::string label;
 };
 
-/// Runs `campaign(workers, batch)` on every grid cell, holds each result to
+/// Runs `campaign(batch)` on every grid cell, holds each result to
 /// `oracle`, and returns the cells for setting-specific checks.
 inline std::vector<Cell> expectGridMatchesOracle(
     const CampaignResult& oracle,
-    const std::function<CampaignResult(std::size_t, std::size_t)>& campaign,
+    const std::function<CampaignResult(std::size_t)>& campaign,
     const std::string& label) {
   std::vector<Cell> cells;
-  for (std::size_t workers : kWorkers) {
-    for (std::size_t batch : kBatches) {
-      Cell cell{workers, batch, campaign(workers, batch),
-                label + " workers=" + std::to_string(workers) +
-                    " batch=" + std::to_string(batch)};
-      expectMatchesOracle(cell.result, oracle, batch, cell.label);
-      cells.push_back(std::move(cell));
-    }
+  for (std::size_t batch : kBatches) {
+    Cell cell{batch, campaign(batch),
+              label + " batch=" + std::to_string(batch)};
+    expectMatchesOracle(cell.result, oracle, batch, cell.label);
+    cells.push_back(std::move(cell));
   }
   return cells;
 }

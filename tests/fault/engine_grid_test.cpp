@@ -1,11 +1,11 @@
 // The one campaign engine against its oracles: VirtualFaultSimulator at
-// every (injection workers, table batch) grid setting must reproduce the
-// serial oracle's CampaignResult over property-swept random block designs,
-// cold and from a warmed result store, while leasing only its pinned
-// slots; against a real provider it must put the per-pattern traffic on
-// the wire at batch 1 and group a batch's misses into GetDetectionTables
-// calls otherwise, billing the same fees; and a concurrent campaign
-// sharing its channel with async traffic must stay clean under
+// every table batch of the grid must reproduce the serial oracle's
+// CampaignResult over property-swept random block designs, cold and from a
+// warmed result store, while leasing only its batch + 1 pinned slots;
+// against a real provider it must put the per-pattern traffic on the wire
+// at batch 1 and group a batch's misses into GetDetectionTables calls
+// otherwise, billing the same fees; and a campaign sharing its channel
+// with async traffic from another thread must stay clean under
 // -DVCAD_SANITIZE=thread.
 #include <gtest/gtest.h>
 
@@ -53,11 +53,10 @@ struct Scenario {
   }
 
   CampaignResult engine(const std::vector<std::vector<Word>>& patterns,
-                        std::size_t workers, std::size_t batch,
+                        std::size_t batch,
                         std::shared_ptr<cache::ResultStore> store = {}) {
     return grid::runEngine(*inst.circuit, components(), inst.piConns,
-                           inst.poConns, patterns, workers, batch,
-                           std::move(store));
+                           inst.poConns, patterns, batch, std::move(store));
   }
 };
 
@@ -127,9 +126,7 @@ TEST_P(ParallelVsSerial, IdenticalCoverageAcrossThreadAndBatchSweep) {
             patterns.size() * s.clients.size());
   grid::expectGridMatchesOracle(
       oracle,
-      [&](std::size_t workers, std::size_t batch) {
-        return s.engine(patterns, workers, batch);
-      },
+      [&](std::size_t batch) { return s.engine(patterns, batch); },
       "seed=" + std::to_string(seed));
 }
 
@@ -160,24 +157,18 @@ TEST_P(PooledInjection, BitIdenticalToSerialAcrossWorkerCounts) {
 
   const auto cells = grid::expectGridMatchesOracle(
       oracle,
-      [&](std::size_t workers, std::size_t batch) {
-        return s.engine(patterns, workers, batch, warmStore());
+      [&](std::size_t batch) {
+        return s.engine(patterns, batch, warmStore());
       },
       "seed=" + std::to_string(seed));
   for (const grid::Cell& cell : cells) {
     const CampaignResult& res = cell.result;
-    // Every injection is attributed to a lane, and the whole campaign ran
-    // on its pinned slots — one per lane plus one fault-free controller
-    // per batch position — resetting them instead of leasing new ones.
-    const std::size_t lanes = cell.workers > 1 ? cell.workers : 1;
+    // The whole campaign ran on its pinned slots — one injection
+    // controller plus one fault-free controller per batch position —
+    // resetting them instead of leasing new ones.
     const std::size_t positions = std::min(cell.batch, patterns.size());
-    EXPECT_EQ(res.injectionWorkers, cell.workers) << cell.label;
-    ASSERT_EQ(res.workerInjections.size(), lanes) << cell.label;
-    std::uint64_t laneSum = 0;
-    for (std::uint64_t n : res.workerInjections) laneSum += n;
-    EXPECT_EQ(laneSum, res.injections) << cell.label;
-    EXPECT_EQ(res.slotsLeased, lanes + positions) << cell.label;
-    EXPECT_LE(res.peakConcurrentSchedulers, lanes + positions) << cell.label;
+    EXPECT_EQ(res.slotsLeased, 1 + positions) << cell.label;
+    EXPECT_LE(res.peakConcurrentSchedulers, 1 + positions) << cell.label;
     EXPECT_EQ(res.schedulerResets,
               res.injections + patterns.size() - positions)
         << cell.label;
@@ -195,35 +186,32 @@ TEST(PooledInjection, SerialPathReportsArenaMetricsToo) {
   Scenario s = makeScenario(31337, true);
   const auto patterns = randomPatterns(s.nPis, 6, 5);
   // The oracle constructs a controller per fault-free run and per
-  // injection; the inline engine pins one lane and one fault-free
-  // controller and resets them.
+  // injection; the engine at batch 1 pins one injection controller and one
+  // fault-free controller and resets them.
   const CampaignResult oracle = s.oracle(patterns);
   EXPECT_EQ(oracle.slotsLeased, oracle.injections + patterns.size());
 
-  const CampaignResult res = s.engine(patterns, 0, 1);
+  const CampaignResult res = s.engine(patterns, 1);
   ASSERT_GT(res.injections, 0u);
   EXPECT_EQ(res.slotsLeased, 2u);
   EXPECT_GT(res.peakConcurrentSchedulers, 0u);
   EXPECT_LE(res.peakConcurrentSchedulers, 4u);
   EXPECT_EQ(res.schedulerResets, res.injections + patterns.size() - 1);
-  EXPECT_EQ(res.injectionWorkers, 0u);
-  EXPECT_EQ(res.workerInjections,
-            std::vector<std::uint64_t>{res.injections});
 }
 
 TEST(ParallelCampaign, RejectsEmptyConfiguration) {
   Circuit c("c");
   EXPECT_THROW(VirtualFaultSimulator(c, {}, {}, {}), std::invalid_argument);
 
-  // An empty input configuration fails on a pool thread, mid-batch, and
-  // surfaces on the caller; the design stays usable afterwards.
+  // An empty input configuration fails mid-batch and surfaces on the
+  // caller; the design stays usable afterwards.
   Scenario s = makeScenario(4242, true);
   auto patterns = randomPatterns(s.nPis, 6, 3);
   const CampaignResult gold = s.oracle(patterns);
   auto broken = patterns;
   broken[5].clear();
-  EXPECT_THROW(s.engine(broken, 4, 4), std::invalid_argument);
-  grid::expectMatchesOracle(s.engine(patterns, 4, 4), gold, 4,
+  EXPECT_THROW(s.engine(broken, 4), std::invalid_argument);
+  grid::expectMatchesOracle(s.engine(patterns, 4), gold, 4,
                             "after a rejected campaign");
 }
 
@@ -330,9 +318,8 @@ struct RemoteRig {
   std::vector<FaultClient*> components() { return {recorder.get()}; }
 
   CampaignResult engine(const std::vector<std::vector<Word>>& patterns,
-                        std::size_t workers, std::size_t batch) {
-    return grid::runEngine(circuit, components(), pis, pos, patterns, workers,
-                           batch);
+                        std::size_t batch) {
+    return grid::runEngine(circuit, components(), pis, pos, patterns, batch);
   }
 
   /// Calls billed per table method in this rig's session.
@@ -367,10 +354,10 @@ TEST(ParallelCampaign, RemoteBatchingMatchesSerialWithFewerCalls) {
 
   RemoteRig batchRig(net::NetworkProfile::wan());
   const auto batchCallsBefore = batchRig.channel.stats().calls;
-  const CampaignResult res = batchRig.engine(patterns, 2, 3);
+  const CampaignResult res = batchRig.engine(patterns, 3);
   const auto batchCalls = batchRig.channel.stats().calls - batchCallsBefore;
 
-  grid::expectMatchesOracle(res, gold, 3, "workers=2 batch=3");
+  grid::expectMatchesOracle(res, gold, 3, "batch=3");
   EXPECT_GT(res.detected.size(), 0u);
 
   // Same number of tables crosses the wire, but buffered into fewer message
@@ -405,9 +392,9 @@ TEST(WireMethod, BatchOneShipsSingleTablesAndBatchesGroupTwoOrMoreMisses) {
   ASSERT_GT(expectedBatchCalls, 0u);
 
   RemoteRig one(net::NetworkProfile::lan());
-  const CampaignResult r1 = one.engine(patterns, 0, 1);
+  const CampaignResult r1 = one.engine(patterns, 1);
   RemoteRig four(net::NetworkProfile::lan());
-  const CampaignResult r4 = four.engine(patterns, 0, kBatch);
+  const CampaignResult r4 = four.engine(patterns, kBatch);
 
   // Batch 1: one GetDetectionTable per fetched configuration, nothing else.
   EXPECT_EQ(one.recorder->calls,
@@ -434,8 +421,8 @@ TEST(WireMethod, BatchOneShipsSingleTablesAndBatchesGroupTwoOrMoreMisses) {
 }
 
 TEST(ParallelCampaign, ConcurrentCampaignWithAsyncChannelNoise) {
-  // Stress for the thread-safety contract: a 4-worker injection campaign
-  // shares its channel with a burst of concurrent callAsync traffic. The
+  // Stress for the thread-safety contract: a campaign shares its channel
+  // with a burst of callAsync traffic from another thread. The
   // channel serializes dispatch, so the run must be clean (TSan-verified
   // under -DVCAD_SANITIZE=thread) and every request must succeed.
   RemoteRig rig(net::NetworkProfile::ideal());
@@ -451,7 +438,7 @@ TEST(ParallelCampaign, ConcurrentCampaignWithAsyncChannelNoise) {
     }
   });
 
-  const CampaignResult res = rig.engine(patterns, 4, 2);
+  const CampaignResult res = rig.engine(patterns, 2);
   stop.store(true);
   noise.join();
 

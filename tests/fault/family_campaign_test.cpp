@@ -156,10 +156,10 @@ TEST_P(FamilySweep, SerialMatchesParallelCampaign) {
 
   const auto cells = grid::expectGridMatchesOracle(
       gold,
-      [&](std::size_t workers, std::size_t batch) {
+      [&](std::size_t batch) {
         return grid::runEngine(*rig.inst.circuit, rig.components(),
                                rig.inst.piConns, rig.inst.poConns, unpacked,
-                               workers, batch);
+                               batch);
       },
       "family point");
   for (const grid::Cell& cell : cells) {

@@ -305,7 +305,6 @@ TEST(PackAlignedBatches, LaneWidthBatchFetchesOncePerComponentPerBatch) {
 
   VirtualFaultSimulator batched(*s.inst.circuit, s.components(),
                                 s.inst.piConns, s.inst.poConns);
-  batched.setInjectionWorkers(2);
   batched.setTableBatch(64);
   const CampaignResult res = batched.runPacked(patterns);
   const std::size_t batches = 2;  // 64 + 16 patterns
@@ -315,7 +314,7 @@ TEST(PackAlignedBatches, LaneWidthBatchFetchesOncePerComponentPerBatch) {
   EXPECT_EQ(res.detected, gold.detected);
 }
 
-TEST(PackAlignedBatches, ThreadSweepBitIdenticalToSerialVirtual) {
+TEST(PackAlignedBatches, BatchSweepBitIdenticalToSerialVirtual) {
   Scenario s = makeScenario(0x5eed07);
   Rng rng(0x5eed08);
   const auto patterns = randomPatterns(rng, s.nPis, 80);
@@ -329,10 +328,10 @@ TEST(PackAlignedBatches, ThreadSweepBitIdenticalToSerialVirtual) {
   // Batch 64 is one full lane block per fetch; 80 patterns make it two.
   grid::expectGridMatchesOracle(
       gold,
-      [&](std::size_t workers, std::size_t batch) {
+      [&](std::size_t batch) {
         return grid::runEngine(*s.inst.circuit, s.components(),
                                s.inst.piConns, s.inst.poConns, unpacked,
-                               workers, batch);
+                               batch);
       },
       "80 patterns");
 }

@@ -247,9 +247,9 @@ TEST_P(ReadThroughInjection, EveryEngineMatchesFlatSerialAndFullResimulation) {
 
   const auto cells = grid::expectGridMatchesOracle(
       serial,
-      [&](std::size_t workers, std::size_t batch) {
+      [&](std::size_t batch) {
         return grid::runEngine(*r.circuit, r.components(), r.pis, r.pos,
-                               patterns, workers, batch);
+                               patterns, batch);
       },
       GetParam());
   for (const grid::Cell& cell : cells) {
@@ -334,23 +334,30 @@ TEST(ReadThroughEvents, UpstreamBlockSimulatesOnlyItsFanout) {
 }
 
 TEST(ReadThroughCapacity, BatchBeyondArenaFailsLoudlyAndRecovers) {
-  // The engine pins one fault-free run per batch position, so batch size +
-  // lanes must fit in the slot arena.
+  // The engine pins one fault-free run per batch position plus one
+  // injection controller, so batch + 1 must fit in the slot arena's
+  // kCapacity - 1 leasable slots (slot 0 is reserved).
   Rig r = makeRig("handbuilt");
   const std::size_t n = SlotRegistry::kCapacity + 2;
   const auto patterns = unpackPatterns(
       randomPatterns(r.pis.size(), static_cast<int>(n), 7), r.pis.size());
+  ASSERT_EQ(SlotRegistry::global().leased(), 0u);
   VirtualFaultSimulator tooWide(*r.circuit, r.components(), r.pis, r.pos);
-  tooWide.setInjectionWorkers(2);
-  tooWide.setTableBatch(n);
+  tooWide.setTableBatch(SlotRegistry::kCapacity - 1);
   EXPECT_THROW(tooWide.run(patterns), std::runtime_error);
 
-  VirtualFaultSimulator fits(*r.circuit, r.components(), r.pis, r.pos);
-  fits.setInjectionWorkers(2);
-  fits.setTableBatch(64);
+  // Exactly a full arena fits.
+  VirtualFaultSimulator full(*r.circuit, r.components(), r.pis, r.pos);
+  full.setTableBatch(SlotRegistry::kCapacity - 2);
   VirtualFaultSimulator serial(*r.circuit, r.components(), r.pis, r.pos);
-  expectSameDecisions(fits.run(patterns), serial.run(patterns),
-                      "batch 64 after exhaustion");
+  const CampaignResult gold = serial.run(patterns);
+  const CampaignResult atCapacity = full.run(patterns);
+  EXPECT_EQ(atCapacity.slotsLeased, SlotRegistry::kCapacity - 1);
+  expectSameDecisions(atCapacity, gold, "full arena");
+
+  VirtualFaultSimulator fits(*r.circuit, r.components(), r.pis, r.pos);
+  fits.setTableBatch(64);
+  expectSameDecisions(fits.run(patterns), gold, "batch 64 after exhaustion");
 }
 
 }  // namespace

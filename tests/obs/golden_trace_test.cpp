@@ -369,8 +369,6 @@ TEST(GoldenTrace, TimestampsAreMonotonicPerThreadAndSpansNestProperly) {
   for (std::uint8_t a = 0; a < root.argCount; ++a) {
     rootArgs[root.args[a].key] = root.args[a].value;
   }
-  EXPECT_EQ(rootArgs.count("workers"), 1u);
-  EXPECT_EQ(rootArgs["workers"], 0.0);
   EXPECT_EQ(rootArgs.count("batch"), 1u);
   EXPECT_EQ(rootArgs["batch"], 1.0);
   const auto patternSpans = spansWithPrefix(events, "campaign.pattern");

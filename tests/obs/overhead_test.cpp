@@ -36,9 +36,9 @@ TEST(ObsOverhead, TracingDoesNotChangeDeterministicOutcomes) {
   // corrupted-frame drops — the paths where a tracing side effect on frame
   // bytes or timing would surface as a diverged fault schedule.
   const ChaosOutcome off = runChaosCampaign(
-      net::FaultProfile::lossy(), 7, 6, 0, 0, 1, nullptr, /*traced=*/false);
+      net::FaultProfile::lossy(), 7, 6, 0, 1, nullptr, /*traced=*/false);
   const ChaosOutcome on = runChaosCampaign(
-      net::FaultProfile::lossy(), 7, 6, 0, 0, 1, nullptr, /*traced=*/true);
+      net::FaultProfile::lossy(), 7, 6, 0, 1, nullptr, /*traced=*/true);
 
   // Campaign outcome.
   EXPECT_EQ(on.result.faultList, off.result.faultList);

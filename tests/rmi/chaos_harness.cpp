@@ -132,75 +132,44 @@ TEST(ChaosCampaign, SameSeedReplaysTheRunBitForBit) {
   EXPECT_EQ(a.transport.injected(), b.transport.injected());
 }
 
-TEST(ChaosCampaign, ThreadCountDoesNotChangeTheFaultScheduleOrTheResult) {
-  // The engine issues all RMI from its coordinating thread, and the fault
-  // plan is a pure function of (seed, key, attempt) — so sweeping the
-  // worker count over a lossy transport must not move a single counter.
+TEST(ChaosCampaign, BatchedLossyCampaignMatchesGold) {
+  // The engine issues all RMI from the calling thread, and the fault plan
+  // is a pure function of (seed, key, attempt) — so a batched campaign over
+  // a lossy transport still reproduces the ideal run's coverage and fees.
   const ChaosOutcome gold = runChaosCampaign(net::FaultProfile::none(), 1);
-  ChaosOutcome first;
-  bool haveFirst = false;
-  for (std::size_t workers : {1u, 2u, 4u}) {
-    const std::string label = "workers=" + std::to_string(workers);
-    const ChaosOutcome run = runChaosCampaign(net::FaultProfile::lossy(), 5, 6,
-                                              0, workers, /*batch=*/2);
-    expectMatchesGold(run, gold, label);
-    if (!haveFirst) {
-      first = run;
-      haveFirst = true;
-      continue;
-    }
-    EXPECT_EQ(run.stats.calls, first.stats.calls) << label;
-    EXPECT_EQ(run.stats.retries, first.stats.retries) << label;
-    EXPECT_EQ(run.stats.timeouts, first.stats.timeouts) << label;
-    EXPECT_EQ(run.stats.duplicatesSuppressed, first.stats.duplicatesSuppressed)
-        << label;
-    EXPECT_EQ(run.stats.networkSec, first.stats.networkSec) << label;
-    EXPECT_EQ(run.transport.attempts, first.transport.attempts) << label;
-    EXPECT_EQ(run.transport.injected(), first.transport.injected()) << label;
-  }
+  const ChaosOutcome run =
+      runChaosCampaign(net::FaultProfile::lossy(), 5, 6, 0, /*batch=*/2);
+  expectMatchesGold(run, gold, "lossy batch=2");
 }
 
-TEST(ChaosCampaign, PooledInjectionIsBitIdenticalToSerialUnderChaos) {
+TEST(ChaosCampaign, EngineIsBitIdenticalToSerialUnderChaos) {
   // The engine at batch 1 must reproduce the serial oracle to the last
   // counter — not just coverage, but the whole protocol/effort ledger —
-  // under a faulty transport, for every worker count. Table fetches stay on
-  // the coordinating thread, so the RMI fault schedule cannot move either.
+  // under a faulty transport, so the RMI fault schedule cannot move either.
   const ChaosOutcome serial = runChaosWith(
       [](ChaosRig& rig, const std::vector<std::vector<Word>>& patterns) {
         return oracles::serialCampaign(rig.circuit, rig.components(), rig.pis,
                                        rig.pos, patterns);
       },
       net::FaultProfile::lossy(), 9);
-  for (std::size_t workers : {1u, 2u, 4u, 8u}) {
-    const std::string label = "workers=" + std::to_string(workers);
-    const ChaosOutcome run =
-        runChaosCampaign(net::FaultProfile::lossy(), 9, 6, 0, workers);
-    EXPECT_EQ(run.result.faultList, serial.result.faultList) << label;
-    EXPECT_EQ(run.result.detected, serial.result.detected) << label;
-    EXPECT_EQ(run.result.detectedAfterPattern,
-              serial.result.detectedAfterPattern)
-        << label;
-    EXPECT_EQ(run.result.detectionTablesRequested,
-              serial.result.detectionTablesRequested)
-        << label;
-    EXPECT_EQ(run.result.tableFetchRoundTrips,
-              serial.result.tableFetchRoundTrips)
-        << label;
-    EXPECT_EQ(run.result.tableCacheHits, serial.result.tableCacheHits)
-        << label;
-    EXPECT_EQ(run.result.injections, serial.result.injections) << label;
-    EXPECT_EQ(run.stats.calls, serial.stats.calls) << label;
-    EXPECT_EQ(run.stats.feesCents, serial.stats.feesCents) << label;
-    EXPECT_EQ(run.stats.networkSec, serial.stats.networkSec) << label;
-    EXPECT_EQ(run.remoteErrors, 0u) << label;
-    // The pool actually ran with the requested shape, reusing its pinned
-    // lanes instead of leasing a slot per injection.
-    EXPECT_EQ(run.result.injectionWorkers, workers) << label;
-    std::uint64_t laneSum = 0;
-    for (std::uint64_t n : run.result.workerInjections) laneSum += n;
-    EXPECT_EQ(laneSum, run.result.injections) << label;
-    EXPECT_EQ(run.result.slotsLeased, workers + 1) << label;
-  }
+  const ChaosOutcome run = runChaosCampaign(net::FaultProfile::lossy(), 9);
+  EXPECT_EQ(run.result.faultList, serial.result.faultList);
+  EXPECT_EQ(run.result.detected, serial.result.detected);
+  EXPECT_EQ(run.result.detectedAfterPattern,
+            serial.result.detectedAfterPattern);
+  EXPECT_EQ(run.result.detectionTablesRequested,
+            serial.result.detectionTablesRequested);
+  EXPECT_EQ(run.result.tableFetchRoundTrips,
+            serial.result.tableFetchRoundTrips);
+  EXPECT_EQ(run.result.tableCacheHits, serial.result.tableCacheHits);
+  EXPECT_EQ(run.result.injections, serial.result.injections);
+  EXPECT_EQ(run.stats.calls, serial.stats.calls);
+  EXPECT_EQ(run.stats.feesCents, serial.stats.feesCents);
+  EXPECT_EQ(run.stats.networkSec, serial.stats.networkSec);
+  EXPECT_EQ(run.remoteErrors, 0u);
+  // The engine reused its two pinned controllers (one fault-free, one
+  // injection) instead of leasing a slot per injection.
+  EXPECT_EQ(run.result.slotsLeased, 2u);
 }
 
 TEST(ChaosCampaign, CampaignSurvivesProviderRestart) {
@@ -248,7 +217,7 @@ TEST(ChaosCampaign, CompletionQueuePathIsBitIdenticalToBlockingPath) {
           "profile=" + profile.name + " seed=" + std::to_string(seed) +
           " viaQueue";
       const ChaosOutcome sync = runChaosCampaign(profile, seed);
-      const ChaosOutcome queued = runChaosCampaign(profile, seed, 6, 0, 0, 1,
+      const ChaosOutcome queued = runChaosCampaign(profile, seed, 6, 0, 1,
                                                    nullptr, true,
                                                    /*viaQueue=*/true);
       EXPECT_EQ(queued.result.faultList, sync.result.faultList) << label;
@@ -291,7 +260,7 @@ TEST(ChaosCampaign, CompletionQueuePathSurvivesProviderRestart) {
   const ChaosOutcome gold = runChaosCampaign(net::FaultProfile::none(), 1);
   const ChaosOutcome run =
       runChaosCampaign(net::FaultProfile::lossy(), 13, 6, /*restartAfter=*/7,
-                       0, 1, nullptr, true, /*viaQueue=*/true);
+                       1, nullptr, true, /*viaQueue=*/true);
   EXPECT_EQ(run.restarts, 1u);
   EXPECT_GE(run.recoveries, 1u);
   EXPECT_EQ(run.result.faultList, gold.result.faultList);
@@ -313,7 +282,7 @@ TEST(ChaosCampaign, ExhaustedRetriesResumeWithSameKeyAndNeverDoubleBill) {
   ackLoss.dropResponseProb = 0.6;
   rmi::RetryPolicy tight;
   tight.maxAttempts = 2;
-  const ChaosOutcome run = runChaosCampaign(ackLoss, 17, 6, 0, 0, 1, &tight);
+  const ChaosOutcome run = runChaosCampaign(ackLoss, 17, 6, 0, 1, &tight);
   expectMatchesGold(run, gold, "ack-loss");
   // The tight budget actually tripped, and the replay cache answered the
   // re-issues: every serverside execution past the first was suppressed.

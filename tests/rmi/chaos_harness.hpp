@@ -260,12 +260,11 @@ inline ChaosOutcome runChaosWith(const ChaosCampaign& campaign,
   return out;
 }
 
-/// Runs the campaign engine (VirtualFaultSimulator) with `workers`
-/// injection lanes and table `batch` under the given transport behaviour.
+/// Runs the campaign engine (VirtualFaultSimulator) at table `batch` under
+/// the given transport behaviour.
 inline ChaosOutcome runChaosCampaign(const net::FaultProfile& profile,
                                      std::uint64_t seed, int patternCount = 6,
                                      std::uint64_t restartAfter = 0,
-                                     std::size_t workers = 0,
                                      std::size_t batch = 1,
                                      const rmi::RetryPolicy* policy = nullptr,
                                      bool traced = true,
@@ -274,7 +273,6 @@ inline ChaosOutcome runChaosCampaign(const net::FaultProfile& profile,
       [&](ChaosRig& rig, const std::vector<std::vector<Word>>& patterns) {
         fault::VirtualFaultSimulator sim(rig.circuit, rig.components(),
                                          rig.pis, rig.pos);
-        sim.setInjectionWorkers(workers);
         sim.setTableBatch(batch);
         return sim.run(patterns);
       },

@@ -192,8 +192,8 @@ TEST(MtChaos, FourTenantsBitIdenticalToFourSerialRuns) {
   std::vector<ChaosOutcome> bases;
   bases.reserve(plans.size());
   for (const TenantPlan& p : plans) {
-    bases.push_back(chaos::runChaosCampaign(p.profile, p.seed, 6, 0, 0, 1,
-                                            nullptr, /*traced=*/false));
+    bases.push_back(chaos::runChaosCampaign(p.profile, p.seed, 6, 0, 1, nullptr,
+                                            /*traced=*/false));
   }
 
   ip::MultiTenantProviderServer::Config cfg;
@@ -243,8 +243,8 @@ TEST(MtChaos, SheddingQueuePreservesCoverageAndFees) {
   std::vector<ChaosOutcome> bases;
   bases.reserve(plans.size());
   for (const TenantPlan& p : plans) {
-    bases.push_back(chaos::runChaosCampaign(p.profile, p.seed, 6, 0, 0, 1,
-                                            nullptr, /*traced=*/false));
+    bases.push_back(chaos::runChaosCampaign(p.profile, p.seed, 6, 0, 1, nullptr,
+                                            /*traced=*/false));
   }
 
   ip::MultiTenantProviderServer::Config cfg;
@@ -294,8 +294,7 @@ TEST(MtChaos, MidRunShardRestartStaysBitIdentical) {
   constexpr std::uint64_t kSeed = 3;
   constexpr std::uint64_t kRestartAfter = 7;
   ChaosOutcome base = chaos::runChaosCampaign(profile, kSeed, 6, kRestartAfter,
-                                              0, 1, nullptr,
-                                              /*traced=*/false);
+                                              1, nullptr, /*traced=*/false);
   ASSERT_EQ(base.restarts, 1u);  // the crash point actually fired
 
   ip::MultiTenantProviderServer::Config cfg;
@@ -322,10 +321,10 @@ TEST(MtChaos, QuotaThrottledNeighbourNeverPerturbsOtherTenants) {
   const TenantPlan planA{1, net::FaultProfile::none(), 31};
   const TenantPlan planC{3, net::FaultProfile::lossy(), 33};
   ChaosOutcome baseA = chaos::runChaosCampaign(planA.profile, planA.seed, 6,
-                                               0, 0, 1, nullptr,
+                                               0, 1, nullptr,
                                                /*traced=*/false);
   ChaosOutcome baseC = chaos::runChaosCampaign(planC.profile, planC.seed, 6,
-                                               0, 0, 1, nullptr,
+                                               0, 1, nullptr,
                                                /*traced=*/false);
 
   ip::MultiTenantProviderServer::Config cfg;
