@@ -6,27 +6,18 @@ namespace vcad::cache {
 
 namespace {
 
-/// Interned obs ids for the cache.* family (RmiMetrics discipline).
-struct CacheMetrics {
-  obs::Registry::MetricId hits, misses, backendHits, insertions, evictions;
-  obs::Registry::MetricId bytes, entries;
-
-  static const CacheMetrics& get() {
-    static const CacheMetrics m = [] {
-      obs::Registry& r = obs::Registry::global();
-      CacheMetrics ids;
-      ids.hits = r.counter("cache.hits");
-      ids.misses = r.counter("cache.misses");
-      ids.backendHits = r.counter("cache.backendHits");
-      ids.insertions = r.counter("cache.insertions");
-      ids.evictions = r.counter("cache.evictions");
-      ids.bytes = r.gauge("cache.bytes");
-      ids.entries = r.gauge("cache.entries");
-      return ids;
-    }();
-    return m;
-  }
-};
+/// TaggedCacheStats under its registry names (cache.*). A backend hit is
+/// a hit to the caller; the footprint gauges are levels, summed over the
+/// live stores.
+void report(const TaggedCacheStats& s, obs::Registry::Tally& t) {
+  t.count("cache.hits", s.hits + s.backendHits);
+  t.count("cache.misses", s.misses);
+  t.count("cache.backendHits", s.backendHits);
+  t.count("cache.insertions", s.insertions);
+  t.count("cache.evictions", s.evictions);
+  t.level("cache.bytes", static_cast<std::int64_t>(s.bytes));
+  t.level("cache.entries", static_cast<std::int64_t>(s.entries));
+}
 
 TaggedCache::Config cacheConfig(const ResultStore::Config& config,
                                 std::shared_ptr<Backend> backend) {
@@ -51,7 +42,9 @@ std::shared_ptr<FileBackend> makeFile(const ResultStore::Config& config) {
 ResultStore::ResultStore(Config config)
     : file_(makeFile(config)),
       cache_(cacheConfig(config, file_ ? std::shared_ptr<Backend>(file_)
-                                       : nullptr)) {}
+                                       : nullptr)),
+      obs_(obs::Registry::global(),
+           [this](obs::Registry::Tally& t) { report(cache_.stats(), t); }) {}
 
 std::shared_ptr<ResultStore> ResultStore::inMemory(std::size_t maxBytes) {
   Config c;
@@ -66,51 +59,6 @@ std::shared_ptr<ResultStore> ResultStore::withDisk(
   return std::make_shared<ResultStore>(c);
 }
 
-ResultStore::Claim ResultStore::fetchOrClaim(const CacheKey& key) {
-  Claim claim = cache_.fetchOrClaim(key);
-  const CacheMetrics& m = CacheMetrics::get();
-  obs::Registry& r = obs::Registry::global();
-  if (claim.value != nullptr) {
-    r.add(m.hits);
-  } else {
-    r.add(m.misses);
-  }
-  syncObs();
-  return claim;
-}
-
-Value ResultStore::fetch(const CacheKey& key) {
-  Value v = cache_.fetch(key);
-  const CacheMetrics& m = CacheMetrics::get();
-  obs::Registry& r = obs::Registry::global();
-  r.add(v != nullptr ? m.hits : m.misses);
-  syncObs();
-  return v;
-}
-
-void ResultStore::insert(const CacheKey& key, std::vector<std::uint8_t> bytes) {
-  cache_.insert(key, std::move(bytes));
-  syncObs();
-}
-
 void ResultStore::sync() { cache_.backend().sync(); }
-
-void ResultStore::syncObs() {
-  const TaggedCacheStats s = cache_.stats();
-  const CacheMetrics& m = CacheMetrics::get();
-  obs::Registry& r = obs::Registry::global();
-  // Counter deltas since the last sync; exchange keeps concurrent syncs
-  // from double-reporting the same increment.
-  const std::uint64_t evictions = obsEvictions_.exchange(s.evictions);
-  if (s.evictions > evictions) r.add(m.evictions, s.evictions - evictions);
-  const std::uint64_t insertions = obsInsertions_.exchange(s.insertions);
-  if (s.insertions > insertions) r.add(m.insertions, s.insertions - insertions);
-  const std::uint64_t backendHits = obsBackendHits_.exchange(s.backendHits);
-  if (s.backendHits > backendHits) {
-    r.add(m.backendHits, s.backendHits - backendHits);
-  }
-  r.setGauge(m.bytes, static_cast<std::int64_t>(s.bytes));
-  r.setGauge(m.entries, static_cast<std::int64_t>(s.entries));
-}
 
 }  // namespace vcad::cache

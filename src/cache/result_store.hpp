@@ -1,6 +1,6 @@
 // The process-facing facade of the two-tier result store: a TaggedCache
-// over an optional FileBackend, plus the obs mirror (cache.* counters and
-// the cache.bytes gauge).
+// over an optional FileBackend. The global obs::Registry reads the cache's
+// own stats as cache.* through the store's attachment.
 //
 // One ResultStore is shared by every cache site — the provider's
 // detection-table path, the campaign engines' table caches,
@@ -9,15 +9,16 @@
 // work one site paid for is a warm hit everywhere else.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/file_backend.hpp"
 #include "cache/key.hpp"
 #include "cache/tagged_cache.hpp"
+#include "obs/metrics.hpp"
 
 namespace vcad::cache {
 
@@ -42,9 +43,11 @@ class ResultStore {
   /// Disk-backed store rooted at `directory` (created if missing).
   static std::shared_ptr<ResultStore> withDisk(const std::string& directory);
 
-  Claim fetchOrClaim(const CacheKey& key);
-  Value fetch(const CacheKey& key);
-  void insert(const CacheKey& key, std::vector<std::uint8_t> bytes);
+  Claim fetchOrClaim(const CacheKey& key) { return cache_.fetchOrClaim(key); }
+  Value fetch(const CacheKey& key) { return cache_.fetch(key); }
+  void insert(const CacheKey& key, std::vector<std::uint8_t> bytes) {
+    cache_.insert(key, std::move(bytes));
+  }
   void sync();
 
   TaggedCacheStats stats() const { return cache_.stats(); }
@@ -52,17 +55,10 @@ class ResultStore {
   /// Non-null only for disk-backed stores; exposes the recovery report.
   const FileBackend* fileBackend() const { return file_.get(); }
 
-  /// Pushes eviction/insertion/backend-hit deltas and the current byte
-  /// footprint into the obs registry. Called internally after mutations;
-  /// public so tests and shutdown paths can force a final flush.
-  void syncObs();
-
  private:
   std::shared_ptr<FileBackend> file_;  // null for memory-only stores
   TaggedCache cache_;
-  std::atomic<std::uint64_t> obsEvictions_{0};
-  std::atomic<std::uint64_t> obsInsertions_{0};
-  std::atomic<std::uint64_t> obsBackendHits_{0};
+  obs::Registry::Attachment obs_;  // cache.* read from cache_.stats()
 };
 
 }  // namespace vcad::cache

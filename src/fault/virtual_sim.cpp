@@ -14,52 +14,24 @@
 namespace vcad::fault {
 
 namespace {
-struct CampaignMetrics {
-  obs::Registry::MetricId runs, patterns, faults, detected, injections,
-      tablesRequested, tableRoundTrips, tableCacheHits, tableStoreHits,
-      slotsLeased, schedulerResets;
-  obs::Registry::MetricId peakConcurrentSchedulers;
 
-  static const CampaignMetrics& get() {
-    static const CampaignMetrics m = [] {
-      obs::Registry& r = obs::Registry::global();
-      return CampaignMetrics{r.counter("campaign.runs"),
-                             r.counter("campaign.patterns"),
-                             r.counter("campaign.faults"),
-                             r.counter("campaign.detected"),
-                             r.counter("campaign.injections"),
-                             r.counter("campaign.tablesRequested"),
-                             r.counter("campaign.tableRoundTrips"),
-                             r.counter("campaign.tableCacheHits"),
-                             r.counter("campaign.tableStoreHits"),
-                             r.counter("campaign.slotsLeased"),
-                             r.counter("campaign.schedulerResets"),
-                             r.gauge("campaign.peakConcurrentSchedulers")};
-    }();
-    return m;
-  }
-};
-
-/// Mirrors a finished campaign's accounting into the global obs::Registry
-/// (campaign.* counters / gauges); the CampaignResult stays the source of
-/// truth.
-void recordCampaignMetrics(const CampaignResult& res) {
-  const CampaignMetrics& ids = CampaignMetrics::get();
-  obs::Registry& reg = obs::Registry::global();
-  reg.add(ids.runs);
-  reg.add(ids.patterns, res.detectedAfterPattern.size());
-  reg.add(ids.faults, res.faultList.size());
-  reg.add(ids.detected, res.detected.size());
-  reg.add(ids.injections, res.injections);
-  reg.add(ids.tablesRequested, res.detectionTablesRequested);
-  reg.add(ids.tableRoundTrips, res.tableFetchRoundTrips);
-  reg.add(ids.tableCacheHits, res.tableCacheHits);
-  reg.add(ids.tableStoreHits, res.tableStoreHits);
-  reg.add(ids.slotsLeased, res.slotsLeased);
-  reg.add(ids.schedulerResets, res.schedulerResets);
-  reg.maxGauge(ids.peakConcurrentSchedulers,
-               static_cast<std::int64_t>(res.peakConcurrentSchedulers));
+/// CampaignResult under its registry names (campaign.*).
+void report(const CampaignResult& res, obs::Registry::Tally& t) {
+  t.count("campaign.runs", 1);
+  t.count("campaign.patterns", res.detectedAfterPattern.size());
+  t.count("campaign.faults", res.faultList.size());
+  t.count("campaign.detected", res.detected.size());
+  t.count("campaign.injections", res.injections);
+  t.count("campaign.tablesRequested", res.detectionTablesRequested);
+  t.count("campaign.tableRoundTrips", res.tableFetchRoundTrips);
+  t.count("campaign.tableCacheHits", res.tableCacheHits);
+  t.count("campaign.tableStoreHits", res.tableStoreHits);
+  t.count("campaign.slotsLeased", res.slotsLeased);
+  t.count("campaign.schedulerResets", res.schedulerResets);
+  t.peak("campaign.peakConcurrentSchedulers",
+         static_cast<std::int64_t>(res.peakConcurrentSchedulers));
 }
+
 }  // namespace
 
 VirtualFaultSimulator::VirtualFaultSimulator(
@@ -284,7 +256,8 @@ CampaignResult VirtualFaultSimulator::run(
   campaignSpan.arg("faults", static_cast<double>(res.faultList.size()));
   campaignSpan.arg("detected", static_cast<double>(res.detected.size()));
   campaignSpan.arg("injections", static_cast<double>(res.injections));
-  recordCampaignMetrics(res);
+  obs::Registry::global().fold(
+      [&res](obs::Registry::Tally& t) { report(res, t); });
   return res;
 }
 

@@ -1,6 +1,7 @@
 #include "ip/job_queue.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "obs/metrics.hpp"
 
@@ -8,30 +9,19 @@ namespace vcad::ip {
 
 namespace {
 
-struct QueueMetrics {
-  obs::Registry::MetricId depth, enqueued, executed, shedTooManyPending,
-      shedOverloaded, promotions;
-  std::array<obs::Registry::MetricId, net::kJobPriorityCount> laneDepth;
-
-  static const QueueMetrics& get() {
-    static const QueueMetrics m = [] {
-      obs::Registry& r = obs::Registry::global();
-      QueueMetrics ids;
-      ids.depth = r.gauge("mt.queue.depth");
-      ids.enqueued = r.counter("mt.queue.enqueued");
-      ids.executed = r.counter("mt.queue.executed");
-      ids.shedTooManyPending = r.counter("mt.queue.shedTooManyPending");
-      ids.shedOverloaded = r.counter("mt.queue.shedOverloaded");
-      ids.promotions = r.counter("mt.queue.promotions");
-      ids.laneDepth = {r.gauge("mt.queue.lane0.depth"),
-                       r.gauge("mt.queue.lane1.depth"),
-                       r.gauge("mt.queue.lane2.depth"),
-                       r.gauge("mt.queue.lane3.depth")};
-      return ids;
-    }();
-    return m;
+/// JobQueue::Stats under its registry names (mt.queue.*).
+void report(const JobQueue::Stats& s, obs::Registry::Tally& t) {
+  t.count("mt.queue.enqueued", s.enqueued);
+  t.count("mt.queue.executed", s.executed);
+  t.count("mt.queue.shedTooManyPending", s.shedTooManyPending);
+  t.count("mt.queue.shedOverloaded", s.shedOverloaded);
+  t.count("mt.queue.promotions", s.promotions);
+  t.peak("mt.queue.depth", static_cast<std::int64_t>(s.peakDepth));
+  for (std::size_t lane = 0; lane < s.peakLaneDepth.size(); ++lane) {
+    t.peak("mt.queue.lane" + std::to_string(lane) + ".depth",
+           static_cast<std::int64_t>(s.peakLaneDepth[lane]));
   }
-};
+}
 
 }  // namespace
 
@@ -49,7 +39,12 @@ std::string toString(JobQueue::Admit verdict) {
   return "?";
 }
 
-JobQueue::JobQueue(const Config& config) : config_(config) {
+JobQueue::JobQueue(const Config& config)
+    : config_(config),
+      obs_(obs::Registry::global(), [this](obs::Registry::Tally& t) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        report(stats_, t);
+      }) {
   config_.workers = std::max<std::size_t>(1, config_.workers);
   workers_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
@@ -61,8 +56,6 @@ JobQueue::~JobQueue() { stop(); }
 
 JobQueue::Admit JobQueue::add(net::JobPriority priority, Job job) {
   const std::size_t lane = static_cast<std::size_t>(priority);
-  obs::Registry& reg = obs::Registry::global();
-  const QueueMetrics& ids = QueueMetrics::get();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stop_) {
@@ -73,23 +66,19 @@ JobQueue::Admit JobQueue::add(net::JobPriority priority, Job job) {
     // which lane the request wanted.
     if (config_.maxQueueDepth != 0 && depth_ >= config_.maxQueueDepth) {
       ++stats_.shedOverloaded;
-      reg.add(ids.shedOverloaded);
       return Admit::Overloaded;
     }
     const std::size_t laneBound = config_.perPriorityDepth[lane];
     if (laneBound != 0 && lanes_[lane].size() >= laneBound) {
       ++stats_.shedTooManyPending;
-      reg.add(ids.shedTooManyPending);
       return Admit::TooManyPending;
     }
     lanes_[lane].push_back(Entry{std::move(job), popSeq_});
     ++depth_;
     ++stats_.enqueued;
     stats_.peakDepth = std::max(stats_.peakDepth, depth_);
-    reg.add(ids.enqueued);
-    reg.maxGauge(ids.depth, static_cast<std::int64_t>(depth_));
-    reg.maxGauge(ids.laneDepth[lane],
-                 static_cast<std::int64_t>(lanes_[lane].size()));
+    stats_.peakLaneDepth[lane] =
+        std::max(stats_.peakLaneDepth[lane], lanes_[lane].size());
   }
   workCv_.notify_one();
   return Admit::Ok;
@@ -122,7 +111,6 @@ void JobQueue::workerLoop() {
       ++stats_.executed;
       ++stats_.executedByPriority[lane];
     }
-    obs::Registry::global().add(QueueMetrics::get().executed);
     idleCv_.notify_all();
   }
 }
@@ -140,7 +128,6 @@ void JobQueue::ageLanesLocked(std::uint64_t now) {
       promoted.agePop = now;
       lanes_[lane - 1].push_back(std::move(promoted));
       ++stats_.promotions;
-      obs::Registry::global().add(QueueMetrics::get().promotions);
     }
   }
 }

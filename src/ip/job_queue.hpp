@@ -24,8 +24,8 @@
 //     reaches lane 0 within 3×agingThreshold dequeues: a bounded
 //     starvation window.
 //
-// Queue-depth, shed, and execution counters mirror into the global
-// obs::Registry (mt.queue.*) alongside the struct-level Stats.
+// The counters live in Stats alone; the global obs::Registry reads them
+// as mt.queue.* through the queue's attachment.
 #pragma once
 
 #include <array>
@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "net/transport.hpp"
+#include "obs/metrics.hpp"
 
 namespace vcad::ip {
 
@@ -73,6 +74,7 @@ class JobQueue {
     std::uint64_t rejectedStopped = 0;
     std::uint64_t promotions = 0;  // aging promotions, one lane each
     std::size_t peakDepth = 0;  // max queued depth ever observed
+    std::array<std::size_t, net::kJobPriorityCount> peakLaneDepth{};
     std::array<std::uint64_t, net::kJobPriorityCount> executedByPriority{};
   };
 
@@ -116,6 +118,7 @@ class JobQueue {
   std::uint64_t popSeq_ = 0;  // dequeues so far — the aging clock
   bool stop_ = false;
   Stats stats_;
+  obs::Registry::Attachment obs_;  // mt.queue.* read from stats_
   std::vector<std::thread> workers_;
 };
 

@@ -48,24 +48,15 @@ bool writeFully(int fd, const std::uint8_t* buf, std::size_t n) {
   return true;
 }
 
-struct MtMetrics {
-  obs::Registry::MetricId connections, framesServed, quotaRejected,
-      shutdownRejected, tenantsSeen;
-
-  static const MtMetrics& get() {
-    static const MtMetrics m = [] {
-      obs::Registry& r = obs::Registry::global();
-      MtMetrics ids;
-      ids.connections = r.counter("mt.connections");
-      ids.framesServed = r.counter("mt.framesServed");
-      ids.quotaRejected = r.counter("mt.quotaRejected");
-      ids.shutdownRejected = r.counter("mt.shutdownRejected");
-      ids.tenantsSeen = r.gauge("mt.tenantsSeen");
-      return ids;
-    }();
-    return m;
-  }
-};
+/// MultiTenantProviderServer::Stats under its registry names (mt.*).
+void report(const MultiTenantProviderServer::Stats& s,
+            obs::Registry::Tally& t) {
+  t.count("mt.connections", s.connections);
+  t.count("mt.framesServed", s.framesServed);
+  t.count("mt.quotaRejected", s.quotaRejected);
+  t.count("mt.shutdownRejected", s.shutdownRejected);
+  t.peak("mt.tenantsSeen", static_cast<std::int64_t>(s.tenantsSeen));
+}
 
 }  // namespace
 
@@ -79,7 +70,11 @@ MultiTenantProviderServer::MultiTenantProviderServer(EndpointFactory factory,
     : factory_(std::move(factory)),
       config_(config),
       log_(log),
-      queue_(std::make_unique<JobQueue>(config.queue)) {}
+      queue_(std::make_unique<JobQueue>(config.queue)),
+      obs_(obs::Registry::global(), [this](obs::Registry::Tally& t) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        report(stats_, t);
+      }) {}
 
 MultiTenantProviderServer::~MultiTenantProviderServer() { stop(); }
 
@@ -253,14 +248,7 @@ MultiTenantProviderServer::Tenant* MultiTenantProviderServer::ensureTenant(
   }
   Tenant* raw = entry.get();
   bucket.tenants.emplace(tenant, std::move(entry));
-  std::uint64_t seen;
-  {
-    std::lock_guard<std::mutex> slock(mutex_);
-    seen = ++stats_.tenantsSeen;
-    statsCv_.notify_all();
-  }
-  obs::Registry::global().maxGauge(MtMetrics::get().tenantsSeen,
-                                   static_cast<std::int64_t>(seen));
+  bumpStat(&Stats::tenantsSeen);
   return raw;
 }
 
@@ -323,7 +311,6 @@ void MultiTenantProviderServer::acceptLoop() {
     auto conn = std::make_shared<Connection>(fd);
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.connections;
-    obs::Registry::global().add(MtMetrics::get().connections);
     conns_.push_back(conn);
     connThreads_.emplace_back(
         [this, conn = std::move(conn)] { serveConnection(conn); });
@@ -358,7 +345,6 @@ void MultiTenantProviderServer::serveConnection(
       rh.status = net::FrameStatus::Shutdown;
       rh.requestId = h.requestId;
       bumpStat(&Stats::shutdownRejected);
-      obs::Registry::global().add(MtMetrics::get().shutdownRejected);
       if (!writeReply(conn, rh, {})) break;
       continue;
     }
@@ -409,7 +395,6 @@ void MultiTenantProviderServer::serveConnection(
     }
     if (!admitted) {
       bumpStat(&Stats::quotaRejected);
-      obs::Registry::global().add(MtMetrics::get().quotaRejected);
       net::ResponseFrameHeader rh;
       rh.status = net::FrameStatus::QuotaExceeded;
       rh.requestId = h.requestId;
@@ -534,7 +519,6 @@ void MultiTenantProviderServer::executeJob(
   rh.serverCpuNanos = static_cast<std::uint64_t>(cpuSec * 1e9);
   if (writeReply(conn, rh, body)) {
     bumpStat(&Stats::framesServed);
-    obs::Registry::global().add(MtMetrics::get().framesServed);
   }
 }
 

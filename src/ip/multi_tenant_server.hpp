@@ -49,6 +49,7 @@
 #include "core/log.hpp"
 #include "ip/job_queue.hpp"
 #include "ip/tenant.hpp"
+#include "obs/metrics.hpp"
 #include "rmi/channel.hpp"
 
 namespace vcad::ip {
@@ -204,6 +205,7 @@ class MultiTenantProviderServer {
   std::vector<std::shared_ptr<Connection>> conns_;
   std::vector<std::thread> connThreads_;
   Stats stats_;
+  obs::Registry::Attachment obs_;  // mt.* read from stats_
   std::thread acceptThread_;
 };
 

@@ -7,26 +7,19 @@
 namespace vcad::net {
 
 namespace {
-struct TransportMetrics {
-  obs::Registry::MetricId attempts, droppedRequests, duplicatedRequests,
-      corruptedRequests, droppedResponses, corruptedResponses, stalls,
-      reorders;
 
-  static const TransportMetrics& get() {
-    static const TransportMetrics m = [] {
-      obs::Registry& r = obs::Registry::global();
-      return TransportMetrics{r.counter("transport.attempts"),
-                              r.counter("transport.droppedRequests"),
-                              r.counter("transport.duplicatedRequests"),
-                              r.counter("transport.corruptedRequests"),
-                              r.counter("transport.droppedResponses"),
-                              r.counter("transport.corruptedResponses"),
-                              r.counter("transport.stalls"),
-                              r.counter("transport.reorders")};
-    }();
-    return m;
-  }
-};
+/// TransportStats under its registry names (transport.*).
+void report(const TransportStats& s, obs::Registry::Tally& t) {
+  t.count("transport.attempts", s.attempts);
+  t.count("transport.droppedRequests", s.droppedRequests);
+  t.count("transport.duplicatedRequests", s.duplicatedRequests);
+  t.count("transport.corruptedRequests", s.corruptedRequests);
+  t.count("transport.droppedResponses", s.droppedResponses);
+  t.count("transport.corruptedResponses", s.corruptedResponses);
+  t.count("transport.stalls", s.stalls);
+  t.count("transport.reorders", s.reorders);
+}
+
 }  // namespace
 
 std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
@@ -134,7 +127,12 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
 }  // namespace
 
 FaultyTransport::FaultyTransport(FaultProfile profile, std::uint64_t seed)
-    : profile_(std::move(profile)), seed_(seed) {}
+    : profile_(std::move(profile)),
+      seed_(seed),
+      obs_(obs::Registry::global(), [this](obs::Registry::Tally& t) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        report(stats_, t);
+      }) {}
 
 FaultPlan FaultyTransport::peek(std::uint64_t key,
                                 std::uint32_t attempt) const {
@@ -169,16 +167,6 @@ FaultPlan FaultyTransport::plan(std::uint64_t key, std::uint32_t attempt) {
     if (p.stall) ++stats_.stalls;
     if (p.reorderDelaySec > 0.0) ++stats_.reorders;
   }
-  const TransportMetrics& ids = TransportMetrics::get();
-  obs::Registry& reg = obs::Registry::global();
-  reg.add(ids.attempts);
-  if (p.dropRequest) reg.add(ids.droppedRequests);
-  if (p.duplicateRequest) reg.add(ids.duplicatedRequests);
-  if (p.corruptRequest) reg.add(ids.corruptedRequests);
-  if (p.dropResponse) reg.add(ids.droppedResponses);
-  if (p.corruptResponse) reg.add(ids.corruptedResponses);
-  if (p.stall) reg.add(ids.stalls);
-  if (p.reorderDelaySec > 0.0) reg.add(ids.reorders);
   const bool struck = p.dropRequest || p.duplicateRequest || p.corruptRequest ||
                       p.dropResponse || p.corruptResponse || p.stall ||
                       p.reorderDelaySec > 0.0;
@@ -218,8 +206,11 @@ TransportStats FaultyTransport::stats() const {
 }
 
 void FaultyTransport::resetStats() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats_ = TransportStats{};
+  obs_.fold([this](obs::Registry::Tally& t) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    report(stats_, t);
+    stats_ = TransportStats{};
+  });
 }
 
 }  // namespace vcad::net

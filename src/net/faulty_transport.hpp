@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 
 namespace vcad::net {
 
@@ -136,6 +137,7 @@ class FaultyTransport {
   std::uint64_t seed_;
   mutable std::mutex mutex_;
   TransportStats stats_;
+  obs::Registry::Attachment obs_;  // transport.* read from stats_
 };
 
 }  // namespace vcad::net

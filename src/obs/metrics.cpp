@@ -1,26 +1,12 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
 namespace vcad::obs {
-
-// --- shard -----------------------------------------------------------------
-
-struct Registry::Shard {
-  struct Hist {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sumBits{0};  // IEEE-754 bits, CAS-accumulated
-    std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
-  };
-
-  std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
-  std::array<std::atomic<std::uint64_t>, kMaxDoubles> doubleBits{};
-  std::array<Hist, kMaxHistograms> hists{};
-};
 
 namespace {
 
@@ -48,108 +34,6 @@ void atomicAddDouble(std::atomic<std::uint64_t>& cell, double delta) {
   }
 }
 
-/// Registries that are still alive, by (address, epoch). Thread-exit shard
-/// retirement consults this so a shard whose registry died first (or whose
-/// address was recycled by a newer registry) is simply abandoned — the
-/// shared_ptr keeps the memory valid either way.
-std::mutex& liveRegistryMutex() {
-  static std::mutex m;
-  return m;
-}
-std::set<std::pair<const Registry*, std::uint64_t>>& liveRegistries() {
-  static std::set<std::pair<const Registry*, std::uint64_t>> s;
-  return s;
-}
-std::atomic<std::uint64_t> nextRegistryEpoch{1};
-
-}  // namespace
-
-/// Per-thread table mapping registries to this thread's shard. The
-/// destructor runs at thread exit and folds each shard's totals back into
-/// its (still-live) registry.
-struct LocalShardTable {
-  struct Entry {
-    Registry* registry;
-    std::uint64_t epoch;
-    std::shared_ptr<Registry::Shard> shard;
-  };
-  std::vector<Entry> entries;
-
-  ~LocalShardTable() {
-    for (Entry& e : entries) {
-      bool alive;
-      {
-        std::lock_guard<std::mutex> lock(liveRegistryMutex());
-        alive = liveRegistries().count({e.registry, e.epoch}) != 0;
-      }
-      if (alive) e.registry->retire(e.shard);
-    }
-  }
-};
-
-namespace {
-thread_local LocalShardTable localShards;
-}  // namespace
-
-// --- registry --------------------------------------------------------------
-
-Registry::Registry()
-    : epochId_(nextRegistryEpoch.fetch_add(1, std::memory_order_relaxed)) {
-  std::lock_guard<std::mutex> lock(liveRegistryMutex());
-  liveRegistries().insert({this, epochId_});
-}
-
-Registry::~Registry() {
-  std::lock_guard<std::mutex> lock(liveRegistryMutex());
-  liveRegistries().erase({this, epochId_});
-}
-
-Registry::Shard* Registry::localShard() {
-  for (auto it = localShards.entries.begin(); it != localShards.entries.end();
-       ++it) {
-    if (it->registry == this) {
-      if (it->epoch == epochId_) return it->shard.get();
-      // Same address, different registry: the entry is stale.
-      localShards.entries.erase(it);
-      break;
-    }
-  }
-  auto shard = std::make_shared<Shard>();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shards_.push_back(shard);
-  }
-  localShards.entries.push_back({this, epochId_, shard});
-  return localShards.entries.back().shard.get();
-}
-
-void Registry::retire(const std::shared_ptr<Shard>& shard) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t i = 0; i < kMaxCounters; ++i) {
-    retiredCounters_[i] += shard->counters[i].load(std::memory_order_relaxed);
-  }
-  for (std::size_t i = 0; i < kMaxDoubles; ++i) {
-    retiredDoubles_[i] +=
-        bitsToDouble(shard->doubleBits[i].load(std::memory_order_relaxed));
-  }
-  for (std::size_t i = 0; i < kMaxHistograms; ++i) {
-    HistogramData& h = retiredHistograms_[i];
-    h.count += shard->hists[i].count.load(std::memory_order_relaxed);
-    h.sum +=
-        bitsToDouble(shard->hists[i].sumBits.load(std::memory_order_relaxed));
-    for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-      h.buckets[b] += shard->hists[i].buckets[b].load(std::memory_order_relaxed);
-    }
-  }
-  for (auto it = shards_.begin(); it != shards_.end(); ++it) {
-    if (it->get() == shard.get()) {
-      shards_.erase(it);
-      break;
-    }
-  }
-}
-
-namespace {
 Registry::MetricId intern(std::map<std::string, Registry::MetricId>& names,
                           std::vector<std::string>& index,
                           const std::string& name, std::size_t capacity,
@@ -167,7 +51,18 @@ Registry::MetricId intern(std::map<std::string, Registry::MetricId>& names,
   names.emplace(name, id);
   return id;
 }
+
+/// Adds an owner's tally into the retired totals. Levels are current
+/// footprints, so a retiring owner's levels are dropped, not kept.
+void retireInto(Registry::Tally& retired, const Registry::Tally& t) {
+  for (const auto& [name, v] : t.counters) retired.count(name, v);
+  for (const auto& [name, v] : t.doubles) retired.sum(name, v);
+  for (const auto& [name, v] : t.peaks) retired.peak(name, v);
+}
+
 }  // namespace
+
+// --- registry cells --------------------------------------------------------
 
 Registry::MetricId Registry::counter(const std::string& name) {
   return intern(counterNames_, counterIndex_, name, kMaxCounters, "counter",
@@ -190,12 +85,12 @@ Registry::MetricId Registry::histogram(const std::string& name) {
 
 void Registry::add(MetricId id, std::uint64_t delta) {
   if constexpr (!kObsCompiledIn) return;
-  localShard()->counters[id].fetch_add(delta, std::memory_order_relaxed);
+  counters_[id].fetch_add(delta, std::memory_order_relaxed);
 }
 
 void Registry::addDouble(MetricId id, double delta) {
   if constexpr (!kObsCompiledIn) return;
-  atomicAddDouble(localShard()->doubleBits[id], delta);
+  atomicAddDouble(doubleBits_[id], delta);
 }
 
 void Registry::setGauge(MetricId id, std::int64_t value) {
@@ -221,66 +116,112 @@ std::size_t Registry::bucketFor(double value) {
 
 void Registry::observe(MetricId id, double value) {
   if constexpr (!kObsCompiledIn) return;
-  Shard::Hist& h = localShard()->hists[id];
+  Hist& h = hists_[id];
   h.count.fetch_add(1, std::memory_order_relaxed);
   atomicAddDouble(h.sumBits, value);
   h.buckets[bucketFor(value)].fetch_add(1, std::memory_order_relaxed);
 }
 
+// --- owner ledgers ---------------------------------------------------------
+
+void Registry::Tally::count(const std::string& name, std::uint64_t value) {
+  counters[name] += value;
+}
+
+void Registry::Tally::sum(const std::string& name, double value) {
+  doubles[name] += value;
+}
+
+void Registry::Tally::peak(const std::string& name, std::int64_t value) {
+  auto [it, inserted] = peaks.emplace(name, value);
+  if (!inserted && value > it->second) it->second = value;
+}
+
+void Registry::Tally::level(const std::string& name, std::int64_t value) {
+  levels[name] += value;
+}
+
+Registry::Attachment::Attachment(Registry& registry, Reporter report)
+    : registry_(registry), report_(std::move(report)) {
+  if constexpr (!kObsCompiledIn) return;
+  std::lock_guard<std::mutex> lock(registry_.mutex_);
+  registry_.attachments_.push_back(this);
+}
+
+Registry::Attachment::~Attachment() {
+  if constexpr (!kObsCompiledIn) return;
+  // Fold and detach in one critical section: a concurrent snapshot sees the
+  // owner either live or retired, never both.
+  std::lock_guard<std::mutex> lock(registry_.mutex_);
+  Tally t;
+  report_(t);
+  retireInto(registry_.retired_, t);
+  auto& live = registry_.attachments_;
+  live.erase(std::find(live.begin(), live.end(), this));
+}
+
+void Registry::Attachment::fold(const Reporter& drain) {
+  std::lock_guard<std::mutex> lock(registry_.mutex_);
+  Tally t;
+  drain(t);
+  if constexpr (kObsCompiledIn) retireInto(registry_.retired_, t);
+}
+
+void Registry::fold(const Reporter& report) {
+  if constexpr (!kObsCompiledIn) return;
+  Tally t;
+  report(t);
+  std::lock_guard<std::mutex> lock(mutex_);
+  retireInto(retired_, t);
+}
+
+// --- reading ---------------------------------------------------------------
+
 Registry::Snapshot Registry::snapshot() const {
   Snapshot snap;
   std::lock_guard<std::mutex> lock(mutex_);
-  std::array<std::uint64_t, kMaxCounters> counters = retiredCounters_;
-  std::array<double, kMaxDoubles> doubles = retiredDoubles_;
-  std::array<HistogramData, kMaxHistograms> hists = retiredHistograms_;
-  for (const auto& shard : shards_) {
-    for (std::size_t i = 0; i < counterIndex_.size(); ++i) {
-      counters[i] += shard->counters[i].load(std::memory_order_relaxed);
-    }
-    for (std::size_t i = 0; i < doubleIndex_.size(); ++i) {
-      doubles[i] +=
-          bitsToDouble(shard->doubleBits[i].load(std::memory_order_relaxed));
-    }
-    for (std::size_t i = 0; i < histogramIndex_.size(); ++i) {
-      hists[i].count += shard->hists[i].count.load(std::memory_order_relaxed);
-      hists[i].sum += bitsToDouble(
-          shard->hists[i].sumBits.load(std::memory_order_relaxed));
-      for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-        hists[i].buckets[b] +=
-            shard->hists[i].buckets[b].load(std::memory_order_relaxed);
-      }
-    }
-  }
   for (std::size_t i = 0; i < counterIndex_.size(); ++i) {
-    snap.counters.emplace(counterIndex_[i], counters[i]);
+    snap.counters.emplace(counterIndex_[i],
+                          counters_[i].load(std::memory_order_relaxed));
   }
   for (std::size_t i = 0; i < doubleIndex_.size(); ++i) {
-    snap.doubles.emplace(doubleIndex_[i], doubles[i]);
+    snap.doubles.emplace(
+        doubleIndex_[i],
+        bitsToDouble(doubleBits_[i].load(std::memory_order_relaxed)));
   }
   for (std::size_t i = 0; i < gaugeIndex_.size(); ++i) {
     snap.gauges.emplace(gaugeIndex_[i],
                         gauges_[i].load(std::memory_order_relaxed));
   }
   for (std::size_t i = 0; i < histogramIndex_.size(); ++i) {
-    snap.histograms.emplace(histogramIndex_[i], hists[i]);
+    const Hist& h = hists_[i];
+    HistogramData& d = snap.histograms[histogramIndex_[i]];
+    d.count = h.count.load(std::memory_order_relaxed);
+    d.sum = bitsToDouble(h.sumBits.load(std::memory_order_relaxed));
+    for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
+      d.buckets[b] = h.buckets[b].load(std::memory_order_relaxed);
+    }
   }
+
+  Tally owners = retired_;
+  for (const Attachment* a : attachments_) a->report_(owners);
+  for (const auto& [name, v] : owners.counters) snap.counters[name] += v;
+  for (const auto& [name, v] : owners.doubles) snap.doubles[name] += v;
+  for (const auto& [name, v] : owners.peaks) snap.gauges[name] = v;
+  for (const auto& [name, v] : owners.levels) snap.gauges[name] = v;
   return snap;
 }
 
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
-  retiredCounters_.fill(0);
-  retiredDoubles_.fill(0.0);
-  for (auto& h : retiredHistograms_) h = HistogramData{};
+  retired_ = Tally{};
+  for (auto& c : counters_) c.store(0, std::memory_order_relaxed);
+  for (auto& d : doubleBits_) d.store(0, std::memory_order_relaxed);
   for (auto& g : gauges_) g.store(0, std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    for (auto& c : shard->counters) c.store(0, std::memory_order_relaxed);
-    for (auto& d : shard->doubleBits) d.store(0, std::memory_order_relaxed);
-    for (auto& h : shard->hists) {
-      h.count.store(0, std::memory_order_relaxed);
-      h.sumBits.store(0, std::memory_order_relaxed);
-      for (auto& b : h.buckets) b.store(0, std::memory_order_relaxed);
-    }
+  for (auto& h : hists_) {
+    h.count.store(0, std::memory_order_relaxed);
+    h.sumBits.store(0, std::memory_order_relaxed);
+    for (auto& b : h.buckets) b.store(0, std::memory_order_relaxed);
   }
 }
 

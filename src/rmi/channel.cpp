@@ -56,50 +56,30 @@ const char* methodSpanName(MethodId m) {
   return "rmi.call";
 }
 
-/// Registry mirror of ChannelStats: interned once, then every accounting
-/// block records the same deltas it adds to the struct, so the process-wide
-/// aggregate stays value-identical to the per-channel ledgers (bit-identical
-/// in single-threaded runs, where addition order matches).
-struct RmiMetrics {
-  obs::Registry::MetricId calls, blockedCalls, asyncCalls, securityRejections,
-      bytesSent, bytesReceived, retries, timeouts, duplicatesSuppressed,
-      corruptedFramesDropped, transportFailures, shedResponses,
-      quotaRejections, cacheHits, cacheMisses, cacheBytes;
-  obs::Registry::MetricId blockingWallSec, nonblockingWallSec, serverCpuSec,
-      feesCents, networkSec;
-  obs::Registry::MetricId callWallSec;
-
-  static const RmiMetrics& get() {
-    static const RmiMetrics m = [] {
-      obs::Registry& r = obs::Registry::global();
-      RmiMetrics ids;
-      ids.calls = r.counter("rmi.calls");
-      ids.blockedCalls = r.counter("rmi.blockedCalls");
-      ids.asyncCalls = r.counter("rmi.asyncCalls");
-      ids.securityRejections = r.counter("rmi.securityRejections");
-      ids.bytesSent = r.counter("rmi.bytesSent");
-      ids.bytesReceived = r.counter("rmi.bytesReceived");
-      ids.retries = r.counter("rmi.retries");
-      ids.timeouts = r.counter("rmi.timeouts");
-      ids.duplicatesSuppressed = r.counter("rmi.duplicatesSuppressed");
-      ids.corruptedFramesDropped = r.counter("rmi.corruptedFramesDropped");
-      ids.transportFailures = r.counter("rmi.transportFailures");
-      ids.shedResponses = r.counter("rmi.shedResponses");
-      ids.quotaRejections = r.counter("rmi.quotaRejections");
-      ids.cacheHits = r.counter("rmi.cacheHits");
-      ids.cacheMisses = r.counter("rmi.cacheMisses");
-      ids.cacheBytes = r.counter("rmi.cacheBytes");
-      ids.blockingWallSec = r.doubleCounter("rmi.blockingWallSec");
-      ids.nonblockingWallSec = r.doubleCounter("rmi.nonblockingWallSec");
-      ids.serverCpuSec = r.doubleCounter("rmi.serverCpuSec");
-      ids.feesCents = r.doubleCounter("rmi.feesCents");
-      ids.networkSec = r.doubleCounter("rmi.networkSec");
-      ids.callWallSec = r.histogram("rmi.callWallSec");
-      return ids;
-    }();
-    return m;
-  }
-};
+/// ChannelStats under its registry names (rmi.*).
+void report(const ChannelStats& s, obs::Registry::Tally& t) {
+  t.count("rmi.calls", s.calls);
+  t.count("rmi.blockedCalls", s.blockedCalls);
+  t.count("rmi.asyncCalls", s.asyncCalls);
+  t.count("rmi.securityRejections", s.securityRejections);
+  t.count("rmi.bytesSent", s.bytesSent);
+  t.count("rmi.bytesReceived", s.bytesReceived);
+  t.count("rmi.retries", s.retries);
+  t.count("rmi.timeouts", s.timeouts);
+  t.count("rmi.duplicatesSuppressed", s.duplicatesSuppressed);
+  t.count("rmi.corruptedFramesDropped", s.corruptedFramesDropped);
+  t.count("rmi.transportFailures", s.transportFailures);
+  t.count("rmi.shedResponses", s.shedResponses);
+  t.count("rmi.quotaRejections", s.quotaRejections);
+  t.count("rmi.cacheHits", s.cacheHits);
+  t.count("rmi.cacheMisses", s.cacheMisses);
+  t.count("rmi.cacheBytes", s.cacheBytes);
+  t.sum("rmi.blockingWallSec", s.blockingWallSec);
+  t.sum("rmi.nonblockingWallSec", s.nonblockingWallSec);
+  t.sum("rmi.serverCpuSec", s.serverCpuSec);
+  t.sum("rmi.feesCents", s.feesCents);
+  t.sum("rmi.networkSec", s.networkSec);
+}
 
 /// RAII in-flight marker; what the fault-injector swap assertion observes.
 struct InFlightGuard {
@@ -136,7 +116,8 @@ RmiChannel::RmiChannel(ServerEndpoint& server, net::NetworkProfile profile,
       model_(std::move(profile), seed),
       filter_(audit),
       audit_(audit),
-      keySalt_(seed) {}
+      keySalt_(seed),
+      obs_(obs::Registry::global(), reportLocked()) {}
 
 RmiChannel::RmiChannel(std::unique_ptr<net::Transport> transport,
                        net::NetworkProfile profile, LogSink* audit,
@@ -147,7 +128,8 @@ RmiChannel::RmiChannel(std::unique_ptr<net::Transport> transport,
       model_(std::move(profile), seed),
       filter_(audit),
       audit_(audit),
-      keySalt_(seed) {
+      keySalt_(seed),
+      obs_(obs::Registry::global(), reportLocked()) {
   if (wire_ == nullptr) {
     throw std::invalid_argument("RmiChannel: null transport");
   }
@@ -207,12 +189,22 @@ void RmiChannel::setFaultInjector(net::FaultyTransport* injector) {
   faultInjector_ = injector;
 }
 
+obs::Registry::Reporter RmiChannel::reportLocked() {
+  return [this](obs::Registry::Tally& t) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    report(stats_, t);
+  };
+}
+
 void RmiChannel::resetStats() {
   // Under the stats mutex: concurrent call()/callAsync() accounting blocks
   // write through the same lock, so a mid-campaign reset is a clean cut
-  // instead of a torn struct.
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats_ = ChannelStats{};
+  // instead of a torn struct, and the registry keeps what it zeroes.
+  obs_.fold([this](obs::Registry::Tally& t) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    report(stats_, t);
+    stats_ = ChannelStats{};
+  });
 }
 
 // --- completion queue ----------------------------------------------------
@@ -546,10 +538,6 @@ Response RmiChannel::transact(const Request& request, bool blocking) {
       ++stats_.calls;
       ++stats_.securityRejections;
     }
-    obs::Registry& reg = obs::Registry::global();
-    const RmiMetrics& ids = RmiMetrics::get();
-    reg.add(ids.calls);
-    reg.add(ids.securityRejections);
     if (tracer.enabled()) {
       tracer.instant(
           "rmi.securityRejection", "rmi",
@@ -679,43 +667,9 @@ Response RmiChannel::transact(const Request& request, bool blocking) {
       }
     }
   }
-  {
-    // Mirror the same deltas into the process-wide registry, outside the
-    // channel mutex: the shard adds are thread-safe on their own.
-    obs::Registry& reg = obs::Registry::global();
-    const RmiMetrics& ids = RmiMetrics::get();
-    reg.add(ids.calls);
-    reg.add(blocking ? ids.blockedCalls : ids.asyncCalls);
-    reg.addDouble(blocking ? ids.blockingWallSec : ids.nonblockingWallSec,
-                  sum.wallSec);
-    if (sum.bytesSent != 0) reg.add(ids.bytesSent, sum.bytesSent);
-    if (sum.bytesReceived != 0) reg.add(ids.bytesReceived, sum.bytesReceived);
-    reg.addDouble(ids.serverCpuSec, sum.serverCpuSec);
-    reg.addDouble(ids.networkSec, sum.networkSec);
-    if (retries != 0) reg.add(ids.retries, retries);
-    if (timeouts != 0) reg.add(ids.timeouts, timeouts);
-    if (sum.duplicatesSuppressed != 0) {
-      reg.add(ids.duplicatesSuppressed, sum.duplicatesSuppressed);
-    }
-    if (corruptedFrames != 0) {
-      reg.add(ids.corruptedFramesDropped, corruptedFrames);
-    }
-    if (sheds != 0) reg.add(ids.shedResponses, sheds);
-    if (quotaRejected) reg.add(ids.quotaRejections);
-    if (!delivered) reg.add(ids.transportFailures);
-    if (delivered) reg.addDouble(ids.feesCents, finalResponse.feeCents);
-    if (delivered && finalResponse.ok() &&
-        (req.method == MethodId::GetDetectionTable ||
-         req.method == MethodId::GetDetectionTables)) {
-      if (finalResponse.cached) {
-        reg.add(ids.cacheHits);
-        reg.add(ids.cacheBytes, finalResponse.payload.bytes().size());
-      } else {
-        reg.add(ids.cacheMisses);
-      }
-    }
-    reg.observe(ids.callWallSec, sum.wallSec);
-  }
+  static const obs::Registry::MetricId callWallSec =
+      obs::Registry::global().histogram("rmi.callWallSec");
+  obs::Registry::global().observe(callWallSec, sum.wallSec);
   if (span.active()) {
     span.arg("blocking", blocking ? 1.0 : 0.0);
     span.arg("retries", static_cast<double>(retries));

@@ -55,6 +55,7 @@
 #include "net/faulty_transport.hpp"
 #include "net/network.hpp"
 #include "net/transport.hpp"
+#include "obs/metrics.hpp"
 #include "rmi/protocol.hpp"
 #include "rmi/security.hpp"
 
@@ -289,6 +290,8 @@ class RmiChannel {
   Attempt attemptOnce(const net::ByteBuffer& wire, const Request& request,
                       std::uint32_t attempt);
   std::uint64_t stampKey();
+  /// Reports stats_ to the registry under the stats mutex.
+  obs::Registry::Reporter reportLocked();
   void enqueueJob(AsyncJob job);
   void ensureWorkersLocked();
   void workerLoop();
@@ -317,6 +320,7 @@ class RmiChannel {
   std::map<std::uint64_t, std::uint32_t> spentAttempts_;
   std::mutex mutex_;  // serializes stats/model updates across async calls
   ChannelStats stats_;
+  obs::Registry::Attachment obs_;  // rmi.* read from stats_
 
   // --- completion queue state (declared last: torn down first) -----------
   mutable std::mutex asyncMutex_;

@@ -22,6 +22,7 @@
 #include "cache/result_store.hpp"
 #include "gate/generators.hpp"
 #include "net/faulty_transport.hpp"
+#include "obs/metrics.hpp"
 
 namespace vcad::cache {
 namespace {
@@ -333,6 +334,34 @@ TEST(ResultStore, FacadeCountsAndSurvivesReopenViaDisk) {
     EXPECT_EQ(store->stats().backendHits, 1u);
     EXPECT_EQ(store->stats().misses, 0u);
   }
+}
+
+TEST(ResultStore, FootprintGaugesSumOverLiveStores) {
+  // A provider store and a client store can share one process (the
+  // benchmark's loopback rig does): cache.bytes and cache.entries report
+  // both, not whichever store touched the registry last.
+  if constexpr (!obs::kObsCompiledIn) {
+    GTEST_SKIP() << "observability compiled out";
+  }
+  const obs::Registry& reg = obs::Registry::global();
+  auto a = ResultStore::inMemory();
+  auto b = ResultStore::inMemory();
+  a->insert(CacheKey{1, 1}, std::vector<std::uint8_t>(100, 0xAA));
+  a->insert(CacheKey{1, 2}, std::vector<std::uint8_t>(50, 0xAB));
+  b->insert(CacheKey{2, 1}, std::vector<std::uint8_t>(30, 0xBB));
+  const obs::Registry::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.gaugeOr("cache.bytes"),
+            static_cast<std::int64_t>(a->stats().bytes + b->stats().bytes));
+  EXPECT_EQ(snap.gaugeOr("cache.entries"), 3);
+
+  // A destroyed store's footprint leaves the gauges; its counters stay.
+  a.reset();
+  const obs::Registry::Snapshot later = reg.snapshot();
+  EXPECT_EQ(later.gaugeOr("cache.bytes"),
+            static_cast<std::int64_t>(b->stats().bytes));
+  EXPECT_EQ(later.gaugeOr("cache.entries"), 1);
+  EXPECT_EQ(later.counterOr("cache.insertions"),
+            snap.counterOr("cache.insertions"));
 }
 
 }  // namespace

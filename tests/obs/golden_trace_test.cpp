@@ -4,8 +4,8 @@
 // tracing, and the resulting event stream must satisfy the span grammar:
 // valid Chrome trace-event JSON, per-thread timestamp monotonicity, proper
 // span nesting, and client/provider flow stitching across the
-// administrative-domain boundary. The metrics registry must mirror the
-// legacy ChannelStats / CampaignResult ledgers bit for bit.
+// administrative-domain boundary. The metrics registry, which reads the
+// ChannelStats / CampaignResult ledgers, must report them bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -490,9 +490,9 @@ TEST(GoldenTrace, RegistryMirrorsChannelAndCampaignLedgersBitForBit) {
   const ChaosOutcome out = runTracedIdealCampaign();
   const Registry::Snapshot snap = Registry::global().snapshot();
 
-  // Channel ledger: every ChannelStats field the registry mirrors must be
-  // EXACTLY the struct's value — counters and doubles alike (the mirror
-  // adds the same deltas in the same order on the same thread).
+  // Channel ledger: every ChannelStats field the registry reports must be
+  // EXACTLY the struct's value — counters and doubles alike (the registry
+  // reads the struct itself, and the retired totals start at zero).
   EXPECT_EQ(snap.counterOr("rmi.calls"), out.stats.calls);
   EXPECT_EQ(snap.counterOr("rmi.blockedCalls"), out.stats.blockedCalls);
   EXPECT_EQ(snap.counterOr("rmi.asyncCalls"), out.stats.asyncCalls);

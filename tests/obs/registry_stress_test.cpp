@@ -1,8 +1,8 @@
 // Concurrency stress for the observability layer, written to run clean
 // under TSan: many writer threads hammer one Registry / Tracer while a
 // reader snapshots concurrently, then the final aggregate must be EXACT —
-// shard retirement on thread exit must not lose or double-count a single
-// increment.
+// not one increment lost or double-counted, including after the writers
+// (and the owners whose stats structs the registry reads) are gone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,8 +13,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/word.hpp"
+#include "net/faulty_transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "rmi/channel.hpp"
 
 namespace vcad::obs {
 namespace {
@@ -48,8 +51,8 @@ TEST(RegistryStress, ConcurrentWritersAggregateExactlyAcrossRetirement) {
   }
   for (std::thread& th : writers) th.join();
 
-  // Writers have exited, so every shard above was retired; the totals now
-  // live in the merged retired store and must be exact.
+  // Writers have exited; every increment landed in the one shared cell per
+  // metric, so the totals must be exact.
   const Registry::Snapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counterOr("stress.hits"), kThreads * kIters);
   EXPECT_EQ(snap.counterOr("stress.bulk"), kThreads * kIters * 3);
@@ -80,7 +83,7 @@ TEST(RegistryStress, SnapshottingWhileWritersRunIsMonotonicAndRaceFree) {
   }
 
   // A monotonic counter observed from one sequential reader can never
-  // appear to run backwards, no matter how the relaxed shard adds land.
+  // appear to run backwards, no matter how the relaxed adds land.
   std::thread reader([&] {
     std::uint64_t last = 0;
     while (!done.load(std::memory_order_relaxed)) {
@@ -95,6 +98,53 @@ TEST(RegistryStress, SnapshottingWhileWritersRunIsMonotonicAndRaceFree) {
   reader.join();
 
   EXPECT_EQ(reg.snapshot().counterOr("stress.live"), kThreads * kIters);
+}
+
+/// Answers every call Ok with an empty payload.
+class NullEndpoint : public rmi::ServerEndpoint {
+ public:
+  rmi::Response dispatch(const rmi::Request&) override { return {}; }
+  std::string hostName() const override { return "null.host"; }
+};
+
+rmi::Request evalRequest() {
+  rmi::Request r;
+  r.method = rmi::MethodId::EvalFunction;
+  r.args.addWord(Word::fromUint(8, 1));
+  return r;
+}
+
+TEST(RegistryStress, OwnerCountersOutliveTheOwnerAndLiveOwnersSum) {
+  if constexpr (!kObsCompiledIn) GTEST_SKIP() << "observability compiled out";
+  Registry& reg = Registry::global();
+  NullEndpoint server;
+  constexpr std::uint64_t kCalls = 25;
+
+  const Registry::Snapshot before = reg.snapshot();
+  {
+    net::FaultyTransport injector(net::FaultProfile::none());
+    rmi::RmiChannel ch(server, net::NetworkProfile::ideal());
+    ch.setFaultInjector(&injector);
+    for (std::uint64_t i = 0; i < kCalls; ++i) {
+      ASSERT_TRUE(ch.call(evalRequest()).ok());
+    }
+  }
+  // Both owners are gone; their counters stay in the registry.
+  const Registry::Snapshot after = reg.snapshot();
+  EXPECT_EQ(after.counterOr("rmi.calls") - before.counterOr("rmi.calls"),
+            kCalls);
+  EXPECT_EQ(after.counterOr("transport.attempts") -
+                before.counterOr("transport.attempts"),
+            kCalls);
+
+  rmi::RmiChannel a(server, net::NetworkProfile::ideal());
+  rmi::RmiChannel b(server, net::NetworkProfile::ideal());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(a.call(evalRequest()).ok());
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(b.call(evalRequest()).ok());
+  EXPECT_EQ(reg.snapshot().counterOr("rmi.calls") -
+                after.counterOr("rmi.calls"),
+            a.stats().calls + b.stats().calls);
+  EXPECT_EQ(a.stats().calls + b.stats().calls, 7u);
 }
 
 TEST(RegistryStress, TracerSurvivesConcurrentRecordAndCollect) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "rmi/loopback_transport.hpp"
 
 #include <atomic>
@@ -232,6 +233,12 @@ TEST(CompletionQueue, PipelinedSubmissionsOverlapOnTheWireAccount) {
 // Run it repeatedly against live traffic; under TSan this test is the
 // regression gate, everywhere else it still checks end-state coherence.
 TEST(CompletionQueue, ResetStatsMidCampaignIsRaceFree) {
+  // The registry reads rmi.* from the channel's ledger, and a reset folds
+  // the ledger into the registry's retired totals: across the concurrent
+  // resets the registry must count every call exactly once and never run
+  // backwards.
+  obs::Registry& reg = obs::Registry::global();
+  const std::uint64_t callsBefore = reg.snapshot().counterOr("rmi.calls");
   ThreadTrackingServer server;
   RmiChannel ch(server, net::NetworkProfile::lan());
   constexpr int kThreads = 4;
@@ -247,9 +254,13 @@ TEST(CompletionQueue, ResetStatsMidCampaignIsRaceFree) {
       }
     });
   }
-  std::thread resetter([&ch, &done] {
+  std::thread resetter([&ch, &done, &reg, callsBefore] {
+    std::uint64_t last = callsBefore;
     while (!done.load(std::memory_order_acquire)) {
       ch.resetStats();
+      const std::uint64_t now = reg.snapshot().counterOr("rmi.calls");
+      EXPECT_GE(now, last);
+      last = now;
       std::this_thread::yield();
     }
   });
@@ -265,6 +276,10 @@ TEST(CompletionQueue, ResetStatsMidCampaignIsRaceFree) {
   EXPECT_EQ(s.bytesSent, 0u);
   EXPECT_DOUBLE_EQ(s.blockingWallSec, 0.0);
   EXPECT_DOUBLE_EQ(s.feesCents, 0.0);
+  if constexpr (obs::kObsCompiledIn) {
+    EXPECT_EQ(reg.snapshot().counterOr("rmi.calls") - callsBefore,
+              static_cast<std::uint64_t>(kThreads * kCallsPerThread));
+  }
 }
 
 TEST(CompletionQueue, ShedRetriesPauseInRealTime) {

@@ -26,6 +26,7 @@
 #include "ip/multi_tenant_server.hpp"
 #include "net/socket_transport.hpp"
 #include "net/transport.hpp"
+#include "obs/metrics.hpp"
 #include "rmi/chaos_harness.hpp"
 #include "rmi/provider_process.hpp"
 
@@ -529,6 +530,9 @@ TEST(TwoProcessChaosTrace, FlowIdsStitchAcrossTheProcessBoundary) {
   // The client stamps each request with its channel span's flow id; the
   // provider process adopts it for the matching provider.dispatch span. The
   // two trace files must share ids, or cross-process stitching is broken.
+  if constexpr (!obs::kObsCompiledIn) {
+    GTEST_SKIP() << "observability compiled out";
+  }
   obs::Tracer& tracer = obs::Tracer::global();
   const bool wasEnabled = tracer.enabled();
   tracer.clear();
