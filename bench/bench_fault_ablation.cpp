@@ -9,11 +9,14 @@
 //      no collapsing / equivalence only / equivalence + dominance.
 //   3. Network-profile sweep for the remote case: what detection-table
 //      traffic costs over localhost / LAN / WAN.
-//   4. (--cache) Result-store cold/warm sweep: the same remote campaign
-//      against a fresh provider with an empty shared store (cold) and a
-//      fresh provider re-attached to the warmed store (warm), plus an
-//      uncached baseline. Reports hit rate and end-to-end speedup per
+//   4. (--cache) Result-store cold/warm sweep: the same remote campaign, at
+//      table batch 1, against a fresh provider with an empty shared store
+//      (cold) and a fresh provider re-attached to the warmed store (warm),
+//      plus an uncached baseline. Reports hit rate and end-to-end speedup per
 //      multiplier width; --min-warm-speedup gates CI on the widest cell.
+//   5. Table-batch sweep: round trips, stall, provider-store hits and
+//      tables built per batch size; exits nonzero when a batch builds more
+//      tables than batch 1.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -25,6 +28,7 @@
 #include "fault/dictionary.hpp"
 #include "fault/serial_sim.hpp"
 #include "fault/virtual_sim.hpp"
+#include "obs/metrics.hpp"
 
 namespace vcad::bench {
 namespace {
@@ -251,53 +255,106 @@ void staticVsDynamic() {
               "traffic stays bounded by the patterns actually applied)\n");
 }
 
-/// Table-batch sweep: WAN round trips for the remote multiplier IP.
-void tableBatchSweep() {
+/// Table-batch sweep: WAN round trips for two instances of the remote
+/// multiplier IP, the second seeing the first's operands swapped, against a
+/// provider with a result store. The instances share a netlist digest, so a
+/// configuration one of them characterized is a store hit for the other.
+/// The store keeps one entry per configuration at every batch size, so
+/// each batch builds exactly the tables batch 1 builds; false when a batch
+/// builds more. Tables built are counted inside the table builder (its
+/// gate.tableLanes registry counter: one lane per configuration and
+/// fault), independently of the store, so the gate is vacuous when
+/// observability is compiled out.
+bool tableBatchSweep() {
   std::printf("\n[5] campaign engine: GetDetectionTables batch sweep "
-              "(16 patterns on the multiplier IP, WAN profile)\n");
-  std::printf("    %-6s | %11s | %9s | %12s | %14s\n", "batch",
-              "round trips", "RMI calls", "bytes", "sim stall (ms)");
-  printRule(66);
-  for (std::size_t batch : {1u, 2u, 4u, 8u}) {
+              "(32 patterns on two multiplier IP instances, WAN profile, "
+              "provider store)\n");
+  std::printf("    %-6s | %11s | %9s | %12s | %14s | %10s | %12s\n", "batch",
+              "round trips", "RMI calls", "bytes", "sim stall (ms)",
+              "store hits", "tables built");
+  printRule(98);
+  const int w = 3;
+  const std::uint64_t faultsPerTable =
+      fault::collapseAll(gate::makeArrayMultiplier(w), true, false, false)
+          .representatives.size();
+  const auto lanesBuilt = [] {
+    return obs::Registry::global().snapshot().counterOr("gate.tableLanes");
+  };
+  bool ok = true;
+  std::uint64_t builtAtBatch1 = 0;
+  for (std::size_t batch : {1u, 2u, 4u, 8u, 16u, 32u}) {
     ip::ProviderServer server("provider.host", nullptr);
     registerMultiplier(server);
+    auto store = cache::ResultStore::inMemory();
+    server.setResultStore(store);
     rmi::RmiChannel channel(server, net::NetworkProfile::wan());
     ip::ProviderHandle provider(channel);
 
-    const int w = 4;
     Circuit c("remoteFault");
-    auto& a = c.makeWord(w, "a");
-    auto& b = c.makeWord(w, "b");
-    auto& o = c.makeWord(2 * w, "o");
+    auto& a1 = c.makeWord(w, "a1");
+    auto& b1 = c.makeWord(w, "b1");
+    auto& a2 = c.makeWord(w, "a2");
+    auto& b2 = c.makeWord(w, "b2");
+    auto& o1 = c.makeWord(2 * w, "o1");
+    auto& o2 = c.makeWord(2 * w, "o2");
     ip::RemoteConfig rcfg;
     rcfg.collectPower = false;
-    auto& mult = c.make<ip::RemoteComponent>(
-        "MULT", provider, "MultFastLowPower", w,
-        std::vector<std::pair<std::string, Connector*>>{{"a", &a}, {"b", &b}},
-        std::vector<std::pair<std::string, Connector*>>{{"o", &o}}, rcfg);
-    ip::RemoteFaultClient client(mult);
+    auto& mult1 = c.make<ip::RemoteComponent>(
+        "MULT1", provider, "MultFastLowPower", w,
+        std::vector<std::pair<std::string, Connector*>>{{"a", &a1},
+                                                        {"b", &b1}},
+        std::vector<std::pair<std::string, Connector*>>{{"o", &o1}}, rcfg);
+    auto& mult2 = c.make<ip::RemoteComponent>(
+        "MULT2", provider, "MultFastLowPower", w,
+        std::vector<std::pair<std::string, Connector*>>{{"a", &a2},
+                                                        {"b", &b2}},
+        std::vector<std::pair<std::string, Connector*>>{{"o", &o2}}, rcfg);
+    ip::RemoteFaultClient client1(mult1);
+    ip::RemoteFaultClient client2(mult2);
 
+    // MULT2 sees MULT1's operands swapped.
     std::vector<std::vector<Word>> pats2;
     Rng rng(21);
-    for (int i = 0; i < 16; ++i) {
-      pats2.push_back(
-          {Word::fromUint(w, rng.next()), Word::fromUint(w, rng.next())});
+    for (int i = 0; i < 32; ++i) {
+      const Word x = Word::fromUint(w, rng.next());
+      const Word y = Word::fromUint(w, rng.next());
+      pats2.push_back({x, y, y, x});
     }
-    fault::VirtualFaultSimulator sim(c, {&client}, {&a, &b}, {&o});
+    fault::VirtualFaultSimulator sim(c, {&client1, &client2},
+                                     {&a1, &b1, &a2, &b2}, {&o1, &o2});
     sim.setTableBatch(batch);
     const auto before = channel.stats();
+    const std::uint64_t lanesBefore = lanesBuilt();
     const auto res = sim.run(pats2);
     const auto after = channel.stats();
-    std::printf("    %6zu | %11llu | %9llu | %12llu | %14.2f\n", batch,
+    const std::uint64_t built = (lanesBuilt() - lanesBefore) / faultsPerTable;
+    const cache::TaggedCacheStats st = store->stats();
+    if (batch == 1) builtAtBatch1 = built;
+    const std::string builtCol =
+        obs::kObsCompiledIn ? std::to_string(built) : "n/a";
+    std::printf("    %6zu | %11llu | %9llu | %12llu | %14.2f | %10llu | "
+                "%12s\n",
+                batch,
                 static_cast<unsigned long long>(res.tableFetchRoundTrips),
                 static_cast<unsigned long long>(after.calls - before.calls),
                 static_cast<unsigned long long>(
                     after.bytesSent + after.bytesReceived - before.bytesSent -
                     before.bytesReceived),
-                (after.blockingWallSec - before.blockingWallSec) * 1e3);
+                (after.blockingWallSec - before.blockingWallSec) * 1e3,
+                static_cast<unsigned long long>(st.hits + st.backendHits),
+                builtCol.c_str());
+    if (obs::kObsCompiledIn && built > builtAtBatch1) {
+      std::fprintf(stderr,
+                   "FAIL: batch %zu built %llu tables, batch 1 built %llu\n",
+                   batch, static_cast<unsigned long long>(built),
+                   static_cast<unsigned long long>(builtAtBatch1));
+      ok = false;
+    }
   }
   std::printf("    (one GetDetectionTables message pair serves the whole "
-              "batch; stall shrinks with the per-call WAN latency)\n");
+              "batch; the store holds one entry per configuration,\n"
+              "     so every batch builds what batch 1 builds)\n");
+  return ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -367,6 +424,11 @@ CacheCell runCacheCell(int w, int nPats) {
     ip::RemoteFaultClient client(mult);
     const double wall = wallOf([&] {
       fault::VirtualFaultSimulator sim(c, {&client}, {&a, &b}, {&o});
+      // One table per call, as when the warm-speedup floor was set: the
+      // sweep measures what a store hit saves over one cold table build.
+      // Batched cold builds share packed passes, which cuts cold time
+      // and with it this ratio (2.4-3.0x at the default batch).
+      sim.setTableBatch(1);
       res = sim.run(pats);
     });
     stats = channel.stats();
@@ -537,7 +599,7 @@ int main(int argc, char** argv) {
   vcad::bench::collapsingAblation();
   vcad::bench::remoteProfileSweep();
   vcad::bench::staticVsDynamic();
-  vcad::bench::tableBatchSweep();
+  if (!vcad::bench::tableBatchSweep()) return 1;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -11,16 +11,13 @@ void DetectionTableCache::attachStore(std::shared_ptr<cache::ResultStore> store,
   ns_ = ns;
 }
 
-cache::CacheKey DetectionTableCache::keyFor(const Word& inputs) const {
-  // Mirror the provider's key derivation for GetDetectionTable byte for
-  // byte: marshal the configuration exactly as the remote stub would, so
-  // provider-warmed entries hit here and vice versa.
+cache::CacheKey detectionTableKey(std::uint64_t digest, std::uint64_t ns,
+                                  const Word& inputs) {
   rmi::Args args;
   args.addWord(inputs);
-  return cache::resultKey(digest_, ns_,
-                          static_cast<std::uint32_t>(
-                              rmi::MethodId::GetDetectionTable),
-                          args.buffer().bytes());
+  return cache::resultKey(
+      digest, ns, static_cast<std::uint32_t>(rmi::MethodId::GetDetectionTable),
+      args.buffer().bytes());
 }
 
 const DetectionTable* DetectionTableCache::findPinned(
@@ -32,7 +29,7 @@ const DetectionTable* DetectionTableCache::findPinned(
 const DetectionTable* DetectionTableCache::findStored(
     const std::string& inputsKey, const Word& inputs) {
   if (!storeAttached()) return nullptr;
-  cache::Value bytes = store_->fetch(keyFor(inputs));
+  cache::Value bytes = store_->fetch(detectionTableKey(digest_, ns_, inputs));
   if (bytes == nullptr) return nullptr;
   net::ByteBuffer buf(*bytes);
   DetectionTable table = DetectionTable::deserialize(buf);
@@ -45,7 +42,7 @@ const DetectionTable* DetectionTableCache::insert(const std::string& inputsKey,
   if (storeAttached()) {
     net::ByteBuffer buf;
     table.serialize(buf);
-    store_->insert(keyFor(inputs), buf.bytes());
+    store_->insert(detectionTableKey(digest_, ns_, inputs), buf.bytes());
   }
   return &pinned_.emplace(inputsKey, std::move(table)).first->second;
 }

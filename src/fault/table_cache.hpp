@@ -14,11 +14,11 @@
 //              are written through so the next campaign (or tenant, or
 //              process) starts warm.
 //
-// The store key is derived exactly as the provider derives it for
-// GetDetectionTable — same digest, same method id, same marshalled
-// argument bytes — so a client-side view and a provider-side store
-// attached to the same ResultStore share entries: a table the provider
-// built for one user is a local, zero-round-trip hit for the next.
+// Every store entry holds one table under detectionTableKey, which the
+// provider's GetDetectionTable and GetDetectionTables paths call too, so a
+// client-side view and a provider-side store attached to the same
+// ResultStore share entries at any batch size: a table the provider built
+// for one user is a local, zero-round-trip hit for the next.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +30,13 @@
 #include "fault/detection.hpp"
 
 namespace vcad::fault {
+
+/// The result-store address of the detection table for one input
+/// configuration of the component with netlist-version `digest`, in tenant
+/// namespace `ns`: the GetDetectionTable method id over the configuration
+/// marshalled as the remote stub sends it.
+cache::CacheKey detectionTableKey(std::uint64_t digest, std::uint64_t ns,
+                                  const Word& inputs);
 
 class DetectionTableCache {
  public:
@@ -62,8 +69,6 @@ class DetectionTableCache {
   std::size_t pinnedCount() const { return pinned_.size(); }
 
  private:
-  cache::CacheKey keyFor(const Word& inputs) const;
-
   std::map<std::string, DetectionTable> pinned_;
   std::shared_ptr<cache::ResultStore> store_;
   std::uint64_t digest_ = 0;

@@ -24,12 +24,13 @@
 // functions of their inputs — which the protocol already assumes.
 //
 // One engine runs phase 2, on the calling thread. Patterns are processed in
-// batches (setTableBatch): per component, the batch's unseen input
-// configurations are fetched in one round trip (the paper's pattern
-// buffering applied to fault characterization). A single missing
-// configuration goes out as detectionTable (GetDetectionTable), two or more
-// as one detectionTables (GetDetectionTables) call, so batch 1 puts exactly
-// the per-pattern traffic on the wire. The campaign pins one
+// batches (setTableBatch, default kDefaultTableBatch = 32): per component,
+// the batch's unseen input configurations are fetched in one round trip
+// (the paper's pattern buffering applied to fault characterization). A
+// single missing configuration goes out as detectionTable
+// (GetDetectionTable), two or more as one detectionTables
+// (GetDetectionTables) call, so batch 1 puts exactly the per-pattern
+// traffic on the wire. The campaign pins one
 // SimulationController per batch position for the fault-free runs and one
 // for injections — one slot of the state arena each — and reset()s them
 // between runs (an O(1) generation renew) instead of reconstructing them.
@@ -93,6 +94,11 @@ struct CampaignResult {
 
 class VirtualFaultSimulator {
  public:
+  /// Patterns per detection-table fetch unless setTableBatch says
+  /// otherwise. Past 32 the round trips saved stop paying for the arena
+  /// slots pinned: 33 of 127 leave room for three concurrent campaigns.
+  static constexpr std::size_t kDefaultTableBatch = 32;
+
   /// `components` are the design's fault-participating blocks;
   /// `primaryInputs`/`primaryOutputs` are the connectors where patterns are
   /// applied and responses observed. All connectors must belong to `design`.
@@ -119,10 +125,11 @@ class VirtualFaultSimulator {
     storeNamespace_ = ns;
   }
 
-  /// Patterns per detection-table fetch (default 1; 0 counts as 1). The
-  /// campaign pins one fault-free controller per batch position plus one
-  /// injection controller, so batch + 1 must fit in the SlotRegistry's
-  /// arena.
+  /// Patterns per detection-table fetch (default kDefaultTableBatch; 0
+  /// counts as 1). The campaign pins one fault-free controller per batch
+  /// position plus one injection controller, so min(batch, patterns) + 1
+  /// must fit in the SlotRegistry's arena alongside every other live
+  /// campaign in the process.
   void setTableBatch(std::size_t n) { batch_ = n == 0 ? 1 : n; }
 
  private:
@@ -136,7 +143,7 @@ class VirtualFaultSimulator {
   std::vector<FaultClient*> components_;
   std::vector<Connector*> pis_;
   std::vector<Connector*> pos_;
-  std::size_t batch_ = 1;
+  std::size_t batch_ = kDefaultTableBatch;
   std::shared_ptr<cache::ResultStore> store_;
   std::uint64_t storeNamespace_ = 0;
 };

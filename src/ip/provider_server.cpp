@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "fault/table_cache.hpp"
 #include "ip/negotiation.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -388,32 +389,13 @@ Response ProviderServer::instantiate(const Request& request,
   return resp;
 }
 
-bool ProviderServer::consultStore(const Request& request, const Instance& inst,
-                                  Response& resp,
-                                  cache::ResultStore::Claim& claim) {
-  std::shared_ptr<cache::ResultStore> store;
-  std::uint64_t ns = 0;
-  {
-    std::lock_guard<std::mutex> lock(storeMutex_);
-    store = resultStore_;
-    ns = storeNamespace_;
-  }
-  if (store == nullptr || inst.digest == 0) return false;
-  // Key = (netlist-version digest, tenant namespace, method, marshalled
-  // argument bytes) — the same FNV-1a discipline as the channel's
-  // idempotency keys, so identical requests address identical entries.
-  const cache::CacheKey key = cache::resultKey(
-      inst.digest, ns, static_cast<std::uint32_t>(request.method),
-      request.args.buffer().bytes());
-  claim = store->fetchOrClaim(key);
-  if (claim.value != nullptr) {
-    // Warm hit: the exact bytes a cold execution produced, so the response
-    // is bit-identical to the uncached one.
-    resp.payload = net::ByteBuffer(*claim.value);
-    resp.cached = true;
-    return true;
-  }
-  return false;
+ProviderServer::StoreView ProviderServer::storeFor(const Instance& inst) const {
+  StoreView view;
+  if (inst.digest == 0) return view;
+  std::lock_guard<std::mutex> lock(storeMutex_);
+  view.store = resultStore_;
+  view.ns = storeNamespace_;
+  return view;
 }
 
 Response ProviderServer::execute(const Request& request,
@@ -614,18 +596,24 @@ Response ProviderServer::execute(const Request& request,
       const Word inputs = args.takeWord();
       Response resp;
       resp.version = inst->digest;
+      const StoreView view = storeFor(*inst);
       cache::ResultStore::Claim claim;
-      if (consultStore(request, *inst, resp, claim)) {
-        charge(*session, MethodId::GetDetectionTable,
-               spec.fees.perDetectionTableCents, resp);
-        cache = true;
-        return resp;
+      if (view.store != nullptr) {
+        claim = view.store->fetchOrClaim(
+            fault::detectionTableKey(inst->digest, view.ns, inputs));
       }
-      {
-        std::lock_guard<std::mutex> exec(inst->execMutex);
-        inst->impl->detectionTable(inputs).serialize(resp.payload);
+      if (claim.value != nullptr) {
+        // Warm hit: the exact bytes a cold execution produced, so the
+        // response is bit-identical to the uncached one.
+        resp.payload = net::ByteBuffer(*claim.value);
+        resp.cached = true;
+      } else {
+        {
+          std::lock_guard<std::mutex> exec(inst->execMutex);
+          inst->impl->detectionTable(inputs).serialize(resp.payload);
+        }
+        if (claim.owned()) claim.fulfill(resp.payload.bytes());
       }
-      if (claim.owned()) claim.fulfill(resp.payload.bytes());
       charge(*session, MethodId::GetDetectionTable,
              spec.fees.perDetectionTableCents, resp);
       cache = true;
@@ -638,32 +626,58 @@ Response ProviderServer::execute(const Request& request,
             "no dynamic testability model for " + inst->component);
       }
       // Batched variant: one table per buffered input configuration, one
-      // message pair total, built in one packed bit-parallel sweep (64
-      // configurations per fault pass) server-side. Fees are identical to
-      // the per-table method — batching saves round trips, not licensing
-      // cost — and a warm store hit charges exactly the same: the fee
-      // licenses the detection data, not the provider's CPU time.
+      // message pair total. The store holds one entry per configuration
+      // under the single-table key, so a batch hits whatever any batch size
+      // (or a client view) wrote; only the misses are built, in one packed
+      // bit-parallel sweep (64 configurations per fault pass). Plain
+      // fetch/insert, not one claim per key: a request holding several
+      // claims while it waits on another request's claim could deadlock.
+      // Fees are identical to the per-table method — batching saves round
+      // trips, not licensing cost — and a warm hit charges exactly the
+      // same: the fee licenses the detection data, not the provider's CPU.
       const std::vector<Word> configs = args.takeWordVector();
       Response resp;
       resp.version = inst->digest;
-      cache::ResultStore::Claim claim;
-      if (consultStore(request, *inst, resp, claim)) {
-        charge(*session, MethodId::GetDetectionTables,
-               spec.fees.perDetectionTableCents *
-                   static_cast<double>(configs.size()),
-               resp);
-        cache = true;
-        return resp;
-      }
-      {
-        std::lock_guard<std::mutex> exec(inst->execMutex);
-        resp.payload.writeU32(static_cast<std::uint32_t>(configs.size()));
-        for (const fault::DetectionTable& t :
-             inst->impl->detectionTables(configs)) {
-          t.serialize(resp.payload);
+      const StoreView view = storeFor(*inst);
+      std::vector<cache::CacheKey> keys(configs.size());
+      std::vector<cache::Value> tables(configs.size());
+      std::vector<std::size_t> missAt;
+      std::vector<Word> missing;
+      for (std::size_t i = 0; i < configs.size(); ++i) {
+        if (view.store != nullptr) {
+          keys[i] = fault::detectionTableKey(inst->digest, view.ns, configs[i]);
+          tables[i] = view.store->fetch(keys[i]);
+        }
+        if (tables[i] == nullptr) {
+          missAt.push_back(i);
+          missing.push_back(configs[i]);
         }
       }
-      if (claim.owned()) claim.fulfill(resp.payload.bytes());
+      if (!missing.empty()) {
+        std::vector<fault::DetectionTable> built;
+        {
+          std::lock_guard<std::mutex> exec(inst->execMutex);
+          built = inst->impl->detectionTables(missing);
+        }
+        for (std::size_t j = 0; j < missAt.size(); ++j) {
+          net::ByteBuffer buf;
+          built[j].serialize(buf);
+          tables[missAt[j]] =
+              std::make_shared<const std::vector<std::uint8_t>>(buf.bytes());
+          if (view.store != nullptr) {
+            view.store->insert(keys[missAt[j]], buf.bytes());
+          }
+        }
+      }
+      // Request order, each table's bytes as a cold build serializes them.
+      net::ByteBuffer count;
+      count.writeU32(static_cast<std::uint32_t>(configs.size()));
+      std::vector<std::uint8_t> payload = count.bytes();
+      for (const cache::Value& t : tables) {
+        payload.insert(payload.end(), t->begin(), t->end());
+      }
+      resp.payload = net::ByteBuffer(std::move(payload));
+      resp.cached = !configs.empty() && missing.empty();
       charge(*session, MethodId::GetDetectionTables,
              spec.fees.perDetectionTableCents *
                  static_cast<double>(configs.size()),

@@ -259,14 +259,14 @@ class ProviderServer : public rmi::ServerEndpoint, public PublicPartSource {
                                          rmi::SessionId session) const;
   void charge(Session& session, rmi::MethodId method, double cents,
               rmi::Response& response);
-  /// Consults the result store for a detection-table request. True on a
-  /// warm hit: `resp.payload` holds the stored bytes verbatim and
-  /// `resp.cached` is set. On a store miss, `claim` is the owned
-  /// claim-on-miss slot the caller fulfills after computing (the Claim
-  /// destructor abandons it if the computation throws); with no store
-  /// attached (or a versionless instance) `claim` stays empty.
-  bool consultStore(const rmi::Request& request, const Instance& inst,
-                    rmi::Response& resp, cache::ResultStore::Claim& claim);
+  /// The attached result store and tenant namespace for `inst`'s
+  /// detection tables; `store` is null when none is attached or the
+  /// instance is versionless (digest 0).
+  struct StoreView {
+    std::shared_ptr<cache::ResultStore> store;
+    std::uint64_t ns = 0;
+  };
+  StoreView storeFor(const Instance& inst) const;
 
   std::string hostName_;
   LogSink* log_;

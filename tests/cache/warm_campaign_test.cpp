@@ -2,9 +2,10 @@
 // differentials (coverage, fees and detection tables bit-identical), hit
 // survival across a provider restart with an unchanged netlist, versioned
 // invalidation when the netlist changes, loopback/socket parity of the
-// ChannelStats cache counters, cross-site sharing with
-// FaultDictionary::build, and the execute-once guarantee for concurrent
-// same-key misses arriving through the provider.
+// ChannelStats cache counters, batch-independent store entries (per-table
+// and batched calls, provider and client views, hit each other's entries),
+// cross-site sharing with FaultDictionary::build, and the execute-once
+// guarantee for concurrent same-key misses arriving through the provider.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -140,8 +141,13 @@ struct Rig {
     pos = {&o};
   }
 
-  CampaignResult runCampaign(const std::vector<std::vector<Word>>& patterns) {
+  CampaignResult runCampaign(
+      const std::vector<std::vector<Word>>& patterns,
+      std::size_t batch = VirtualFaultSimulator::kDefaultTableBatch,
+      std::shared_ptr<cache::ResultStore> clientStore = nullptr) {
     VirtualFaultSimulator sim(circuit, {client.get()}, pis, pos);
+    sim.setTableBatch(batch);
+    sim.setResultStore(std::move(clientStore));
     return sim.run(patterns);
   }
 };
@@ -176,8 +182,9 @@ TEST(WarmCampaign, ColdThenWarmProviderStoreIsBitIdentical) {
   const CampaignResult goldRes = cold.runCampaign(pats);
   const rmi::ChannelStats coldStats = cold.channel.stats();
   ASSERT_GT(goldRes.detected.size(), 0u);
+  // The channel counts table calls, one per fetch round trip.
   EXPECT_EQ(coldStats.cacheHits, 0u);
-  EXPECT_EQ(coldStats.cacheMisses, goldRes.detectionTablesRequested);
+  EXPECT_EQ(coldStats.cacheMisses, goldRes.tableFetchRoundTrips);
   EXPECT_EQ(coldStats.cacheEvictions, 0u);
 
   // Warm: a *different* provider process sharing the store. Identical
@@ -197,7 +204,7 @@ TEST(WarmCampaign, ColdThenWarmProviderStoreIsBitIdentical) {
   EXPECT_DOUBLE_EQ(warmStats.feesCents, coldStats.feesCents);
 
   // The channel observed the store: every table response was a warm hit.
-  EXPECT_EQ(warmStats.cacheHits, goldRes.detectionTablesRequested);
+  EXPECT_EQ(warmStats.cacheHits, goldRes.tableFetchRoundTrips);
   EXPECT_EQ(warmStats.cacheMisses, 0u);
   EXPECT_GT(warmStats.cacheBytes, 0u);
 
@@ -234,7 +241,7 @@ TEST(WarmCampaign, HitsSurviveProviderRestartWithUnchangedNetlist) {
   EXPECT_EQ(afterRes.detected, goldRes.detected);
   EXPECT_EQ(afterRes.detectedAfterPattern, goldRes.detectedAfterPattern);
   // Same digest → same keys → the warmed entries keep serving.
-  EXPECT_EQ(after.channel.stats().cacheHits, goldRes.detectionTablesRequested);
+  EXPECT_EQ(after.channel.stats().cacheHits, goldRes.tableFetchRoundTrips);
   EXPECT_EQ(after.channel.stats().cacheMisses, 0u);
 }
 
@@ -262,8 +269,7 @@ TEST(WarmCampaign, ChangedNetlistInvalidatesEveryWarmEntry) {
   ASSERT_NE(after.client->versionDigest(), 0u);
   // Zero stale hits: every table request went to compute, not the store.
   EXPECT_EQ(after.channel.stats().cacheHits, 0u);
-  EXPECT_EQ(after.channel.stats().cacheMisses,
-            afterRes.detectionTablesRequested);
+  EXPECT_EQ(after.channel.stats().cacheMisses, afterRes.tableFetchRoundTrips);
   EXPECT_EQ(store->stats().misses,
             storeMissesBefore + afterRes.detectionTablesRequested);
 }
@@ -330,6 +336,108 @@ TEST(WarmCampaign, LoopbackAndSocketBackendsCountCachesIdentically) {
             loopWarm.channel.stats().cacheBytes);
   EXPECT_GT(loopWarm.channel.stats().cacheHits, 0u);
   EXPECT_EQ(loopWarm.channel.stats().cacheMisses, 0u);
+}
+
+/// Every table of a batched GetDetectionTables call, serialized.
+std::vector<std::vector<std::uint8_t>> batchBytes(
+    ip::RemoteFaultClient& client, const std::vector<std::uint64_t>& configs) {
+  std::vector<Word> words;
+  for (std::uint64_t c : configs) words.push_back(Word::fromUint(2 * kW, c));
+  std::vector<std::vector<std::uint8_t>> out;
+  for (const DetectionTable& t : client.detectionTables(words)) {
+    net::ByteBuffer buf;
+    t.serialize(buf);
+    out.push_back(buf.bytes());
+  }
+  return out;
+}
+
+TEST(WarmCampaign, ProviderStoreEntriesAreBatchIndependent) {
+  // The provider stores one entry per configuration under the per-table
+  // key, whatever the call's batch: a store one batch size warmed serves
+  // any other with zero builds. Store misses count builds exactly (a
+  // memory-only store has no second tier).
+  const auto pats = patterns(40, 0xBA7C4);
+  for (const auto& [warmBatch, servedBatch] :
+       {std::pair<std::size_t, std::size_t>{1, 32}, {32, 1}}) {
+    SCOPED_TRACE("warm at batch " + std::to_string(warmBatch) +
+                 ", served at batch " + std::to_string(servedBatch));
+    auto store = cache::ResultStore::inMemory();
+    ip::ProviderServer server("provider.host", nullptr);
+    registerMultiplier(server);
+    server.setResultStore(store);
+
+    Rig warm(server, /*seed=*/11);
+    const CampaignResult warmRes = warm.runCampaign(pats, warmBatch);
+    // Each distinct configuration was built exactly once.
+    ASSERT_GT(warmRes.detectionTablesRequested, 1u);
+    EXPECT_EQ(store->stats().misses, warmRes.detectionTablesRequested);
+
+    Rig served(server, /*seed=*/22);
+    const CampaignResult servedRes = served.runCampaign(pats, servedBatch);
+    EXPECT_EQ(store->stats().misses, warmRes.detectionTablesRequested);
+    EXPECT_EQ(served.channel.stats().cacheMisses, 0u);
+    EXPECT_EQ(served.channel.stats().cacheHits, servedRes.tableFetchRoundTrips);
+    EXPECT_EQ(servedRes.detected, warmRes.detected);
+    EXPECT_EQ(servedRes.detectedAfterPattern, warmRes.detectedAfterPattern);
+    EXPECT_EQ(servedRes.detectionTablesRequested,
+              warmRes.detectionTablesRequested);
+    EXPECT_DOUBLE_EQ(served.channel.stats().feesCents,
+                     warm.channel.stats().feesCents);
+  }
+
+  // A batch that mixes stored and fresh configurations ships the bytes a
+  // store-less provider builds cold, in request order.
+  auto store = cache::ResultStore::inMemory();
+  ip::ProviderServer server("provider.host", nullptr);
+  registerMultiplier(server);
+  server.setResultStore(store);
+  Rig partial(server, /*seed=*/33);
+  partial.runCampaign(patterns(3, 0x5107));
+  ASSERT_GT(store->stats().entries, 0u);
+  ip::ProviderServer coldServer("provider.host", nullptr);
+  registerMultiplier(coldServer);
+  Rig cold(coldServer, /*seed=*/44);
+  std::vector<std::uint64_t> all(1u << (2 * kW));
+  for (std::uint64_t c = 0; c < all.size(); ++c) all[c] = c;
+  const auto mixed = batchBytes(*partial.client, all);
+  EXPECT_EQ(mixed, batchBytes(*cold.client, all));
+  EXPECT_EQ(store->stats().entries, all.size());
+  // Every configuration is now stored: the same batch is served whole, and
+  // each entry equals the per-table call's bytes.
+  EXPECT_EQ(batchBytes(*partial.client, all), mixed);
+  for (std::uint64_t c : {0u, 17u, 63u}) {
+    EXPECT_EQ(tableBytes(*partial.client, c), mixed[c]) << c;
+  }
+}
+
+TEST(WarmCampaign, ClientStoreViewHitsProviderWrittenBatchEntries) {
+  // The client view and the provider derive keys through the same
+  // function: entries the provider wrote for batched calls are local,
+  // zero-round-trip hits for a client campaign at the default batch.
+  auto store = cache::ResultStore::inMemory();
+  const auto pats = patterns(40, 0xC11E);
+  ip::ProviderServer server("provider.host", nullptr);
+  registerMultiplier(server);
+  server.setResultStore(store);
+  Rig provider(server, /*seed=*/11);
+  const CampaignResult providerRes = provider.runCampaign(pats);
+  ASSERT_GT(providerRes.detectionTablesRequested, 1u);
+  ASSERT_LT(providerRes.tableFetchRoundTrips,
+            providerRes.detectionTablesRequested);
+
+  ip::ProviderServer coldServer("provider.host", nullptr);
+  registerMultiplier(coldServer);
+  Rig client(coldServer, /*seed=*/22);
+  const auto missesBefore = store->stats().misses;
+  const CampaignResult clientRes = client.runCampaign(
+      pats, VirtualFaultSimulator::kDefaultTableBatch, store);
+  EXPECT_EQ(clientRes.tableStoreHits, providerRes.detectionTablesRequested);
+  EXPECT_EQ(clientRes.detectionTablesRequested, 0u);
+  EXPECT_EQ(clientRes.tableFetchRoundTrips, 0u);
+  EXPECT_EQ(store->stats().misses, missesBefore);
+  EXPECT_EQ(clientRes.detected, providerRes.detected);
+  EXPECT_EQ(clientRes.detectedAfterPattern, providerRes.detectedAfterPattern);
 }
 
 TEST(WarmCampaign, DictionaryBuildSharesTheCampaignWarmedStore) {

@@ -642,18 +642,20 @@ std::vector<CellSpec> extraDimensionCells() {
   }
   // Mid-campaign provider restart (combinational only: a sequential
   // campaign's shadow-machine state cannot survive the provider crash).
+  // Each crash lands on the second of the three blocks' batched table
+  // fetches (the cone cell's drop profile retries one fault-list call).
   {
     CellSpec c;
     c.family = cone;
     c.network = net::NetworkProfile::lan();
     c.chaos = net::FaultProfile::drop();
     c.chaosSeed = 31;
-    c.restartAfter = 17;
+    c.restartAfter = 10;
     cells.push_back(c);
     CellSpec d;
     d.family = datapath;
     d.network = net::NetworkProfile::localhost();
-    d.restartAfter = 23;
+    d.restartAfter = 9;
     cells.push_back(d);
   }
   // A longer lossy Controller campaign (more cycles per shadow machine).

@@ -123,14 +123,16 @@ TEST(MatrixCells, WarmStoreCellIsBitIdenticalWithStoreHits) {
 /// The restart axis: a provider crash mid-campaign is recovered via the
 /// session manifest; the campaign's decisions and table bytes still match
 /// the oracle (fees legitimately include the re-license, so they are
-/// excluded — CellSpec::comparesFees documents that).
+/// excluded — CellSpec::comparesFees documents that). Dispatch 10 is the
+/// second of the three blocks' batched table fetches, so the crash lands
+/// mid-characterization.
 TEST(MatrixCells, RestartCellRecoversAndMatchesOracle) {
   CellSpec spec;
   spec.family = {CircuitFamily::Cone, 0, 7};
   spec.network = net::NetworkProfile::lan();
   spec.chaos = net::FaultProfile::drop();
   spec.chaosSeed = 31;
-  spec.restartAfter = 17;
+  spec.restartAfter = 10;
   const CellResult cell = runCell(spec);
   const std::vector<std::string> mismatches =
       compareToOracle(cell, oracleFor(spec));

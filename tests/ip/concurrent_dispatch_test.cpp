@@ -8,6 +8,9 @@
 //   - two *simultaneous* duplicate frames (same idempotency key) execute
 //     once, bill once, and both receive the identical response — over the
 //     loopback dispatch path and over the socket/multi-tenant front end,
+//   - two sessions' simultaneous, overlapping batched table requests
+//     against a shared result store never hang and answer byte for byte
+//     as a serial run,
 //   - restart() is safe against in-flight handlers and never re-issues ids.
 #include "ip/provider_server.hpp"
 
@@ -24,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "cache/result_store.hpp"
 #include "gate/generators.hpp"
 #include "ip/multi_tenant_server.hpp"
 #include "net/socket_transport.hpp"
@@ -433,6 +437,142 @@ TEST(ConcurrentDispatch, SimultaneousDuplicatesExecuteOnceOverSockets) {
       });
   ASSERT_NE(it, inv.items.end());
   EXPECT_EQ(it->calls, static_cast<std::uint64_t>(kRounds));
+  server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Overlapping batches against a shared store: each configuration is its own
+// store entry, written with plain fetch/insert, so two sessions racing on
+// the same fresh configurations may both build one, but neither waits on
+// the other and both ship the bytes a serial run ships.
+// ---------------------------------------------------------------------------
+
+TEST(ConcurrentDispatch, OverlappingBatchesOverSharedStoreMatchSerial) {
+  constexpr int kWidth = 6;
+  constexpr int kRounds = 12;
+  constexpr std::uint64_t kSpan = 8;  // configurations per batch
+  constexpr std::uint64_t kShift = 4;  // B's batch starts halfway into A's
+  // Round r: side 0 asks for [8r, 8r + 8), side 1 for [8r + 4, 8r + 12).
+  auto batchFor = [](int round, int side) {
+    std::vector<Word> configs;
+    const std::uint64_t first = round * kSpan + side * kShift;
+    for (std::uint64_t c = first; c < first + kSpan; ++c) {
+      configs.push_back(Word::fromUint(2 * kWidth, c));
+    }
+    return configs;
+  };
+  auto tablesRequest = [&](rmi::SessionId session, rmi::InstanceId instance,
+                           int round, int side) {
+    Request r = makeRequest(MethodId::GetDetectionTables, session, instance,
+                            10'000 + round * 2 + side);
+    r.args.addWordVector(batchFor(round, side));
+    return r;
+  };
+
+  // Serial reference: one in-process server, its own store, the same calls
+  // one after another.
+  ProviderServer serial("provider.host");
+  registerMultiplier(serial);
+  serial.setResultStore(cache::ResultStore::inMemory(), 1);
+  rmi::SessionId serialSession[2];
+  rmi::InstanceId serialInstance[2];
+  for (int side = 0; side < 2; ++side) {
+    serialSession[side] =
+        Response(openSession(serial, side + 1)).payload.readU64();
+    Request inst = makeRequest(MethodId::Instantiate, serialSession[side], 0,
+                               side + 3);
+    inst.component = "MultFastLowPower";
+    inst.args.addU64(kWidth);
+    serialInstance[side] = serial.dispatch(inst).payload.readU64();
+  }
+  std::vector<std::uint8_t> expected[kRounds][2];
+  for (int round = 0; round < kRounds; ++round) {
+    for (int side = 0; side < 2; ++side) {
+      const Response resp = serial.dispatch(tablesRequest(
+          serialSession[side], serialInstance[side], round, side));
+      ASSERT_TRUE(resp.ok());
+      expected[round][side] = resp.payload.bytes();
+    }
+  }
+
+  auto store = cache::ResultStore::inMemory();
+  MultiTenantProviderServer::Config cfg;
+  cfg.queue.workers = 2;
+  cfg.resultStore = store;
+  MultiTenantProviderServer server(
+      [](TenantId) {
+        auto ep = std::make_unique<ProviderServer>("provider.host");
+        registerMultiplier(*ep);
+        return std::unique_ptr<rmi::ServerEndpoint>(std::move(ep));
+      },
+      cfg);
+  const std::uint16_t port = server.listenTcp(0);
+  ASSERT_NE(port, 0);
+  server.start();
+
+  std::unique_ptr<rmi::RmiChannel> channel[2];
+  rmi::SessionId session[2];
+  rmi::InstanceId instance[2];
+  for (int side = 0; side < 2; ++side) {
+    auto transport = net::SocketTransport::connectTcp("127.0.0.1", port);
+    ASSERT_NE(transport, nullptr);
+    channel[side] = std::make_unique<rmi::RmiChannel>(
+        std::move(transport), net::NetworkProfile::lan());
+    channel[side]->setTenant(1);
+    Request openReq;
+    openReq.method = MethodId::OpenSession;
+    openReq.idempotencyKey = side + 1;
+    Response open = channel[side]->call(openReq);
+    ASSERT_TRUE(open.ok());
+    session[side] = open.payload.readU64();
+    Request inst = makeRequest(MethodId::Instantiate, session[side], 0,
+                               side + 3);
+    inst.component = "MultFastLowPower";
+    inst.args.addU64(kWidth);
+    Response instResp = channel[side]->call(inst);
+    ASSERT_TRUE(instResp.ok());
+    instance[side] = instResp.payload.readU64();
+  }
+
+  Gate gate(2);
+  for (int round = 0; round < kRounds; ++round) {
+    Response got[2];
+    std::vector<std::thread> pair;
+    for (int side = 0; side < 2; ++side) {
+      pair.emplace_back([&, side] {
+        Request r = tablesRequest(session[side], instance[side], round, side);
+        gate.wait();
+        got[side] = channel[side]->call(r);
+      });
+    }
+    for (auto& t : pair) t.join();
+    SCOPED_TRACE("round " + std::to_string(round));
+    for (int side = 0; side < 2; ++side) {
+      ASSERT_TRUE(got[side].ok());
+      EXPECT_EQ(got[side].payload.bytes(), expected[round][side])
+          << "side " << side;
+    }
+  }
+  server.waitIdle();
+
+  // Fees are per table, hit or built: each session's ledger equals its
+  // serial counterpart exactly.
+  auto* shard = dynamic_cast<ProviderServer*>(server.tenantEndpoint(1));
+  ASSERT_NE(shard, nullptr);
+  for (int side = 0; side < 2; ++side) {
+    EXPECT_EQ(shard->sessionFeesCents(session[side]),
+              serial.sessionFeesCents(serialSession[side]));
+    const auto inv = shard->invoice(session[side]);
+    const auto it = std::find_if(
+        inv.items.begin(), inv.items.end(), [](const auto& item) {
+          return item.method == MethodId::GetDetectionTables;
+        });
+    ASSERT_NE(it, inv.items.end());
+    EXPECT_EQ(it->calls, static_cast<std::uint64_t>(kRounds));
+    EXPECT_DOUBLE_EQ(it->cents, kRounds * kSpan * 0.05);
+  }
+  // One entry per distinct configuration, however the overlaps raced.
+  EXPECT_EQ(store->stats().entries, kRounds * kSpan + kShift);
   server.stop();
 }
 

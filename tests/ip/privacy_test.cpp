@@ -131,6 +131,14 @@ TEST(Privacy, ProviderSeesOnlyComponentPortWidths) {
         EXPECT_EQ(in.width(), 2);
         break;
       }
+      case rmi::MethodId::GetDetectionTables: {
+        // Pattern buffering ships several configurations at once; each is
+        // still only IP1's 2 input bits.
+        const std::vector<Word> configs = args.takeWordVector();
+        EXPECT_FALSE(configs.empty());
+        for (const Word& in : configs) EXPECT_EQ(in.width(), 2);
+        break;
+      }
       case rmi::MethodId::Instantiate:
       case rmi::MethodId::OpenSession:
       case rmi::MethodId::GetFaultList:

@@ -28,6 +28,10 @@ namespace {
 using chaos::ChaosOutcome;
 using chaos::ChaosRig;
 
+/// The serial baselines run at the table batch runTenantCampaign's engine
+/// uses by default, so bit-identity covers the batched wire.
+constexpr std::size_t kBatch = fault::VirtualFaultSimulator::kDefaultTableBatch;
+
 /// Shared rig: the multi-tenant server plus a registry of the shards its
 /// factory built, so tests can query per-tenant provider ledgers after the
 /// campaigns finish.
@@ -192,8 +196,8 @@ TEST(MtChaos, FourTenantsBitIdenticalToFourSerialRuns) {
   std::vector<ChaosOutcome> bases;
   bases.reserve(plans.size());
   for (const TenantPlan& p : plans) {
-    bases.push_back(chaos::runChaosCampaign(p.profile, p.seed, 6, 0, 1, nullptr,
-                                            /*traced=*/false));
+    bases.push_back(chaos::runChaosCampaign(p.profile, p.seed, 6, 0, kBatch,
+                                            nullptr, /*traced=*/false));
   }
 
   ip::MultiTenantProviderServer::Config cfg;
@@ -243,8 +247,8 @@ TEST(MtChaos, SheddingQueuePreservesCoverageAndFees) {
   std::vector<ChaosOutcome> bases;
   bases.reserve(plans.size());
   for (const TenantPlan& p : plans) {
-    bases.push_back(chaos::runChaosCampaign(p.profile, p.seed, 6, 0, 1, nullptr,
-                                            /*traced=*/false));
+    bases.push_back(chaos::runChaosCampaign(p.profile, p.seed, 6, 0, kBatch,
+                                            nullptr, /*traced=*/false));
   }
 
   ip::MultiTenantProviderServer::Config cfg;
@@ -287,14 +291,16 @@ TEST(MtChaos, SheddingQueuePreservesCoverageAndFees) {
 }
 
 TEST(MtChaos, MidRunShardRestartStaysBitIdentical) {
-  // The tenant's shard loses all sessions after its 7th dispatch. The
-  // client must recover over the shared multi-tenant front end and finish
+  // The tenant's shard loses all sessions at its 5th dispatch: the
+  // campaign's one batched table fetch, after the fault list. The client
+  // must recover over the shared multi-tenant front end and finish
   // bit-identical to the serial restart baseline.
   const net::FaultProfile profile = net::FaultProfile::drop();
   constexpr std::uint64_t kSeed = 3;
-  constexpr std::uint64_t kRestartAfter = 7;
+  constexpr std::uint64_t kRestartAfter = 5;
   ChaosOutcome base = chaos::runChaosCampaign(profile, kSeed, 6, kRestartAfter,
-                                              1, nullptr, /*traced=*/false);
+                                              kBatch, nullptr,
+                                              /*traced=*/false);
   ASSERT_EQ(base.restarts, 1u);  // the crash point actually fired
 
   ip::MultiTenantProviderServer::Config cfg;
@@ -321,10 +327,10 @@ TEST(MtChaos, QuotaThrottledNeighbourNeverPerturbsOtherTenants) {
   const TenantPlan planA{1, net::FaultProfile::none(), 31};
   const TenantPlan planC{3, net::FaultProfile::lossy(), 33};
   ChaosOutcome baseA = chaos::runChaosCampaign(planA.profile, planA.seed, 6,
-                                               0, 1, nullptr,
+                                               0, kBatch, nullptr,
                                                /*traced=*/false);
   ChaosOutcome baseC = chaos::runChaosCampaign(planC.profile, planC.seed, 6,
-                                               0, 1, nullptr,
+                                               0, kBatch, nullptr,
                                                /*traced=*/false);
 
   ip::MultiTenantProviderServer::Config cfg;

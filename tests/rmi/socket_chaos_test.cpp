@@ -38,6 +38,10 @@ namespace {
 using chaos::ChaosOutcome;
 using chaos::ChaosRig;
 
+/// The in-process baselines run at the table batch the socket run's engine
+/// uses by default, so bit-identity covers the batched wire.
+constexpr std::size_t kBatch = fault::VirtualFaultSimulator::kDefaultTableBatch;
+
 // --- raw-frame helpers ----------------------------------------------------
 
 std::vector<std::uint8_t> responseFrame(std::uint64_t requestId,
@@ -479,7 +483,7 @@ TEST_P(TwoProcessChaos, BitIdenticalToInProcessRun) {
   ASSERT_LT(static_cast<std::size_t>(GetParam()), profiles.size());
   const net::FaultProfile& profile = profiles[GetParam()];
   for (std::uint64_t seed : {1ULL, 2ULL}) {
-    ChaosOutcome base = chaos::runChaosCampaign(profile, seed);
+    ChaosOutcome base = chaos::runChaosCampaign(profile, seed, 6, 0, kBatch);
     ChaosOutcome socket = runSocketChaosCampaign(profile, seed,
                                                  /*patternCount=*/6,
                                                  /*restartAfter=*/0,
@@ -494,13 +498,15 @@ INSTANTIATE_TEST_SUITE_P(ShippedProfiles, TwoProcessChaos,
                          ::testing::Range(0, 6));
 
 TEST(TwoProcessChaosRestart, SurvivesMidRunProviderRestart) {
-  // The provider process loses every session after its 7th dispatch; the
-  // client must recover over the socket and still finish bit-identical to
-  // the in-process restart run.
+  // The provider process loses every session at its 5th dispatch: the
+  // campaign's one batched table fetch, after the fault list. The client
+  // must recover over the socket and still finish bit-identical to the
+  // in-process restart run.
   const net::FaultProfile profile = net::FaultProfile::drop();
   constexpr std::uint64_t kSeed = 3;
-  constexpr std::uint64_t kRestartAfter = 7;
-  ChaosOutcome base = chaos::runChaosCampaign(profile, kSeed, 6, kRestartAfter);
+  constexpr std::uint64_t kRestartAfter = 5;
+  ChaosOutcome base = chaos::runChaosCampaign(profile, kSeed, 6, kRestartAfter,
+                                              kBatch);
   ASSERT_EQ(base.restarts, 1u);  // the crash point actually fired
   ChaosOutcome socket = runSocketChaosCampaign(profile, kSeed, 6,
                                                kRestartAfter,
@@ -517,7 +523,7 @@ TEST(TwoProcessChaosQueue, CompletionQueueOverSocketStaysBitIdentical) {
   // everything but the blocked/async call split must match exactly.
   const net::FaultProfile profile = net::FaultProfile::lossy();
   for (std::uint64_t seed : {1ULL, 4ULL}) {
-    ChaosOutcome base = chaos::runChaosCampaign(profile, seed);
+    ChaosOutcome base = chaos::runChaosCampaign(profile, seed, 6, 0, kBatch);
     ChaosOutcome socket = runSocketChaosCampaign(profile, seed, 6, 0,
                                                  /*viaQueue=*/true);
     expectBitIdentical(base, socket, /*compareCallSplit=*/false);
