@@ -60,21 +60,25 @@ void DetectionTable::serialize(net::ByteBuffer& buf) const {
 }
 
 DetectionTable DetectionTable::deserialize(net::ByteBuffer& buf) {
-  const Word inputs = buf.readWord();
-  const Word faultFree = buf.readWord();
-  const std::uint32_t nRows = buf.readU32();
-  std::vector<Row> rows;
-  rows.reserve(nRows);
-  for (std::uint32_t r = 0; r < nRows; ++r) {
-    Row row;
-    row.faultyOutput = buf.readWord();
-    const std::uint32_t nFaults = buf.readU32();
-    for (std::uint32_t i = 0; i < nFaults; ++i) {
-      row.faults.push_back(buf.readString());
+  struct Sink {
+    DetectionTable table;
+    void header(Word inputs, Word faultFree, std::size_t rows) {
+      table.inputs_ = std::move(inputs);
+      table.faultFree_ = std::move(faultFree);
+      table.rows_.reserve(rows);
     }
-    rows.push_back(std::move(row));
-  }
-  return DetectionTable(inputs, faultFree, std::move(rows));
+    void row(Word faultyOutput, std::uint32_t /*faults*/) {
+      table.rows_.push_back({std::move(faultyOutput), {}});
+    }
+    void fault(std::string_view name) {
+      table.rows_.back().faults.emplace_back(name);
+    }
+  };
+  return buf.readWith([](net::ByteReader& in) {
+    Sink sink;
+    decode(in, sink);
+    return std::move(sink.table);
+  });
 }
 
 DetectionTable buildDetectionTable(const gate::NetlistEvaluator& eval,

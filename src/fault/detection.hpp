@@ -9,7 +9,10 @@
 // provider: it reveals input/output behaviour only, never structure.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/estimation.hpp"
@@ -49,6 +52,31 @@ class DetectionTable final : public ParamValue {
 
   void serialize(net::ByteBuffer& buf) const;
   static DetectionTable deserialize(net::ByteBuffer& buf);
+
+  /// The one reader of the wire format serialize() writes, shared by
+  /// deserialize() and the campaign cache's resolved decode. Feeds `sink`
+  /// the table as it reads: sink.header(inputs, faultFreeOutput, rows),
+  /// then per row sink.row(faultyOutput, faults) followed by one
+  /// sink.fault(name) per fault, `name` a view into `in`'s bytes. `rows` is
+  /// capped by the bytes left, so it is a safe reserve() hint. Throws
+  /// std::out_of_range on underflow.
+  template <typename Sink>
+  static void decode(net::ByteReader& in, Sink& sink) {
+    Word inputs = in.readWord();
+    Word faultFree = in.readWord();
+    const std::uint32_t nRows = in.readU32();
+    // Every row occupies at least five bytes (a width byte and a count).
+    sink.header(std::move(inputs), std::move(faultFree),
+                std::min<std::size_t>(nRows, in.remaining() / 5));
+    for (std::uint32_t r = 0; r < nRows; ++r) {
+      Word faultyOutput = in.readWord();
+      const std::uint32_t nFaults = in.readU32();
+      sink.row(std::move(faultyOutput), nFaults);
+      for (std::uint32_t i = 0; i < nFaults; ++i) {
+        sink.fault(in.readStringView());
+      }
+    }
+  }
 
  private:
   Word inputs_;

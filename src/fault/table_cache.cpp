@@ -1,15 +1,11 @@
 #include "fault/table_cache.hpp"
 
+#include <bit>
+#include <stdexcept>
+
 #include "rmi/protocol.hpp"
 
 namespace vcad::fault {
-
-void DetectionTableCache::attachStore(std::shared_ptr<cache::ResultStore> store,
-                                      std::uint64_t digest, std::uint64_t ns) {
-  store_ = std::move(store);
-  digest_ = digest;
-  ns_ = ns;
-}
 
 cache::CacheKey detectionTableKey(std::uint64_t digest, std::uint64_t ns,
                                   const Word& inputs) {
@@ -20,31 +16,105 @@ cache::CacheKey detectionTableKey(std::uint64_t digest, std::uint64_t ns,
       args.buffer().bytes());
 }
 
-const DetectionTable* DetectionTableCache::findPinned(
+DetectionTableCache::DetectionTableCache(std::string component,
+                                         std::span<const std::string> faultList)
+    : component_(std::move(component)),
+      faultList_(faultList),
+      index_(std::bit_ceil(2 * faultList_.size() + 1), 0) {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = 0; i < faultList_.size(); ++i) {
+    const std::string_view name = nameAt(i);
+    std::size_t slot = std::hash<std::string_view>{}(name) & mask;
+    // A repeated name keeps its first position.
+    while (index_[slot] != 0 && nameAt(index_[slot] - 1) != name) {
+      slot = (slot + 1) & mask;
+    }
+    if (index_[slot] == 0) index_[slot] = static_cast<std::uint32_t>(i + 1);
+  }
+}
+
+void DetectionTableCache::attachStore(std::shared_ptr<cache::ResultStore> store,
+                                      std::uint64_t digest, std::uint64_t ns) {
+  store_ = std::move(store);
+  digest_ = digest;
+  ns_ = ns;
+}
+
+std::uint32_t DetectionTableCache::indexOf(std::string_view name) const {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t slot = std::hash<std::string_view>{}(name) & mask;;
+       slot = (slot + 1) & mask) {
+    const std::uint32_t entry = index_[slot];
+    if (entry == 0) {
+      throw std::runtime_error("detection table of component " + component_ +
+                               " names unpublished fault '" +
+                               std::string(name) + "'");
+    }
+    if (nameAt(entry - 1) == name) return entry - 1;
+  }
+}
+
+// Assembles a ResolvedTable from a table fed to it row by row: the sink
+// DetectionTable::decode reads stored bytes into, and what resolve() feeds
+// an in-memory table through.
+struct DetectionTableCache::Resolver {
+  const DetectionTableCache& cache;
+  ResolvedTable table;
+
+  void header(Word, Word, std::size_t rows) { table.rows.reserve(rows); }
+  void row(Word faultyOutput, std::uint32_t) {
+    const auto at = static_cast<std::uint32_t>(table.faults.size());
+    table.rows.push_back({std::move(faultyOutput), at, at});
+  }
+  void fault(std::string_view name) {
+    table.faults.push_back(cache.indexOf(name));
+    ++table.rows.back().end;
+  }
+};
+
+ResolvedTable DetectionTableCache::resolve(const DetectionTable& table) const {
+  Resolver r{*this, {}};
+  r.header(table.inputs(), table.faultFreeOutput(), table.rows().size());
+  for (const DetectionTable::Row& row : table.rows()) {
+    r.row(row.faultyOutput, static_cast<std::uint32_t>(row.faults.size()));
+    for (const std::string& f : row.faults) r.fault(f);
+  }
+  return std::move(r.table);
+}
+
+ResolvedTable DetectionTableCache::decode(
+    const std::vector<std::uint8_t>& bytes) const {
+  Resolver r{*this, {}};
+  net::ByteReader in(bytes);
+  DetectionTable::decode(in, r);
+  return std::move(r.table);
+}
+
+const ResolvedTable* DetectionTableCache::findPinned(
     const std::string& inputsKey) const {
   const auto it = pinned_.find(inputsKey);
   return it == pinned_.end() ? nullptr : &it->second;
 }
 
-const DetectionTable* DetectionTableCache::findStored(
+const ResolvedTable* DetectionTableCache::findStored(
     const std::string& inputsKey, const Word& inputs) {
   if (!storeAttached()) return nullptr;
-  cache::Value bytes = store_->fetch(detectionTableKey(digest_, ns_, inputs));
+  const cache::Value bytes =
+      store_->fetch(detectionTableKey(digest_, ns_, inputs));
   if (bytes == nullptr) return nullptr;
-  net::ByteBuffer buf(*bytes);
-  DetectionTable table = DetectionTable::deserialize(buf);
-  return &pinned_.emplace(inputsKey, std::move(table)).first->second;
+  return &pinned_.emplace(inputsKey, decode(*bytes)).first->second;
 }
 
-const DetectionTable* DetectionTableCache::insert(const std::string& inputsKey,
-                                                  const Word& inputs,
-                                                  DetectionTable table) {
+const ResolvedTable* DetectionTableCache::insert(const std::string& inputsKey,
+                                                 const Word& inputs,
+                                                 const DetectionTable& table) {
+  ResolvedTable resolved = resolve(table);
   if (storeAttached()) {
     net::ByteBuffer buf;
     table.serialize(buf);
     store_->insert(detectionTableKey(digest_, ns_, inputs), buf.bytes());
   }
-  return &pinned_.emplace(inputsKey, std::move(table)).first->second;
+  return &pinned_.emplace(inputsKey, std::move(resolved)).first->second;
 }
 
 }  // namespace vcad::fault

@@ -1,5 +1,17 @@
-// DetectionTableCache: the campaign engines' per-component detection-table
-// cache, refactored into a thin adapter over the shared result store.
+// DetectionTableCache: the campaign engine's per-component detection-table
+// cache, a thin adapter over the shared result store that pins every table
+// in resolved form.
+//
+// Resolved form: a campaign's skip check and detection bookkeeping only
+// need, per row, the faulty output and which of the component's published
+// faults the row holds. The cache borrows that published list (faultList()
+// order, as the campaign lays it out in CampaignResult::faultList with the
+// "<module>/" prefix rows do not carry) and builds one name -> index lookup
+// over it per campaign. Each table is resolved once, when it is pinned: a
+// row becomes its faulty output plus the uint32 indices of its faults into
+// the list, stored flat. No fault name is kept per table, and a name the
+// list lacks is rejected (std::runtime_error naming the component), so a
+// provider cannot report faults it never published.
 //
 // Two layers, with distinct accounting:
 //   pin map  — tables this campaign already holds, keyed by the observed
@@ -8,11 +20,14 @@
 //              thousands of injections). A pin-map hit is the historical
 //              `tableCacheHits` counter.
 //   store    — optional view onto a shared cache::ResultStore, scoped by
-//              the component's netlist-version digest. A store hit
-//              deserializes the stored bytes and pins them: no client
-//              fetch happens, counted as `tableStoreHits`. Fresh fetches
-//              are written through so the next campaign (or tenant, or
-//              process) starts warm.
+//              the component's netlist-version digest. A store hit decodes
+//              the stored bytes straight into the resolved form (no copy
+//              of the bytes, no string per fault: names are looked up as
+//              views into the stored value) and pins it: no client fetch
+//              happens, counted as `tableStoreHits`. Fresh fetches are
+//              written through, serialized exactly as the provider sends
+//              them, so the next campaign (or tenant, or process) starts
+//              warm.
 //
 // Every store entry holds one table under detectionTableKey, which the
 // provider's GetDetectionTable and GetDetectionTables paths call too, so a
@@ -24,7 +39,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "cache/result_store.hpp"
 #include "fault/detection.hpp"
@@ -38,9 +56,33 @@ namespace vcad::fault {
 cache::CacheKey detectionTableKey(std::uint64_t digest, std::uint64_t ns,
                                   const Word& inputs);
 
+/// A detection table as the campaign pins it: each row's faulty output and
+/// the indices of its faults into the component's published fault list,
+/// the rows' index ranges laid end to end in `faults`.
+struct ResolvedTable {
+  struct Row {
+    Word faultyOutput;
+    std::uint32_t begin = 0;  // this row's faults are faults[begin, end)
+    std::uint32_t end = 0;
+    bool operator==(const Row&) const = default;
+  };
+  std::vector<Row> rows;
+  std::vector<std::uint32_t> faults;
+
+  std::span<const std::uint32_t> faultsOf(const Row& row) const {
+    return {faults.data() + row.begin, row.end - row.begin};
+  }
+  bool operator==(const ResolvedTable&) const = default;
+};
+
 class DetectionTableCache {
  public:
-  DetectionTableCache() = default;
+  /// `faultList` is the published fault list of `component` in
+  /// faultList() order, as the campaign qualifies it: each name prefixed
+  /// with "<component>/". Rows resolve their (unprefixed) names against it.
+  /// The cache borrows the list, which must outlive it.
+  DetectionTableCache(std::string component,
+                      std::span<const std::string> faultList);
 
   /// Attaches a shared-store view. `digest` is the component's
   /// netlist-version digest (0 keeps the cache pin-map-only: unversioned
@@ -52,24 +94,44 @@ class DetectionTableCache {
 
   /// Pin-map lookup. Stable pointer, or null when this campaign has not
   /// seen the configuration yet.
-  const DetectionTable* findPinned(const std::string& inputsKey) const;
+  const ResolvedTable* findPinned(const std::string& inputsKey) const;
 
   /// Store probe for a configuration the pin map misses: on a store hit
-  /// the bytes are deserialized, pinned, and returned (stable pointer);
-  /// null when the store misses too — the caller fetches from its client
-  /// and insert()s.
-  const DetectionTable* findStored(const std::string& inputsKey,
-                                   const Word& inputs);
+  /// the bytes are decoded, pinned, and returned (stable pointer); null
+  /// when the store misses too — the caller fetches from its client and
+  /// insert()s.
+  const ResolvedTable* findStored(const std::string& inputsKey,
+                                  const Word& inputs);
 
   /// Pins a freshly fetched table and writes it through to the store (when
   /// attached). Returns the stable pinned pointer.
-  const DetectionTable* insert(const std::string& inputsKey,
-                               const Word& inputs, DetectionTable table);
+  const ResolvedTable* insert(const std::string& inputsKey,
+                              const Word& inputs, const DetectionTable& table);
+
+  /// `table` resolved against the fault list, and the same resolution
+  /// decoded from its serialized bytes. Both throw std::runtime_error on a
+  /// fault name the list lacks; decode throws std::out_of_range on
+  /// truncated bytes.
+  ResolvedTable resolve(const DetectionTable& table) const;
+  ResolvedTable decode(const std::vector<std::uint8_t>& bytes) const;
 
   std::size_t pinnedCount() const { return pinned_.size(); }
 
  private:
-  std::map<std::string, DetectionTable> pinned_;
+  /// faultList_[i] without its "<component>/" prefix.
+  std::string_view nameAt(std::size_t i) const {
+    return std::string_view(faultList_[i]).substr(component_.size() + 1);
+  }
+  std::uint32_t indexOf(std::string_view name) const;
+  struct Resolver;
+
+  std::string component_;
+  std::span<const std::string> faultList_;
+  // Name -> position lookup, open-addressed over faultList_: each slot holds
+  // a position + 1 (0 = empty), probed linearly from the name's hash. A
+  // power of two above twice the list, so 8-16 bytes per fault.
+  std::vector<std::uint32_t> index_;
+  std::map<std::string, ResolvedTable> pinned_;
   std::shared_ptr<cache::ResultStore> store_;
   std::uint64_t digest_ = 0;
   std::uint64_t ns_ = 0;

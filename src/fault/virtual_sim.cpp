@@ -4,6 +4,7 @@
 #include <cassert>
 #include <memory>
 #include <set>
+#include <span>
 #include <stdexcept>
 
 #include "core/slot_registry.hpp"
@@ -73,12 +74,30 @@ CampaignResult VirtualFaultSimulator::run(
   CampaignResult res;
 
   // --- Phase 1: compose the symbolic fault lists -------------------------
-  std::vector<std::string> prefixes(components_.size());
-  for (std::size_t c = 0; c < components_.size(); ++c) {
-    prefixes[c] = components_[c]->module().name() + "/";
+  // Component c's faults are res.faultList[firstFault[c], firstFault[c+1]).
+  const std::size_t nComp = components_.size();
+  std::vector<std::size_t> firstFault(nComp + 1);
+  for (std::size_t c = 0; c < nComp; ++c) {
+    firstFault[c] = res.faultList.size();
+    const std::string prefix = components_[c]->module().name() + "/";
     for (const std::string& s : components_[c]->faultList()) {
-      res.faultList.push_back(prefixes[c] + s);
+      res.faultList.push_back(prefix + s);
     }
+  }
+  firstFault[nComp] = res.faultList.size();
+
+  // Per component: the table cache, which pins every table row as indices
+  // into the component's slice of res.faultList (final from here on), and
+  // the detected bitmap the row-skip check reads, one byte per fault.
+  std::vector<DetectionTableCache> cache;
+  std::vector<std::vector<std::uint8_t>> detected;
+  cache.reserve(nComp);
+  for (std::size_t c = 0; c < nComp; ++c) {
+    const std::size_t n = firstFault[c + 1] - firstFault[c];
+    cache.emplace_back(
+        components_[c]->module().name(),
+        std::span<const std::string>(res.faultList).subspan(firstFault[c], n));
+    detected.emplace_back(n, 0);
   }
 
   // --- Phase 2 -----------------------------------------------------------
@@ -95,14 +114,13 @@ CampaignResult VirtualFaultSimulator::run(
     ff = std::make_unique<SimulationController>(design_);
   }
 
-  // Per-component table cache keyed by observed input configuration
-  // (pinned tables have stable addresses, so rows are bound by pointer
-  // across later insertions), with an optional view onto the shared result
-  // store. Attached after phase 1: remote stubs learn their netlist-version
-  // digest from the GetFaultList response.
-  std::vector<DetectionTableCache> cache(components_.size());
+  // The per-component table caches are keyed by observed input
+  // configuration (pinned tables have stable addresses, so rows are bound
+  // by pointer across later insertions), with an optional view onto the
+  // shared result store. Attached after phase 1: remote stubs learn their
+  // netlist-version digest from the GetFaultList response.
   if (store_ != nullptr) {
-    for (std::size_t c = 0; c < components_.size(); ++c) {
+    for (std::size_t c = 0; c < nComp; ++c) {
       cache[c].attachStore(store_, components_[c]->versionDigest(),
                            storeNamespace_);
     }
@@ -147,9 +165,9 @@ CampaignResult VirtualFaultSimulator::run(
     // configurations that are neither pinned nor in the store go out in
     // one round trip. ------------------------------------------------------
     obs::SpanScope tableFetchSpan("campaign.tableFetch", "campaign");
-    std::vector<std::vector<const DetectionTable*>> tables(
-        nBatch, std::vector<const DetectionTable*>(components_.size()));
-    for (std::size_t c = 0; c < components_.size(); ++c) {
+    std::vector<std::vector<const ResolvedTable*>> tables(
+        nBatch, std::vector<const ResolvedTable*>(nComp));
+    for (std::size_t c = 0; c < nComp; ++c) {
       DetectionTableCache& compCache = cache[c];
       std::vector<std::string> keys(nBatch);
       std::set<std::string> pending;     // keys of this batch's misses
@@ -158,7 +176,7 @@ CampaignResult VirtualFaultSimulator::run(
       for (std::size_t i = 0; i < nBatch; ++i) {
         const Word& inputs = runs[i].compInputs[c];
         keys[i] = inputs.toString();
-        const DetectionTable*& table = tables[i][c];
+        const ResolvedTable*& table = tables[i][c];
         if ((table = compCache.findPinned(keys[i])) != nullptr ||
             pending.count(keys[i]) != 0) {
           ++res.tableCacheHits;
@@ -187,7 +205,7 @@ CampaignResult VirtualFaultSimulator::run(
       }
       ++res.tableFetchRoundTrips;
       for (std::size_t j = 0; j < missing.size(); ++j) {
-        compCache.insert(keys[misses[j]], missing[j], std::move(fetched[j]));
+        compCache.insert(keys[misses[j]], missing[j], fetched[j]);
       }
       for (std::size_t i = 0; i < nBatch; ++i) {
         if (tables[i][c] == nullptr) {
@@ -199,22 +217,25 @@ CampaignResult VirtualFaultSimulator::run(
 
     // --- Injections: patterns commit strictly in order (preserving the
     // per-pattern coverage curve). A row is skipped once all its faults
-    // are detected. Rows of one table are fault-disjoint (each fault has
-    // one faulty output under fixed inputs) and component fault names
-    // carry distinct "<module>/" prefixes, so each skip decision sees the
-    // detected set as of pattern start. Each injection resets the pinned
-    // controller and reads through to the pattern's fault-free run. -------
+    // are detected, read off the component's detected bitmap. Rows of one
+    // table are fault-disjoint (each fault has one faulty output under
+    // fixed inputs) and component fault names carry distinct "<module>/"
+    // prefixes, so each skip decision sees the detected set as of pattern
+    // start. Each injection resets the pinned controller and reads through
+    // to the pattern's fault-free run. ------------------------------------
     for (std::size_t i = 0; i < nBatch; ++i) {
       obs::SpanScope patternSpan("campaign.pattern", "campaign");
       patternSpan.arg("pattern", static_cast<double>(base + i));
       const std::uint64_t injectionsBefore = res.injections;
-      for (std::size_t c = 0; c < components_.size(); ++c) {
+      for (std::size_t c = 0; c < nComp; ++c) {
         FaultClient& comp = *components_[c];
-        for (const DetectionTable::Row& row : tables[i][c]->rows()) {
-          const bool undetected = std::any_of(
-              row.faults.begin(), row.faults.end(), [&](const std::string& f) {
-                return res.detected.count(prefixes[c] + f) == 0;
-              });
+        std::vector<std::uint8_t>& seen = detected[c];
+        const ResolvedTable& table = *tables[i][c];
+        for (const ResolvedTable::Row& row : table.rows) {
+          const std::span<const std::uint32_t> faults = table.faultsOf(row);
+          const bool undetected =
+              std::any_of(faults.begin(), faults.end(),
+                          [&](std::uint32_t f) { return seen[f] == 0; });
           if (!undetected) continue;
           inj.reset();
           ++res.schedulerResets;
@@ -224,12 +245,14 @@ CampaignResult VirtualFaultSimulator::run(
             obs::Tracer::global().instant(
                 "campaign.inject", "campaign",
                 {{"component", static_cast<double>(c)},
-                 {"rowFaults", static_cast<double>(row.faults.size())}});
+                 {"rowFaults", static_cast<double>(faults.size())}});
           }
           ++res.injections;
           if (outputsDiffer(inj.scheduler(), pos_, runs[i].golden)) {
-            for (const std::string& f : row.faults) {
-              res.detected.insert(prefixes[c] + f);
+            for (const std::uint32_t f : faults) {
+              if (seen[f] != 0) continue;
+              seen[f] = 1;
+              res.detected.insert(res.faultList[firstFault[c] + f]);
             }
           }
         }

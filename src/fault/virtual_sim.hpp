@@ -35,6 +35,18 @@
 // for injections — one slot of the state arena each — and reset()s them
 // between runs (an O(1) generation renew) instead of reconstructing them.
 //
+// The row-skip check reads no fault names. Each component's
+// DetectionTableCache pins its tables resolved: a row is its faulty output
+// plus the indices of its faults into the component's published fault
+// list, resolved once when the table is pinned (fetched or read from the
+// store); a row naming a fault the component never published fails the
+// campaign with std::runtime_error. Per component the engine keeps a
+// detected bitmap, one byte per published fault: a row is injected while
+// one of its faults' bytes is clear, and a fault's first detection sets
+// its byte and inserts its faultList entry into CampaignResult::detected.
+// Components' faults are disjoint by their "<module>/" prefix, so
+// per-component bitmaps give the same decisions as one detected set.
+//
 // Every batch size produces the same CampaignResult: patterns commit
 // strictly in order and a row's skip decision reads only its own faults,
 // which no other row of the pattern holds, so the fault list, detected set,

@@ -5,11 +5,10 @@
 
 namespace vcad::net {
 
-void ByteBuffer::need(std::size_t n) const {
-  if (readPos_ + n > data_.size()) {
+void ByteReader::need(std::size_t n) const {
+  if (n > size_ - pos_) {
     throw std::out_of_range("ByteBuffer underflow: need " + std::to_string(n) +
-                            " bytes, have " +
-                            std::to_string(data_.size() - readPos_));
+                            " bytes, have " + std::to_string(size_ - pos_));
   }
 }
 
@@ -71,58 +70,57 @@ void ByteBuffer::writeWordVector(const std::vector<Word>& words) {
   for (const Word& w : words) writeWord(w);
 }
 
-std::uint8_t ByteBuffer::readU8() {
+std::uint8_t ByteReader::readU8() {
   need(1);
-  return data_[readPos_++];
+  return data_[pos_++];
 }
 
-std::uint16_t ByteBuffer::readU16() {
+std::uint16_t ByteReader::readU16() {
   const auto hi = readU8();
   const auto lo = readU8();
   return static_cast<std::uint16_t>((hi << 8) | lo);
 }
 
-std::uint32_t ByteBuffer::readU32() {
+std::uint32_t ByteReader::readU32() {
   const std::uint32_t hi = readU16();
   const std::uint32_t lo = readU16();
   return (hi << 16) | lo;
 }
 
-std::uint64_t ByteBuffer::readU64() {
+std::uint64_t ByteReader::readU64() {
   const std::uint64_t hi = readU32();
   const std::uint64_t lo = readU32();
   return (hi << 32) | lo;
 }
 
-bool ByteBuffer::readBool() { return readU8() != 0; }
+bool ByteReader::readBool() { return readU8() != 0; }
 
-double ByteBuffer::readDouble() {
+double ByteReader::readDouble() {
   const std::uint64_t bits = readU64();
   double v;
   __builtin_memcpy(&v, &bits, sizeof(v));
   return v;
 }
 
-std::string ByteBuffer::readString() {
+std::string ByteReader::readString() { return std::string(readStringView()); }
+
+std::string_view ByteReader::readStringView() {
   const std::uint32_t n = readU32();
   need(n);
-  std::string s(data_.begin() + static_cast<std::ptrdiff_t>(readPos_),
-                data_.begin() + static_cast<std::ptrdiff_t>(readPos_ + n));
-  readPos_ += n;
+  const std::string_view s(reinterpret_cast<const char*>(data_ + pos_), n);
+  pos_ += n;
   return s;
 }
 
-std::vector<std::uint8_t> ByteBuffer::readBytes() {
+std::vector<std::uint8_t> ByteReader::readBytes() {
   const std::uint32_t n = readU32();
   need(n);
-  std::vector<std::uint8_t> out(
-      data_.begin() + static_cast<std::ptrdiff_t>(readPos_),
-      data_.begin() + static_cast<std::ptrdiff_t>(readPos_ + n));
-  readPos_ += n;
+  std::vector<std::uint8_t> out(data_ + pos_, data_ + pos_ + n);
+  pos_ += n;
   return out;
 }
 
-Word ByteBuffer::readWord() {
+Word ByteReader::readWord() {
   const int width = readU8();
   Word w(width);
   std::uint8_t acc = 0;
@@ -138,7 +136,7 @@ Word ByteBuffer::readWord() {
   return w;
 }
 
-std::vector<Word> ByteBuffer::readWordVector() {
+std::vector<Word> ByteReader::readWordVector() {
   const std::uint32_t n = readU32();
   std::vector<Word> out;
   // Every serialized word occupies at least one byte, so a corrupted length
@@ -147,6 +145,25 @@ std::vector<Word> ByteBuffer::readWordVector() {
   out.reserve(std::min<std::size_t>(n, remaining()));
   for (std::uint32_t i = 0; i < n; ++i) out.push_back(readWord());
   return out;
+}
+
+// ByteBuffer's readers: one ByteReader read over the unread bytes each.
+
+std::uint8_t ByteBuffer::readU8() { return readWith(&ByteReader::readU8); }
+std::uint16_t ByteBuffer::readU16() { return readWith(&ByteReader::readU16); }
+std::uint32_t ByteBuffer::readU32() { return readWith(&ByteReader::readU32); }
+std::uint64_t ByteBuffer::readU64() { return readWith(&ByteReader::readU64); }
+bool ByteBuffer::readBool() { return readWith(&ByteReader::readBool); }
+double ByteBuffer::readDouble() { return readWith(&ByteReader::readDouble); }
+std::string ByteBuffer::readString() {
+  return readWith(&ByteReader::readString);
+}
+std::vector<std::uint8_t> ByteBuffer::readBytes() {
+  return readWith(&ByteReader::readBytes);
+}
+Word ByteBuffer::readWord() { return readWith(&ByteReader::readWord); }
+std::vector<Word> ByteBuffer::readWordVector() {
+  return readWith(&ByteReader::readWordVector);
 }
 
 }  // namespace vcad::net

@@ -5,15 +5,55 @@
 // checked readers. Everything that crosses the client/server boundary is
 // marshalled through it, so message sizes are real and the network model can
 // charge bandwidth for actual bytes.
+//
+// ByteReader holds the one implementation of every reader. It decodes bytes
+// it does not own (a ByteBuffer's, or a result-store value's, with no copy);
+// ByteBuffer's readers run a ByteReader over the buffer's unread bytes.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/word.hpp"
 
 namespace vcad::net {
+
+/// Checked big-endian reader over borrowed bytes, which must outlive it.
+class ByteReader {
+ public:
+  ByteReader(const std::uint8_t* data, std::size_t size, std::size_t pos = 0)
+      : data_(data), size_(size), pos_(pos) {}
+  explicit ByteReader(const std::vector<std::uint8_t>& bytes)
+      : ByteReader(bytes.data(), bytes.size()) {}
+
+  // --- readers (throw std::out_of_range on underflow) -----------------------
+
+  std::uint8_t readU8();
+  std::uint16_t readU16();
+  std::uint32_t readU32();
+  std::uint64_t readU64();
+  bool readBool();
+  double readDouble();
+  std::string readString();
+  /// readString without the copy: a view into the borrowed bytes.
+  std::string_view readStringView();
+  std::vector<std::uint8_t> readBytes();
+  Word readWord();
+  std::vector<Word> readWordVector();
+
+  std::size_t position() const { return pos_; }
+  std::size_t remaining() const { return size_ - pos_; }
+
+ private:
+  void need(std::size_t n) const;
+
+  const std::uint8_t* data_;
+  std::size_t size_;
+  std::size_t pos_;
+};
 
 class ByteBuffer {
  public:
@@ -49,6 +89,17 @@ class ByteBuffer {
   Word readWord();
   std::vector<Word> readWordVector();
 
+  /// Runs `read` (a callable or a ByteReader member taking a ByteReader&)
+  /// over the unread bytes and, when it returns, consumes what it read.
+  /// Views it takes into the bytes last until the next write.
+  template <typename Read>
+  auto readWith(Read&& read) {
+    ByteReader in(data_.data(), data_.size(), readPos_);
+    auto value = std::invoke(std::forward<Read>(read), in);
+    readPos_ = in.position();
+    return value;
+  }
+
   // --- inspection ------------------------------------------------------
 
   std::size_t size() const { return data_.size(); }
@@ -63,8 +114,6 @@ class ByteBuffer {
   }
 
  private:
-  void need(std::size_t n) const;
-
   std::vector<std::uint8_t> data_;
   std::size_t readPos_ = 0;
 };

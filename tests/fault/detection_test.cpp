@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "core/rng.hpp"
+#include "fault/table_cache.hpp"
 #include "gate/generators.hpp"
 
 namespace vcad::fault {
@@ -118,6 +122,150 @@ TEST(DetectionTable, ExcitedFaultCountOnMultiplier) {
       EXPECT_NE(t.rows()[i].faultyOutput, t.rows()[j].faultyOutput);
     }
   }
+}
+
+// --- Resolved decode: the campaign cache's reading of stored table bytes ---
+
+/// `n` fault names, as a component publishes them.
+std::vector<std::string> publishedFaults(std::size_t n) {
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < n; ++i) {
+    names.push_back("n" + std::to_string(i) + (i % 2 == 0 ? "sa0" : "sa1"));
+  }
+  return names;
+}
+
+/// `names` as a campaign qualifies them for `component`.
+std::vector<std::string> qualified(const std::string& component,
+                                   const std::vector<std::string>& names) {
+  std::vector<std::string> out;
+  for (const std::string& n : names) out.push_back(component + "/" + n);
+  return out;
+}
+
+/// A word of `width` bits drawn from all four logic values.
+Word randomWord(Rng& rng, int width) {
+  Word w(width);
+  for (int i = 0; i < width; ++i) {
+    w.setBit(i, static_cast<Logic>(rng.below(4)));
+  }
+  return w;
+}
+
+/// A table of `rows` rows over `names`, every word `width` bits wide.
+DetectionTable randomTable(Rng& rng, const std::vector<std::string>& names,
+                           std::size_t rows, int width) {
+  std::vector<DetectionTable::Row> out(rows);
+  for (DetectionTable::Row& row : out) {
+    row.faultyOutput = randomWord(rng, width);
+    const std::size_t nFaults = rng.below(5);
+    for (std::size_t f = 0; f < nFaults; ++f) {
+      row.faults.push_back(names[rng.below(names.size())]);
+    }
+  }
+  return DetectionTable(randomWord(rng, width), randomWord(rng, width),
+                        std::move(out));
+}
+
+std::vector<std::uint8_t> bytesOf(const DetectionTable& t) {
+  net::ByteBuffer buf;
+  t.serialize(buf);
+  return buf.bytes();
+}
+
+TEST(ResolvedTable, DecodeOfSerializedBytesEqualsResolution) {
+  const std::vector<std::string> names = publishedFaults(40);
+  const std::vector<std::string> list = qualified("blk", names);
+  const DetectionTableCache cache("blk", list);
+  Rng rng(20261017);
+  for (const std::size_t rows : {0u, 1u, 2u, 17u, 200u}) {
+    for (const int width : {0, 1, 5, 33, 64}) {
+      const DetectionTable t = randomTable(rng, names, rows, width);
+      const ResolvedTable resolved = cache.resolve(t);
+      EXPECT_EQ(cache.decode(bytesOf(t)), resolved)
+          << rows << " rows, width " << width;
+      // The resolution keeps every row and names each fault by its index.
+      ASSERT_EQ(resolved.rows.size(), rows);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const ResolvedTable::Row& row = resolved.rows[r];
+        EXPECT_EQ(row.faultyOutput, t.rows()[r].faultyOutput);
+        const auto faults = resolved.faultsOf(row);
+        ASSERT_EQ(faults.size(), t.rows()[r].faults.size());
+        for (std::size_t f = 0; f < faults.size(); ++f) {
+          EXPECT_EQ(names[faults[f]], t.rows()[r].faults[f]);
+        }
+      }
+    }
+  }
+}
+
+TEST(ResolvedTable, EveryTruncatedPrefixThrowsOutOfRange) {
+  const std::vector<std::string> names = publishedFaults(8);
+  const std::vector<std::string> list = qualified("blk", names);
+  const DetectionTableCache cache("blk", list);
+  Rng rng(7);
+  for (const int width : {3, 64}) {
+    const std::vector<std::uint8_t> bytes =
+        bytesOf(randomTable(rng, names, 4, width));
+    for (std::size_t n = 0; n < bytes.size(); ++n) {
+      const std::vector<std::uint8_t> prefix(bytes.begin(),
+                                             bytes.begin() + n);
+      EXPECT_THROW(cache.decode(prefix), std::out_of_range) << n;
+      net::ByteBuffer buf(prefix);
+      EXPECT_THROW(DetectionTable::deserialize(buf), std::out_of_range) << n;
+    }
+  }
+}
+
+TEST(ResolvedTable, UnpublishedFaultNameThrowsNamingTheComponent) {
+  const std::vector<std::string> names = publishedFaults(4);
+  const std::vector<std::string> list = qualified("adder3", names);
+  const DetectionTableCache cache("adder3", list);
+  const DetectionTable t(Word::fromString("01"), Word::fromString("10"),
+                         {{Word::fromString("11"), {names[1], "bogus"}}});
+  for (const auto& read :
+       {std::function<void()>([&] { (void)cache.resolve(t); }),
+        std::function<void()>([&] { (void)cache.decode(bytesOf(t)); })}) {
+    try {
+      read();
+      ADD_FAILURE() << "an unpublished fault name was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("adder3"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("bogus"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ResolvedTable, StoredBytesKeepTheirFormat) {
+  // The bytes a table has always serialized to, so entries already in a
+  // disk-backed store read back unchanged: words are a width byte plus
+  // two bits per position (bit i at bits 2i of its byte; 0, 1, X, Z =
+  // 0-3), counts and string lengths big-endian u32.
+  const std::vector<std::uint8_t> stored = {
+      0x02, 0x01,                          // inputs "01"
+      0x02, 0x06,                          // fault-free output "1X"
+      0x00, 0x00, 0x00, 0x01,              // one row
+      0x02, 0x0C,                          // faulty output "Z0"
+      0x00, 0x00, 0x00, 0x02,              // two faults
+      0x00, 0x00, 0x00, 0x01, 'a',         // "a"
+      0x00, 0x00, 0x00, 0x05, 'I', '6', 's', 'a', '1'};  // "I6sa1"
+  const DetectionTable t(Word::fromString("01"), Word::fromString("1X"),
+                         {{Word::fromString("Z0"), {"a", "I6sa1"}}});
+  EXPECT_EQ(bytesOf(t), stored);
+
+  const std::vector<std::string> list =
+      qualified("ip1", {"I6sa1", "x", "a"});
+  const DetectionTableCache cache("ip1", list);
+  const ResolvedTable decoded = cache.decode(stored);
+  EXPECT_EQ(decoded, cache.resolve(t));
+  EXPECT_EQ(decoded.faults, (std::vector<std::uint32_t>{2, 0}));
+
+  net::ByteBuffer buf(stored);
+  const DetectionTable back = DetectionTable::deserialize(buf);
+  EXPECT_TRUE(buf.exhausted());
+  EXPECT_EQ(bytesOf(back), stored);
 }
 
 }  // namespace

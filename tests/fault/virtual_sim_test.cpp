@@ -146,6 +146,49 @@ TEST(VirtualFaultSim, AccountsProtocolEffort) {
   EXPECT_LE(res.detected.size(), res.faultList.size());
 }
 
+/// A block whose every table row also names "bogus", a fault it never
+/// published.
+class BogusFaultBlock final : public FaultClient {
+ public:
+  explicit BogusFaultBlock(LocalFaultBlock& inner) : inner_(inner) {}
+  Module& module() override { return inner_.module(); }
+  std::vector<std::string> faultList() override { return inner_.faultList(); }
+  DetectionTable detectionTable(const Word& inputs) override {
+    const DetectionTable t = inner_.detectionTable(inputs);
+    std::vector<DetectionTable::Row> rows = t.rows();
+    for (DetectionTable::Row& row : rows) row.faults.push_back("bogus");
+    return DetectionTable(t.inputs(), t.faultFreeOutput(), std::move(rows));
+  }
+
+ private:
+  LocalFaultBlock& inner_;
+};
+
+TEST(VirtualFaultSim, RejectsTableRowNamingAnUnpublishedFault) {
+  // Accepting the row would put "<module>/bogus" into the detected set, a
+  // fault outside the fault list, and could push coverage above 1.0.
+  Scenario s = makeScenario(777, true);
+  BogusFaultBlock bogus(*s.clients[0]);
+  std::vector<FaultClient*> components = s.components();
+  components[0] = &bogus;
+  const std::string name = bogus.module().name();
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{8}}) {
+    VirtualFaultSimulator vsim(*s.inst.circuit, components, s.inst.piConns,
+                               s.inst.poConns);
+    vsim.setTableBatch(batch);
+    try {
+      const CampaignResult res = vsim.runPacked(packedPatterns(s.nPis, 8, 5));
+      ADD_FAILURE() << "batch " << batch << ": coverage " << res.coverage()
+                    << " with an unpublished fault accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("bogus"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(VirtualFaultSim, RejectsEmptyConfiguration) {
   Circuit c("c");
   EXPECT_THROW(VirtualFaultSimulator(c, {}, {}, {}), std::invalid_argument);

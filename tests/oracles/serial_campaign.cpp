@@ -1,3 +1,4 @@
+#include <map>
 #include <string>
 
 #include "core/sim_controller.hpp"
@@ -26,15 +27,21 @@ fault::CampaignResult serialCampaign(
     }
   }
 
-  // Phase 2. The caches attach after phase 1: remote stubs learn their
-  // netlist-version digest from the GetFaultList response.
-  std::vector<fault::DetectionTableCache> tableCache(components.size());
-  if (store != nullptr) {
-    for (std::size_t c = 0; c < components.size(); ++c) {
-      tableCache[c].attachStore(store, components[c]->versionDigest(),
-                                storeNamespace);
-    }
+  // Phase 2, with a table cache of its own rather than the engine's
+  // resolved DetectionTableCache, so the reference shares none of the code
+  // it checks: per component, tables by observed configuration, backed by
+  // the same store entries (detectionTableKey, DetectionTable bytes). The
+  // digests are read after phase 1: remote stubs learn them from the
+  // GetFaultList response.
+  std::vector<std::map<std::string, fault::DetectionTable>> tableCache(
+      components.size());
+  std::vector<std::uint64_t> digests;
+  for (fault::FaultClient* comp : components) {
+    digests.push_back(store != nullptr ? comp->versionDigest() : 0);
   }
+  const auto storeKey = [&](std::size_t c, const Word& inputs) {
+    return fault::detectionTableKey(digests[c], storeNamespace, inputs);
+  };
   for (const std::vector<Word>& pattern : patterns) {
     SimulationController ff(design);
     for (std::size_t i = 0; i < primaryInputs.size(); ++i) {
@@ -52,19 +59,30 @@ fault::CampaignResult serialCampaign(
       const std::string prefix = comp.module().name() + "/";
       const Word inputs = comp.observedInputs(ffCtx);
       const std::string key = inputs.toString();
-      fault::DetectionTableCache& cache = tableCache[c];
-      const fault::DetectionTable* table = cache.findPinned(key);
-      if (table != nullptr) {
+      auto& pins = tableCache[c];
+      auto pinned = pins.find(key);
+      if (pinned != pins.end()) {
         ++res.tableCacheHits;
-      } else if ((table = cache.findStored(key, inputs)) != nullptr) {
+      } else if (const cache::Value bytes =
+                     digests[c] != 0 ? store->fetch(storeKey(c, inputs))
+                                     : nullptr) {
+        net::ByteBuffer buf(*bytes);
+        pinned =
+            pins.emplace(key, fault::DetectionTable::deserialize(buf)).first;
         ++res.tableStoreHits;
       } else {
-        table = cache.insert(key, inputs, comp.detectionTable(inputs));
+        fault::DetectionTable table = comp.detectionTable(inputs);
+        if (digests[c] != 0) {
+          net::ByteBuffer buf;
+          table.serialize(buf);
+          store->insert(storeKey(c, inputs), buf.bytes());
+        }
+        pinned = pins.emplace(key, std::move(table)).first;
         ++res.detectionTablesRequested;
         ++res.tableFetchRoundTrips;
       }
 
-      for (const fault::DetectionTable::Row& row : table->rows()) {
+      for (const fault::DetectionTable::Row& row : pinned->second.rows()) {
         bool anyUndetected = false;
         for (const std::string& f : row.faults) {
           anyUndetected |= res.detected.count(prefix + f) == 0;
