@@ -65,6 +65,13 @@ std::vector<Port*> Module::outputPorts() const {
   return out;
 }
 
+// --- levelized evaluation ---------------------------------------------------
+
+void Module::evaluate(std::span<const Word> /*in*/,
+                      std::span<Word> /*out*/) const {
+  throw std::logic_error("Module '" + name_ + "' is not combinational");
+}
+
 // --- estimation --------------------------------------------------------
 
 void Module::processEstimationToken(const EstimationToken& token,

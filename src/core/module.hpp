@@ -25,6 +25,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -87,6 +88,27 @@ class Module {
   /// Self-scheduled wake-up (see selfSchedule()). Default: ignore.
   virtual void processSelfEvent(const SelfToken& /*token*/,
                                 SimContext& /*ctx*/) {}
+
+  // --- levelized evaluation ------------------------------------------------
+
+  /// True when the module is a pure zero-delay function of its inputs.
+  /// Contract: every activation drives every output port, with delay 0, a
+  /// value that depends only on the current input-port values; the module
+  /// has only In and Out ports, every output port is connected, and an
+  /// activation has no effect beyond its outputs (no remote call, no
+  /// recorded pattern, no state another run or a later reader depends on).
+  /// Per-run module state may only suppress repeated identical outputs.
+  /// A design whose leaves all say true can be settled by one topological
+  /// pass of evaluate() calls (see LevelizedPass) instead of by events;
+  /// the result must equal what the event-driven run leaves on every
+  /// connector. Subclasses that change event handling must re-decide.
+  virtual bool combinational() const { return false; }
+
+  /// The combinational function: output-port words from input-port words,
+  /// in inputPorts() / outputPorts() order. `out` holds one entry per
+  /// output port; each is assigned a word of its port's width. Only called
+  /// when combinational() is true; the default throws std::logic_error.
+  virtual void evaluate(std::span<const Word> in, std::span<Word> out) const;
 
   /// Estimation request: evaluates the parameter with the estimator bound
   /// by the context's setup (or the null estimator) and deposits the result

@@ -20,6 +20,10 @@ void Buffer::processInputEvent(const SignalToken& token, SimContext& ctx) {
   emit(ctx, *out_, token.value());
 }
 
+void Buffer::evaluate(std::span<const Word> in, std::span<Word> out) const {
+  out[0] = in[0];
+}
+
 Fanout::Fanout(std::string name, Connector& in, std::vector<Branch> branches)
     : Module(std::move(name)) {
   in_ = &addInput("in", in);
@@ -45,6 +49,17 @@ void Fanout::processInputEvent(const SignalToken& token, SimContext& ctx) {
   for (auto& [port, delay] : branchPorts_) {
     emit(ctx, *port, token.value(), delay);
   }
+}
+
+bool Fanout::combinational() const {
+  for (const auto& branch : branchPorts_) {
+    if (branch.second != 0) return false;
+  }
+  return true;
+}
+
+void Fanout::evaluate(std::span<const Word> in, std::span<Word> out) const {
+  for (Word& w : out) w = in[0];
 }
 
 Delay::Delay(std::string name, Connector& in, Connector& out, SimTime delay)

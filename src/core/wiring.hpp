@@ -19,6 +19,9 @@ class Buffer final : public Module {
   Buffer(std::string name, Connector& in, Connector& out);
   void processInputEvent(const SignalToken& token, SimContext& ctx) override;
 
+  bool combinational() const override { return true; }
+  void evaluate(std::span<const Word> in, std::span<Word> out) const override;
+
  private:
   Port* in_;
   Port* out_;
@@ -34,6 +37,10 @@ class Fanout final : public Module {
 
   Fanout(std::string name, Connector& in, std::vector<Branch> branches);
   void processInputEvent(const SignalToken& token, SimContext& ctx) override;
+
+  /// Only a fanout whose every branch has delay 0 is zero-delay.
+  bool combinational() const override;
+  void evaluate(std::span<const Word> in, std::span<Word> out) const override;
 
   std::size_t branchCount() const { return branchPorts_.size(); }
 

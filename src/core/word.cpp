@@ -36,6 +36,15 @@ Word Word::fromLogic(Logic v) {
   return w;
 }
 
+Word Word::fromPlanes(int width, std::uint64_t value, std::uint64_t known,
+                      std::uint64_t z) {
+  Word w(width);
+  w.known_ = known & lowMask(width);
+  w.bits_ = value & w.known_;
+  w.zmask_ = z & lowMask(width) & ~w.known_;
+  return w;
+}
+
 Word Word::fromString(const std::string& s) {
   Word w(static_cast<int>(s.size()));
   for (int i = 0; i < w.width(); ++i) {
@@ -103,11 +112,10 @@ int Word::toggleCount(const Word& a, const Word& b) {
 }
 
 Word Word::concat(const Word& hi, const Word& lo) {
-  const int w = hi.width() + lo.width();
-  checkWidth(w);
-  Word out(w);
-  for (int i = 0; i < lo.width(); ++i) out.setBit(i, lo.bit(i));
-  for (int i = 0; i < hi.width(); ++i) out.setBit(lo.width() + i, hi.bit(i));
+  checkWidth(hi.width() + lo.width());
+  Word out(hi.width() + lo.width());
+  out.insert(0, lo);
+  out.insert(lo.width(), hi);
   return out;
 }
 
@@ -116,8 +124,23 @@ Word Word::slice(int lsb, int len) const {
     throw std::out_of_range("Word::slice out of range");
   }
   Word out(len);
-  for (int i = 0; i < len; ++i) out.setBit(i, bit(lsb + i));
+  if (len == 0) return out;
+  const std::uint64_t m = lowMask(len);
+  out.bits_ = (bits_ >> lsb) & m;
+  out.known_ = (known_ >> lsb) & m;
+  out.zmask_ = (zmask_ >> lsb) & m;
   return out;
+}
+
+void Word::insert(int lsb, const Word& w) {
+  if (lsb < 0 || lsb + w.width_ > width_) {
+    throw std::out_of_range("Word::insert out of range");
+  }
+  if (w.width_ == 0) return;
+  const std::uint64_t m = lowMask(w.width_) << lsb;
+  bits_ = (bits_ & ~m) | ((w.bits_ << lsb) & m);
+  known_ = (known_ & ~m) | ((w.known_ << lsb) & m);
+  zmask_ = (zmask_ & ~m) | ((w.zmask_ << lsb) & m);
 }
 
 bool Word::operator==(const Word& other) const {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 
@@ -31,6 +32,12 @@ class Word {
 
   /// A single-bit word.
   static Word fromLogic(Logic v);
+
+  /// A word from its three planes (see valuePlane()), canonicalized: bits
+  /// at or above `width` are dropped, `value` is kept only where `known`,
+  /// and `z` only where not `known`.
+  static Word fromPlanes(int width, std::uint64_t value, std::uint64_t known,
+                         std::uint64_t z);
 
   /// Parses a string like "10X1" (MSB first). Throws on bad chars.
   static Word fromString(const std::string& s);
@@ -63,6 +70,11 @@ class Word {
   /// Extracts bits [lsb, lsb+len).
   Word slice(int lsb, int len) const;
 
+  /// Overwrites bits [lsb, lsb+w.width()) with w. Port gathers assemble a
+  /// module's input word with it, one shift per plane instead of one
+  /// setBit per bit.
+  void insert(int lsb, const Word& w);
+
   bool operator==(const Word& other) const;
   bool operator!=(const Word& other) const { return !(*this == other); }
 
@@ -86,3 +98,17 @@ class Word {
 std::ostream& operator<<(std::ostream& os, const Word& w);
 
 }  // namespace vcad
+
+/// Hashes the width and the three planes, the fields operator== compares.
+template <>
+struct std::hash<vcad::Word> {
+  std::size_t operator()(const vcad::Word& w) const noexcept {
+    std::uint64_t h = static_cast<std::uint64_t>(w.width());
+    for (const std::uint64_t plane :
+         {w.valuePlane(), w.knownPlane(), w.zPlane()}) {
+      h = (h ^ plane) * 0x9e3779b97f4a7c15ULL;
+      h ^= h >> 32;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};

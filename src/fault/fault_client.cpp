@@ -22,8 +22,8 @@ Word FaultClient::observedInputs(const SimContext& ctx) {
   Word w(width);
   int bit = 0;
   for (Port* p : ins) {
-    const Word v = m.readInput(ctx, *p);
-    for (int i = 0; i < v.width(); ++i) w.setBit(bit++, v.bit(i));
+    w.insert(bit, m.readInput(ctx, *p));
+    bit += p->width();
   }
   return w;
 }

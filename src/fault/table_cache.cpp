@@ -90,23 +90,20 @@ ResolvedTable DetectionTableCache::decode(
   return std::move(r.table);
 }
 
-const ResolvedTable* DetectionTableCache::findPinned(
-    const std::string& inputsKey) const {
-  const auto it = pinned_.find(inputsKey);
+const ResolvedTable* DetectionTableCache::findPinned(const Word& inputs) const {
+  const auto it = pinned_.find(inputs);
   return it == pinned_.end() ? nullptr : &it->second;
 }
 
-const ResolvedTable* DetectionTableCache::findStored(
-    const std::string& inputsKey, const Word& inputs) {
+const ResolvedTable* DetectionTableCache::findStored(const Word& inputs) {
   if (!storeAttached()) return nullptr;
   const cache::Value bytes =
       store_->fetch(detectionTableKey(digest_, ns_, inputs));
   if (bytes == nullptr) return nullptr;
-  return &pinned_.emplace(inputsKey, decode(*bytes)).first->second;
+  return &pinned_.emplace(inputs, decode(*bytes)).first->second;
 }
 
-const ResolvedTable* DetectionTableCache::insert(const std::string& inputsKey,
-                                                 const Word& inputs,
+const ResolvedTable* DetectionTableCache::insert(const Word& inputs,
                                                  const DetectionTable& table) {
   ResolvedTable resolved = resolve(table);
   if (storeAttached()) {
@@ -114,7 +111,7 @@ const ResolvedTable* DetectionTableCache::insert(const std::string& inputsKey,
     table.serialize(buf);
     store_->insert(detectionTableKey(digest_, ns_, inputs), buf.bytes());
   }
-  return &pinned_.emplace(inputsKey, std::move(resolved)).first->second;
+  return &pinned_.emplace(inputs, std::move(resolved)).first->second;
 }
 
 }  // namespace vcad::fault

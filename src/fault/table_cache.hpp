@@ -15,10 +15,11 @@
 //
 // Two layers, with distinct accounting:
 //   pin map  — tables this campaign already holds, keyed by the observed
-//              input configuration. Pointers are stable for the life of
-//              the cache (campaign code binds rows by reference across
-//              thousands of injections). A pin-map hit is the historical
-//              `tableCacheHits` counter.
+//              input configuration itself (the Word: its width and three
+//              planes; no string is built per lookup). Pointers are stable
+//              for the life of the cache (campaign code binds rows by
+//              reference across thousands of injections). A pin-map hit is
+//              the historical `tableCacheHits` counter.
 //   store    — optional view onto a shared cache::ResultStore, scoped by
 //              the component's netlist-version digest. A store hit decodes
 //              the stored bytes straight into the resolved form (no copy
@@ -37,11 +38,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "cache/result_store.hpp"
@@ -94,19 +95,17 @@ class DetectionTableCache {
 
   /// Pin-map lookup. Stable pointer, or null when this campaign has not
   /// seen the configuration yet.
-  const ResolvedTable* findPinned(const std::string& inputsKey) const;
+  const ResolvedTable* findPinned(const Word& inputs) const;
 
   /// Store probe for a configuration the pin map misses: on a store hit
   /// the bytes are decoded, pinned, and returned (stable pointer); null
   /// when the store misses too — the caller fetches from its client and
   /// insert()s.
-  const ResolvedTable* findStored(const std::string& inputsKey,
-                                  const Word& inputs);
+  const ResolvedTable* findStored(const Word& inputs);
 
   /// Pins a freshly fetched table and writes it through to the store (when
   /// attached). Returns the stable pinned pointer.
-  const ResolvedTable* insert(const std::string& inputsKey,
-                              const Word& inputs, const DetectionTable& table);
+  const ResolvedTable* insert(const Word& inputs, const DetectionTable& table);
 
   /// `table` resolved against the fault list, and the same resolution
   /// decoded from its serialized bytes. Both throw std::runtime_error on a
@@ -131,7 +130,7 @@ class DetectionTableCache {
   // a position + 1 (0 = empty), probed linearly from the name's hash. A
   // power of two above twice the list, so 8-16 bytes per fault.
   std::vector<std::uint32_t> index_;
-  std::map<std::string, ResolvedTable> pinned_;
+  std::unordered_map<Word, ResolvedTable> pinned_;  // node-based: stable
   std::shared_ptr<cache::ResultStore> store_;
   std::uint64_t digest_ = 0;
   std::uint64_t ns_ = 0;

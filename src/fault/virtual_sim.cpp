@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <set>
+#include <optional>
 #include <span>
 #include <stdexcept>
+#include <unordered_set>
 
+#include "core/levelized.hpp"
 #include "core/slot_registry.hpp"
 #include "fault/table_cache.hpp"
 #include "obs/metrics.hpp"
@@ -108,6 +110,11 @@ CampaignResult VirtualFaultSimulator::run(
   // arena slots for the whole campaign (the SlotRegistry throws once its
   // kCapacity - 1 leasable slots are taken).
   SimulationController inj(design_);
+  // Golden runs settle in one topological pass over the design's leaves
+  // when every leaf is combinational and the leaf graph acyclic; any other
+  // design runs them through events.
+  std::optional<LevelizedPass> levelized = LevelizedPass::plan(design_, pis_);
+  campaignSpan.arg("levelized", levelized ? 1.0 : 0.0);
   std::vector<std::unique_ptr<SimulationController>> faultFree(
       std::min(batch_, patterns.size()));
   for (auto& ff : faultFree) {
@@ -147,7 +154,11 @@ CampaignResult VirtualFaultSimulator::run(
         sim.reset();
         ++res.schedulerResets;
       }
-      applyPattern(sim, patterns[base + i]);
+      if (levelized) {
+        levelized->settle(sim.scheduler(), patterns[base + i]);
+      } else {
+        applyPattern(sim, patterns[base + i]);
+      }
       PatternRun& pr = runs[i];
       const SimContext ctx{sim.scheduler(), nullptr};
       pr.golden.reserve(pos_.size());
@@ -169,23 +180,18 @@ CampaignResult VirtualFaultSimulator::run(
         nBatch, std::vector<const ResolvedTable*>(nComp));
     for (std::size_t c = 0; c < nComp; ++c) {
       DetectionTableCache& compCache = cache[c];
-      std::vector<std::string> keys(nBatch);
-      std::set<std::string> pending;     // keys of this batch's misses
-      std::vector<std::size_t> misses;   // batch position of each miss
-      std::vector<Word> missing;         // its input configuration
+      std::unordered_set<Word> pending;  // this batch's misses
+      std::vector<Word> missing;         // the same, in fetch order
       for (std::size_t i = 0; i < nBatch; ++i) {
         const Word& inputs = runs[i].compInputs[c];
-        keys[i] = inputs.toString();
         const ResolvedTable*& table = tables[i][c];
-        if ((table = compCache.findPinned(keys[i])) != nullptr ||
-            pending.count(keys[i]) != 0) {
+        if ((table = compCache.findPinned(inputs)) != nullptr ||
+            pending.count(inputs) != 0) {
           ++res.tableCacheHits;
-        } else if ((table = compCache.findStored(keys[i], inputs)) !=
-                   nullptr) {
+        } else if ((table = compCache.findStored(inputs)) != nullptr) {
           ++res.tableStoreHits;
         } else {
-          pending.insert(keys[i]);
-          misses.push_back(i);
+          pending.insert(inputs);
           missing.push_back(inputs);
           ++res.detectionTablesRequested;
         }
@@ -205,11 +211,11 @@ CampaignResult VirtualFaultSimulator::run(
       }
       ++res.tableFetchRoundTrips;
       for (std::size_t j = 0; j < missing.size(); ++j) {
-        compCache.insert(keys[misses[j]], missing[j], fetched[j]);
+        compCache.insert(missing[j], fetched[j]);
       }
       for (std::size_t i = 0; i < nBatch; ++i) {
         if (tables[i][c] == nullptr) {
-          tables[i][c] = compCache.findPinned(keys[i]);
+          tables[i][c] = compCache.findPinned(runs[i].compInputs[c]);
         }
       }
     }

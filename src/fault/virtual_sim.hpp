@@ -13,6 +13,17 @@
 //                      every fault in the row is detected and dropped from
 //                      the list.
 //
+// Golden runs are levelized when the design allows it: if every leaf
+// module is combinational() and the leaves form an acyclic graph, the
+// campaign orders them once (LevelizedPass::plan, Kahn over connector
+// drivers) and settles each pattern's fault-free run in one topological
+// pass of Module::evaluate() calls on the pinned controller's slot, with
+// no event dispatched. Any other design (RTL, behavioral, delayed or
+// side-effecting modules: power collection, fully-remote components)
+// settles golden runs through events as before. Both leave the same value
+// on every connector, so observed inputs, golden outputs, tables and
+// injections are unchanged; only the scheduler's event count drops.
+//
 // Injection is read-through (SimulationController::runInjection): the
 // injection run takes the pattern's finished fault-free run as its base,
 // emits the component's forced outputs at t=0 with the component's event
@@ -146,7 +157,8 @@ class VirtualFaultSimulator {
 
  private:
   /// Simulates one pattern fault-free on `sim` (a fresh or reset
-  /// controller). The run stays readable for observed component inputs,
+  /// controller) through events: the golden run of designs LevelizedPass
+  /// cannot settle. The run stays readable for observed component inputs,
   /// the golden primary outputs, and as the injections' read-through base.
   void applyPattern(SimulationController& sim,
                     const std::vector<Word>& pattern);

@@ -245,8 +245,14 @@ void NetlistEvaluator::evaluateInto(const Word& inputs,
   }
   value.assign(static_cast<size_t>(nl_->netCount()), Logic::X);
   const auto& pis = nl_->primaryInputs();
+  const std::uint64_t inValue = inputs.valuePlane();
+  const std::uint64_t inKnown = inputs.knownPlane();
+  const std::uint64_t inZ = inputs.zPlane();
   for (size_t i = 0; i < pis.size(); ++i) {
-    value[static_cast<size_t>(pis[i])] = inputs.bit(static_cast<int>(i));
+    const std::uint64_t bit = 1ULL << i;
+    value[static_cast<size_t>(pis[i])] =
+        (inKnown & bit) != 0 ? ((inValue & bit) != 0 ? Logic::L1 : Logic::L0)
+                             : ((inZ & bit) != 0 ? Logic::Z : Logic::X);
   }
   if (fault && nl_->isPrimaryInput(fault->net)) {
     value[static_cast<size_t>(fault->net)] = fault->stuck;
@@ -279,11 +285,31 @@ void NetlistEvaluator::evaluateInto(const Word& inputs,
 
 Word NetlistEvaluator::outputsOf(const std::vector<Logic>& netValues) const {
   const auto& pos = nl_->primaryOutputs();
-  Word w(static_cast<int>(pos.size()));
-  for (size_t i = 0; i < pos.size(); ++i) {
-    w.setBit(static_cast<int>(i), netValues[static_cast<size_t>(pos[i])]);
+  const int width = static_cast<int>(pos.size());
+  if (width > Word::kMaxWidth) {
+    throw std::invalid_argument("NetlistEvaluator: " + std::to_string(width) +
+                                " primary outputs exceed a Word");
   }
-  return w;
+  std::uint64_t value = 0;
+  std::uint64_t known = 0;
+  std::uint64_t z = 0;
+  for (int i = 0; i < width; ++i) {
+    const std::uint64_t bit = 1ULL << i;
+    switch (netValues[static_cast<size_t>(pos[static_cast<size_t>(i)])]) {
+      case Logic::L1:
+        value |= bit;
+        [[fallthrough]];
+      case Logic::L0:
+        known |= bit;
+        break;
+      case Logic::Z:
+        z |= bit;
+        break;
+      case Logic::X:
+        break;
+    }
+  }
+  return Word::fromPlanes(width, value, known, z);
 }
 
 Word NetlistEvaluator::evalOutputs(const Word& inputs,

@@ -63,13 +63,21 @@ NetlistModule::NetlistModule(std::string name,
 Word NetlistModule::currentInputs(const SimContext& ctx) const {
   Word inputs(netlist_->inputCount());
   for (size_t gi = 0; gi < inGroups_.size(); ++gi) {
-    const PortGroup& g = inGroups_[gi];
-    const Word w = readInput(ctx, *inPorts_[gi]);
-    for (int b = 0; b < g.width; ++b) {
-      inputs.setBit(g.firstPin + b, w.bit(b));
-    }
+    inputs.insert(inGroups_[gi].firstPin, readInput(ctx, *inPorts_[gi]));
   }
   return inputs;
+}
+
+void NetlistModule::evaluate(std::span<const Word> in,
+                             std::span<Word> out) const {
+  Word inputs(netlist_->inputCount());
+  for (size_t gi = 0; gi < inGroups_.size(); ++gi) {
+    inputs.insert(inGroups_[gi].firstPin, in[gi]);
+  }
+  const Word outs = evaluator_.evalOutputs(inputs);
+  for (size_t gi = 0; gi < outGroups_.size(); ++gi) {
+    out[gi] = outs.slice(outGroups_[gi].firstPin, outGroups_[gi].width);
+  }
 }
 
 void NetlistModule::processInputEvent(const SignalToken&, SimContext& ctx) {

@@ -66,6 +66,14 @@ class NetlistModule : public Module {
   void processInputEvent(const SignalToken& token, SimContext& ctx) override;
   void processSelfEvent(const SelfToken& token, SimContext& ctx) override;
 
+  /// Combinational while no pattern history is recorded and evaluation is
+  /// the stateless FullPass; evaluate() then runs the full evaluator, so
+  /// the levelized pass leaves the activity counters untouched.
+  bool combinational() const override {
+    return !recordPatterns_ && evalMode_ == EvalMode::FullPass;
+  }
+  void evaluate(std::span<const Word> in, std::span<Word> out) const override;
+
   /// Current full input word (one bit per netlist PI) as seen by `ctx`.
   Word currentInputs(const SimContext& ctx) const;
 

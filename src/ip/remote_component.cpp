@@ -250,10 +250,15 @@ Word RemoteComponent::gatherInputs(const SimContext& ctx) const {
   Word w(inWidth_);
   int bit = 0;
   for (Port* p : inPorts_) {
-    const Word v = readInput(ctx, *p);
-    for (int i = 0; i < v.width(); ++i) w.setBit(bit++, v.bit(i));
+    w.insert(bit, readInput(ctx, *p));
+    bit += p->width();
   }
   return w;
+}
+
+Word RemoteComponent::localFunction(const Word& inputs) const {
+  if (!inputs.isFullyKnown()) return Word::allX(outWidth_);
+  return publicPart_.functional(inputs, *sandbox_);
 }
 
 void RemoteComponent::emitOutputs(SimContext& ctx, const Word& outs) {
@@ -261,6 +266,22 @@ void RemoteComponent::emitOutputs(SimContext& ctx, const Word& outs) {
   for (Port* p : outPorts_) {
     emit(ctx, *p, outs.slice(bit, p->width()));
     bit += p->width();
+  }
+}
+
+void RemoteComponent::evaluate(std::span<const Word> in,
+                               std::span<Word> out) const {
+  Word inputs(inWidth_);
+  int bit = 0;
+  for (std::size_t k = 0; k < inPorts_.size(); ++k) {
+    inputs.insert(bit, in[k]);
+    bit += inPorts_[k]->width();
+  }
+  const Word outs = localFunction(inputs);
+  bit = 0;
+  for (std::size_t k = 0; k < outPorts_.size(); ++k) {
+    out[k] = outs.slice(bit, outPorts_[k]->width());
+    bit += outPorts_[k]->width();
   }
 }
 
@@ -326,11 +347,7 @@ void RemoteComponent::processSelfEvent(const SelfToken&, SimContext& ctx) {
 
   // EstimatorRemote: public part computes functionality locally.
   if (config_.collectPower) recordPattern(st, inputs);
-  if (!inputs.isFullyKnown()) {
-    emitOutputs(ctx, Word::allX(outWidth_));
-    return;
-  }
-  emitOutputs(ctx, publicPart_.functional(inputs, *sandbox_));
+  emitOutputs(ctx, localFunction(inputs));
 }
 
 std::optional<double> RemoteComponent::finishPowerEstimation(

@@ -173,6 +173,17 @@ class RemoteComponent : public Module {
   void processInputEvent(const SignalToken& token, SimContext& ctx) override;
   void processSelfEvent(const SelfToken& token, SimContext& ctx) override;
 
+  /// Combinational only in EstimatorRemote mode without power collection:
+  /// evaluation is then the local public part alone. Fully-remote
+  /// evaluation (an EvalFunction call per activation) and pattern
+  /// recording (EstimatePower batches) keep their side effects on the
+  /// event path.
+  bool combinational() const override {
+    return config_.mode == RemoteMode::EstimatorRemote &&
+           publicPart_.hasFunctional() && !config_.collectPower;
+  }
+  void evaluate(std::span<const Word> in, std::span<Word> out) const override;
+
   /// Flushes the pending pattern buffer and harvests outstanding
   /// non-blocking estimates; returns the weighted-average remote power
   /// estimate collected so far (mW), or nullopt when none was gathered.
@@ -199,6 +210,8 @@ class RemoteComponent : public Module {
   };
 
   Word gatherInputs(const SimContext& ctx) const;
+  /// The public part's response: all-X unless every input bit is known.
+  Word localFunction(const Word& inputs) const;
   void emitOutputs(SimContext& ctx, const Word& outs);
   void recordPattern(State& st, const Word& inputs);
   void harvest(State& st, rmi::Response resp);

@@ -49,20 +49,23 @@ void ByteBuffer::writeBytes(const std::vector<std::uint8_t>& bytes) {
 }
 
 void ByteBuffer::writeWord(const Word& w) {
+  // Two bits per position, four positions per byte, low bits first: the
+  // Logic code (0, 1, X = 2, Z = 3) read straight off the planes.
   writeU8(static_cast<std::uint8_t>(w.width()));
-  std::uint8_t acc = 0;
-  int nibble = 0;
-  for (int i = 0; i < w.width(); ++i) {
-    acc = static_cast<std::uint8_t>(acc |
-                                    (static_cast<std::uint8_t>(w.bit(i))
-                                     << (2 * nibble)));
-    if (++nibble == 4) {
-      writeU8(acc);
-      acc = 0;
-      nibble = 0;
+  const std::uint64_t value = w.valuePlane();
+  const std::uint64_t known = w.knownPlane();
+  const std::uint64_t z = w.zPlane();
+  for (int i = 0; i < w.width(); i += 4) {
+    std::uint8_t acc = 0;
+    for (int k = 0; k < 4 && i + k < w.width(); ++k) {
+      const int b = i + k;
+      const unsigned code = ((known >> b) & 1U) != 0
+                                ? static_cast<unsigned>((value >> b) & 1U)
+                                : 2U | static_cast<unsigned>((z >> b) & 1U);
+      acc = static_cast<std::uint8_t>(acc | (code << (2 * k)));
     }
+    writeU8(acc);
   }
-  if (nibble != 0) writeU8(acc);
 }
 
 void ByteBuffer::writeWordVector(const std::vector<Word>& words) {
@@ -122,18 +125,27 @@ std::vector<std::uint8_t> ByteReader::readBytes() {
 
 Word ByteReader::readWord() {
   const int width = readU8();
-  Word w(width);
-  std::uint8_t acc = 0;
-  int nibble = 4;  // force a fresh byte read
-  for (int i = 0; i < width; ++i) {
-    if (nibble == 4) {
-      acc = readU8();
-      nibble = 0;
-    }
-    w.setBit(i, static_cast<Logic>((acc >> (2 * nibble)) & 0x3));
-    ++nibble;
+  if (width > Word::kMaxWidth) {
+    throw std::invalid_argument("Word width out of range: " +
+                                std::to_string(width));
   }
-  return w;
+  std::uint64_t value = 0;
+  std::uint64_t known = 0;
+  std::uint64_t z = 0;
+  for (int i = 0; i < width; i += 4) {
+    const std::uint8_t acc = readU8();
+    for (int k = 0; k < 4 && i + k < width; ++k) {
+      const std::uint64_t code = (acc >> (2 * k)) & 0x3U;
+      const std::uint64_t bit = 1ULL << (i + k);
+      if (code < 2) {
+        known |= bit;
+        if (code == 1) value |= bit;
+      } else if (code == 3) {
+        z |= bit;
+      }
+    }
+  }
+  return Word::fromPlanes(width, value, known, z);
 }
 
 std::vector<Word> ByteReader::readWordVector() {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
+#include "core/rng.hpp"
+
 namespace vcad {
 namespace {
 
@@ -111,6 +115,84 @@ TEST(Word, BitIndexBoundsChecked) {
   Word w(4);
   EXPECT_THROW(w.bit(4), std::out_of_range);
   EXPECT_THROW(w.setBit(-1, Logic::L0), std::out_of_range);
+}
+
+// Plane-wise concat/slice/insert against their per-bit definitions, on
+// random widths 1-64 filled with all four logic values.
+Word randomWord(Rng& rng, int width) {
+  static constexpr Logic kValues[] = {Logic::L0, Logic::L1, Logic::X,
+                                      Logic::Z};
+  Word w(width);
+  for (int i = 0; i < width; ++i) w.setBit(i, kValues[rng.below(4)]);
+  return w;
+}
+
+TEST(Word, PlaneWiseOpsMatchTheBitwiseForm) {
+  Rng rng(0x5107);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int width = 1 + static_cast<int>(rng.below(64));
+    const Word w = randomWord(rng, width);
+
+    const auto below = [&](int bound) {
+      return static_cast<int>(rng.below(static_cast<std::uint64_t>(bound)));
+    };
+    const int lsb = below(width + 1);
+    const int len = below(width - lsb + 1);
+    Word sliced(len);
+    for (int i = 0; i < len; ++i) sliced.setBit(i, w.bit(lsb + i));
+    ASSERT_EQ(w.slice(lsb, len), sliced)
+        << w << " [" << lsb << "+" << len << "]";
+
+    const Word part = randomWord(rng, len);
+    Word inserted = w;
+    for (int i = 0; i < len; ++i) inserted.setBit(lsb + i, part.bit(i));
+    Word viaInsert = w;
+    viaInsert.insert(lsb, part);
+    ASSERT_EQ(viaInsert, inserted) << w << " <- " << part << " @" << lsb;
+
+    const Word hi = randomWord(rng, below(65 - width));
+    Word cat(hi.width() + width);
+    for (int i = 0; i < width; ++i) cat.setBit(i, w.bit(i));
+    for (int i = 0; i < hi.width(); ++i) cat.setBit(width + i, hi.bit(i));
+    ASSERT_EQ(Word::concat(hi, w), cat) << hi << " ++ " << w;
+
+    ASSERT_EQ(Word::fromPlanes(width, w.valuePlane(), w.knownPlane(),
+                               w.zPlane()),
+              w);
+  }
+}
+
+TEST(Word, FromPlanesCanonicalizes) {
+  // Value bits outside the known plane, Z bits inside it, and bits above the
+  // width are dropped.
+  const Word w = Word::fromPlanes(4, 0xFF, 0x3, 0xFE);
+  EXPECT_EQ(w.toString(), "ZZ11");
+  EXPECT_EQ(w, Word::fromString("ZZ11"));
+  EXPECT_EQ(Word::fromPlanes(64, ~0ULL, ~0ULL, ~0ULL),
+            Word::fromUint(64, ~0ULL));
+  EXPECT_THROW(Word::fromPlanes(65, 0, 0, 0), std::invalid_argument);
+}
+
+TEST(Word, InsertOutOfRangeThrows) {
+  Word w(8);
+  EXPECT_THROW(w.insert(5, Word(4)), std::out_of_range);
+  EXPECT_THROW(w.insert(-1, Word(1)), std::out_of_range);
+  EXPECT_NO_THROW(w.insert(8, Word()));
+  EXPECT_THROW(Word::concat(Word(40), Word(25)), std::invalid_argument);
+}
+
+TEST(Word, HashSeparatesWhatEqualitySeparates) {
+  // Same planes at different widths, and X vs Z, are different keys.
+  std::unordered_set<Word> set;
+  set.insert(Word::fromUint(4, 0));
+  set.insert(Word::fromUint(5, 0));
+  set.insert(Word::fromString("X"));
+  set.insert(Word::fromString("Z"));
+  set.insert(Word::fromString("Z"));
+  EXPECT_EQ(set.size(), 4u);
+  EXPECT_EQ(set.count(Word::fromString("0000")), 1u);
+  EXPECT_EQ(std::hash<Word>{}(Word::fromString("1X0Z")),
+            std::hash<Word>{}(Word::fromString("1X0Z")));
 }
 
 class WordUintRoundTrip : public ::testing::TestWithParam<int> {};

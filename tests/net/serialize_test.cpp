@@ -100,6 +100,41 @@ INSTANTIATE_TEST_SUITE_P(Widths, WordWidthRoundTrip,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17,
                                            31, 32, 33, 63, 64));
 
+// The plane-wise codec against the encoding's per-bit definition: a width
+// byte, then each position's Logic code in two bits, four to a byte, low
+// bits first.
+TEST(ByteBuffer, WordBytesMatchThePerBitEncoding) {
+  Rng rng(0xC0DE);
+  for (int trial = 0; trial < 500; ++trial) {
+    Word w(static_cast<int>(rng.below(65)));
+    for (int i = 0; i < w.width(); ++i) {
+      w.setBit(i, static_cast<Logic>(rng.below(4)));
+    }
+    std::vector<std::uint8_t> want{static_cast<std::uint8_t>(w.width())};
+    for (int i = 0; i < w.width(); ++i) {
+      if (i % 4 == 0) want.push_back(0);
+      want.back() = static_cast<std::uint8_t>(
+          want.back() | (static_cast<unsigned>(w.bit(i)) << (2 * (i % 4))));
+    }
+    ByteBuffer b;
+    b.writeWord(w);
+    ASSERT_EQ(b.bytes(), want) << w;
+    ASSERT_EQ(b.readWord(), w) << w;
+  }
+}
+
+TEST(ByteBuffer, WordWiderThan64IsRejected) {
+  ByteBuffer b;
+  b.writeU8(65);
+  for (int i = 0; i < 17; ++i) b.writeU8(0);
+  EXPECT_THROW(b.readWord(), std::invalid_argument);
+  ByteBuffer truncated;
+  truncated.writeU8(9);  // three payload bytes declared, two present
+  truncated.writeU8(0);
+  truncated.writeU8(0);
+  EXPECT_THROW(truncated.readWord(), std::out_of_range);
+}
+
 TEST(ByteBuffer, RewindAllowsRereading) {
   ByteBuffer b;
   b.writeU32(7);
