@@ -29,6 +29,7 @@
 #include "fault/serial_sim.hpp"
 #include "fault/virtual_sim.hpp"
 #include "obs/metrics.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::bench {
 namespace {
@@ -148,9 +149,9 @@ void collapsingAblation() {
     const int configs = 1 << nl.inputCount();
     for (int v = 0; v < configs; ++v) {
       rows += static_cast<double>(
-          fault::buildDetectionTable(ev, dom,
-                                     Word::fromUint(nl.inputCount(),
-                                                    static_cast<std::uint64_t>(v)))
+          oracles::buildDetectionTable(
+              ev, dom,
+              Word::fromUint(nl.inputCount(), static_cast<std::uint64_t>(v)))
               .rows()
               .size());
     }
@@ -567,7 +568,7 @@ void BM_DetectionTable(benchmark::State& state) {
   const auto collapsed = fault::collapseAll(nl, true, false, false);
   Rng rng(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fault::buildDetectionTable(
+    benchmark::DoNotOptimize(oracles::buildDetectionTable(
         ev, collapsed, Word::fromUint(nl.inputCount(), rng.next())));
   }
   state.counters["faults"] = static_cast<double>(collapsed.size());

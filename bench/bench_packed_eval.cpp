@@ -148,7 +148,7 @@ Measurement tableThroughput(const std::string& name, const gate::Netlist& nl,
   std::vector<fault::DetectionTable> scalar, packedTables;
   const double scalarSec = secondsOf([&] {
     for (const Word& c : configs) {
-      scalar.push_back(fault::buildDetectionTable(eval, collapsed, c));
+      scalar.push_back(oracles::buildDetectionTable(eval, collapsed, c));
     }
   });
   const gate::PackedEvaluator packed(nl);

@@ -7,6 +7,11 @@
 // FaultDictionary::build, and all tenants of a MultiTenantProviderServer
 // (separated by the namespace half of the key). Sharing is the point:
 // work one site paid for is a warm hit everywhere else.
+//
+// The protocol is fetch, compute on a miss, insert. Inserts of one key
+// carry identical bytes and replace in place; concurrent misses of one key
+// may each compute. The detection-table sites go through
+// fault::fetchOrBuildTables.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +37,6 @@ class ResultStore {
     bool syncEveryStore = false;
   };
 
-  using Claim = TaggedCache::Claim;
-
   explicit ResultStore(Config config);
 
   /// Memory-only store (hot tier only; nothing survives the process).
@@ -43,7 +46,6 @@ class ResultStore {
   /// Disk-backed store rooted at `directory` (created if missing).
   static std::shared_ptr<ResultStore> withDisk(const std::string& directory);
 
-  Claim fetchOrClaim(const CacheKey& key) { return cache_.fetchOrClaim(key); }
   Value fetch(const CacheKey& key) { return cache_.fetch(key); }
   void insert(const CacheKey& key, std::vector<std::uint8_t> bytes) {
     cache_.insert(key, std::move(bytes));

@@ -25,33 +25,10 @@ TaggedCache::TaggedCache(Config config)
   }
 }
 
-TaggedCache::Claim& TaggedCache::Claim::operator=(Claim&& o) noexcept {
-  if (this != &o) {
-    if (cache_ != nullptr) cache_->abandon(shard_, key_);
-    value = std::move(o.value);
-    cache_ = o.cache_;
-    shard_ = o.shard_;
-    key_ = o.key_;
-    o.cache_ = nullptr;
-  }
-  return *this;
-}
-
-TaggedCache::Claim::~Claim() {
-  if (cache_ != nullptr) cache_->abandon(shard_, key_);
-}
-
-void TaggedCache::Claim::fulfill(std::vector<std::uint8_t> bytes) {
-  if (cache_ == nullptr) return;
-  TaggedCache* c = cache_;
-  cache_ = nullptr;
-  c->publish(shard_, key_, std::move(bytes), /*writeThrough=*/true);
-}
-
 void TaggedCache::insertLocked(Shard& s, const CacheKey& key, Value v) {
   auto it = s.map.find(key);
   if (it != s.map.end()) {
-    // Replace in place (same key recomputed — identical bytes in practice).
+    // Replace in place: a key recomputed by a racing miss, identical bytes.
     s.bytes -= it->second.value->size();
     s.bytes += v->size();
     it->second.value = std::move(v);
@@ -72,117 +49,6 @@ void TaggedCache::insertLocked(Shard& s, const CacheKey& key, Value v) {
     s.map.erase(vit);
     s.lru.pop_back();
     ++s.stats.evictions;
-  }
-}
-
-TaggedCache::Claim TaggedCache::fetchOrClaim(const CacheKey& key) {
-  const std::size_t si = shardOf(key);
-  Shard& s = *shards_[si];
-  std::shared_ptr<Pending> pending;
-  bool waited = false;
-  {
-    std::unique_lock<std::mutex> lock(s.mutex);
-    for (;;) {
-      auto it = s.map.find(key);
-      if (it != s.map.end()) {
-        s.lru.splice(s.lru.begin(), s.lru, it->second.lruPos);
-        ++s.stats.hits;
-        if (waited) ++s.stats.claimWaits;
-        Claim claim;
-        claim.value = it->second.value;
-        return claim;
-      }
-      auto pit = s.inflight.find(key);
-      if (pit == s.inflight.end()) break;  // we become the owner
-      // Another thread owns the compute: wait for its verdict.
-      std::shared_ptr<Pending> p = pit->second;
-      p->cv.wait(lock, [&] { return p->done; });
-      waited = true;
-      if (p->value != nullptr) {
-        ++s.stats.hits;
-        ++s.stats.claimWaits;
-        Claim claim;
-        claim.value = p->value;
-        return claim;
-      }
-      // Owner abandoned — loop: maybe the entry landed anyway, maybe a
-      // newer owner is in flight, or we take ownership ourselves.
-    }
-    pending = std::make_shared<Pending>();
-    s.inflight.emplace(key, pending);
-  }
-
-  // Memory tier missed and we own the claim. Probe the disk tier outside
-  // the shard lock — other keys keep flowing while we do file I/O.
-  std::vector<std::uint8_t> fromDisk;
-  if (backend_->fetch(key, fromDisk)) {
-    {
-      std::lock_guard<std::mutex> lock(s.mutex);
-      ++s.stats.backendHits;
-    }
-    // Internalize without writing back to the backend it came from.
-    Value v = std::make_shared<const std::vector<std::uint8_t>>(
-        std::move(fromDisk));
-    Claim claim;
-    claim.value = v;
-    publishFromBackend(si, key, std::move(v));
-    return claim;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    ++s.stats.misses;
-  }
-  Claim claim;
-  claim.cache_ = this;
-  claim.shard_ = si;
-  claim.key_ = key;
-  return claim;
-}
-
-void TaggedCache::publishFromBackend(std::size_t shard, const CacheKey& key,
-                                     Value v) {
-  Shard& s = *shards_[shard];
-  std::lock_guard<std::mutex> lock(s.mutex);
-  insertLocked(s, key, v);
-  auto pit = s.inflight.find(key);
-  if (pit != s.inflight.end()) {
-    pit->second->done = true;
-    pit->second->value = std::move(v);
-    pit->second->cv.notify_all();
-    s.inflight.erase(pit);
-  }
-}
-
-void TaggedCache::publish(std::size_t shard, const CacheKey& key,
-                          std::vector<std::uint8_t> bytes, bool writeThrough) {
-  Value v =
-      std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
-  Shard& s = *shards_[shard];
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    insertLocked(s, key, v);
-    auto pit = s.inflight.find(key);
-    if (pit != s.inflight.end()) {
-      pit->second->done = true;
-      pit->second->value = v;
-      pit->second->cv.notify_all();
-      s.inflight.erase(pit);
-    }
-  }
-  // Write-through happens outside the shard lock: disk latency must not
-  // stall readers of this shard.
-  if (writeThrough) backend_->store(key, *v);
-}
-
-void TaggedCache::abandon(std::size_t shard, const CacheKey& key) {
-  Shard& s = *shards_[shard];
-  std::lock_guard<std::mutex> lock(s.mutex);
-  auto pit = s.inflight.find(key);
-  if (pit != s.inflight.end()) {
-    pit->second->done = true;  // value stays null: "owner gave up"
-    pit->second->cv.notify_all();
-    s.inflight.erase(pit);
   }
 }
 
@@ -215,7 +81,16 @@ Value TaggedCache::fetch(const CacheKey& key) {
 }
 
 void TaggedCache::insert(const CacheKey& key, std::vector<std::uint8_t> bytes) {
-  publish(shardOf(key), key, std::move(bytes), /*writeThrough=*/true);
+  Value v =
+      std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
+  Shard& s = *shards_[shardOf(key)];
+  {
+    std::lock_guard<std::mutex> lock(s.mutex);
+    insertLocked(s, key, v);
+  }
+  // Write-through happens outside the shard lock: disk latency must not
+  // stall readers of this shard.
+  backend_->store(key, *v);
 }
 
 TaggedCacheStats TaggedCache::stats() const {
@@ -226,7 +101,6 @@ TaggedCacheStats TaggedCache::stats() const {
     total.hits += s.stats.hits;
     total.backendHits += s.stats.backendHits;
     total.misses += s.stats.misses;
-    total.claimWaits += s.stats.claimWaits;
     total.insertions += s.stats.insertions;
     total.evictions += s.stats.evictions;
     total.bytes += s.bytes;

@@ -1,21 +1,17 @@
 // Sharded in-memory LRU over a pluggable disk backend — the hot tier of
 // the two-tier result store (rippled's TaggedCache shape).
 //
-// The concurrency contract callers rely on is *claim-on-miss*: when N
-// threads miss the same key at once, exactly one receives an owned Claim
-// and computes; the rest block on the claim and wake with the computed
-// value. The expensive function (building a detection table, running an
-// estimate) executes once per key per lifetime of the store, no matter
-// how the misses race. If the owner abandons (exception mid-compute), one
-// waiter is promoted to owner and retries — a crashlooping computation
-// degrades to serial recompute, never to a stuck queue.
+// The protocol is plain fetch, compute on a miss, insert. Every value is
+// a pure function of its key, so inserts of one key carry identical bytes
+// and replace the entry in place. Concurrent misses of one key may each
+// compute; whichever insert lands last leaves the same bytes. No caller
+// ever blocks on another's compute.
 //
 // Values are immutable shared byte vectors: a hit hands back the exact
 // bytes that were inserted, so a warm response is bit-identical to the
 // cold one by construction.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -34,7 +30,6 @@ struct TaggedCacheStats {
   std::uint64_t hits = 0;         // memory-tier hits
   std::uint64_t backendHits = 0;  // memory miss, disk hit (counts as a hit)
   std::uint64_t misses = 0;       // both tiers missed: caller computed
-  std::uint64_t claimWaits = 0;   // misses served by another thread's claim
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;    // LRU pressure evictions (memory tier only)
   std::uint64_t bytes = 0;        // current memory-tier footprint
@@ -49,59 +44,24 @@ class TaggedCache {
     std::shared_ptr<Backend> backend;  // defaults to NullBackend
   };
 
-  /// Result of fetchOrClaim. Exactly one of these holds per call:
-  ///  - `value` set: a hit (memory, backend, or another thread's compute).
-  ///  - `owned()` true: this caller must compute, then fulfill() or let
-  ///    the Claim destructor abandon (promoting a waiter to owner).
-  class Claim {
-   public:
-    Claim() = default;
-    Claim(Claim&& o) noexcept { *this = std::move(o); }
-    Claim& operator=(Claim&& o) noexcept;
-    Claim(const Claim&) = delete;
-    Claim& operator=(const Claim&) = delete;
-    ~Claim();
-
-    Value value;  // non-null on any flavor of hit
-    bool owned() const { return cache_ != nullptr; }
-
-    /// Publishes the computed bytes: wakes waiters, inserts into the
-    /// memory tier, writes through to the backend.
-    void fulfill(std::vector<std::uint8_t> bytes);
-
-   private:
-    friend class TaggedCache;
-    TaggedCache* cache_ = nullptr;
-    std::size_t shard_ = 0;
-    CacheKey key_;
-  };
-
   explicit TaggedCache(Config config);
   ~TaggedCache() = default;
 
   TaggedCache(const TaggedCache&) = delete;
   TaggedCache& operator=(const TaggedCache&) = delete;
 
-  /// Hit (either tier or a concurrent compute) → Claim with value set.
-  /// Miss → owned Claim; the caller computes and fulfills.
-  Claim fetchOrClaim(const CacheKey& key);
-
-  /// Plain read: memory tier, then backend. No claim, no blocking on
-  /// in-flight computes. Returns nullptr on miss.
+  /// Memory tier, then backend (a backend hit is promoted into the memory
+  /// tier). Returns nullptr on miss: the caller computes and inserts.
   Value fetch(const CacheKey& key);
 
-  /// Unconditional insert (memory tier + write-through).
+  /// Inserts into the memory tier, replacing any entry of `key` in place,
+  /// and writes through to the backend.
   void insert(const CacheKey& key, std::vector<std::uint8_t> bytes);
 
   TaggedCacheStats stats() const;
   Backend& backend() const { return *backend_; }
 
  private:
-  struct Pending {
-    bool done = false;
-    Value value;  // null when the owner abandoned
-    std::condition_variable cv;
-  };
   struct Entry {
     Value value;
     std::list<CacheKey>::iterator lruPos;
@@ -110,7 +70,6 @@ class TaggedCache {
     mutable std::mutex mutex;
     std::map<CacheKey, Entry> map;
     std::list<CacheKey> lru;  // front = most recent
-    std::map<CacheKey, std::shared_ptr<Pending>> inflight;
     std::uint64_t bytes = 0;
     TaggedCacheStats stats;
   };
@@ -121,10 +80,6 @@ class TaggedCache {
     return static_cast<std::size_t>(key.lo ^ key.hi) & shardMask_;
   }
   void insertLocked(Shard& s, const CacheKey& key, Value v);
-  void publish(std::size_t shard, const CacheKey& key,
-               std::vector<std::uint8_t> bytes, bool writeThrough);
-  void publishFromBackend(std::size_t shard, const CacheKey& key, Value v);
-  void abandon(std::size_t shard, const CacheKey& key);
 
   std::size_t maxBytesPerShard_;
   std::size_t shardMask_;

@@ -81,28 +81,6 @@ DetectionTable DetectionTable::deserialize(net::ByteBuffer& buf) {
   });
 }
 
-DetectionTable buildDetectionTable(const gate::NetlistEvaluator& eval,
-                                   const CollapsedFaults& collapsed,
-                                   const Word& inputs) {
-  const Word faultFree = eval.evalOutputs(inputs);
-  std::map<std::string, DetectionTable::Row> byOutput;
-  const Netlist& nl = eval.netlist();
-  for (const StuckFault& f : collapsed.representatives) {
-    const Word out = eval.evalOutputs(inputs, f);
-    if (out == faultFree) continue;  // fault not excited by this pattern
-    auto& row = byOutput[out.toString()];
-    row.faultyOutput = out;
-    row.faults.push_back(symbolOf(nl, f));
-  }
-  std::vector<DetectionTable::Row> rows;
-  rows.reserve(byOutput.size());
-  for (auto& [key, row] : byOutput) {
-    std::sort(row.faults.begin(), row.faults.end());
-    rows.push_back(std::move(row));
-  }
-  return DetectionTable(inputs, faultFree, std::move(rows));
-}
-
 std::vector<DetectionTable> buildDetectionTables(
     const gate::PackedEvaluator& packed, const CollapsedFaults& collapsed,
     const std::vector<Word>& inputs) {

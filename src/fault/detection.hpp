@@ -84,20 +84,16 @@ class DetectionTable final : public ParamValue {
   std::vector<Row> rows_;
 };
 
-/// Provider-side construction: simulate the component under every collapsed
-/// fault for `inputs` and group the erroneous outputs. Deterministic row
-/// order (by output pattern string).
-DetectionTable buildDetectionTable(const gate::NetlistEvaluator& eval,
-                                   const CollapsedFaults& collapsed,
-                                   const Word& inputs);
-
-/// Batched provider-side construction on the packed bit-parallel engine:
-/// each lane of a pass holds one (configuration, collapsed fault) pair,
-/// filled configuration-major, so a one-configuration call takes ⌈F/64⌉
-/// passes for F faults and C configurations never take more than ⌈C/64⌉·F.
-/// Every pass starts from the fault-free planes and re-evaluates only from
-/// its first forced gate. The returned tables (one per input, same order)
-/// are identical to calling buildDetectionTable per configuration.
+/// Provider-side construction on the packed bit-parallel engine: for each
+/// configuration, the component simulated under every collapsed fault, the
+/// erroneous outputs grouped into rows in deterministic order (by output
+/// pattern string, fault names sorted). Each lane of a pass holds one
+/// (configuration, collapsed fault) pair, filled configuration-major, so a
+/// one-configuration call takes ⌈F/64⌉ passes for F faults and C
+/// configurations never take more than ⌈C/64⌉·F. Every pass starts from the
+/// fault-free planes and re-evaluates only from its first forced gate. The
+/// returned tables (one per input, same order) are identical to the scalar
+/// one-fault-at-a-time reference builder in the test oracles.
 std::vector<DetectionTable> buildDetectionTables(
     const gate::PackedEvaluator& packed, const CollapsedFaults& collapsed,
     const std::vector<Word>& inputs);

@@ -2,23 +2,9 @@
 
 #include <stdexcept>
 
-#include "rmi/protocol.hpp"
+#include "fault/table_cache.hpp"
 
 namespace vcad::fault {
-
-namespace {
-/// The store key for one configuration — derived exactly as the provider
-/// and the campaign-side DetectionTableCache derive it, so dictionary
-/// builds share entries with every other cache site.
-cache::CacheKey dictionaryKey(std::uint64_t digest, std::uint64_t ns,
-                              const Word& inputs) {
-  rmi::Args args;
-  args.addWord(inputs);
-  return cache::resultKey(
-      digest, ns, static_cast<std::uint32_t>(rmi::MethodId::GetDetectionTable),
-      args.buffer().bytes());
-}
-}  // namespace
 
 FaultDictionary FaultDictionary::build(
     const gate::Netlist& netlist, const CollapsedFaults& collapsed,
@@ -45,31 +31,16 @@ FaultDictionary FaultDictionary::build(
   if (store != nullptr) {
     // Store-assisted build: fetch what any previous cache site already
     // characterized, pack-build only the misses, write those through.
-    d.tables_.resize(configs);
-    std::vector<Word> missing;
-    std::vector<std::size_t> missingIdx;
-    for (std::uint64_t v = 0; v < configs; ++v) {
-      const cache::Value hit =
-          store->fetch(dictionaryKey(d.digest_, storeNamespace, inputs[v]));
-      if (hit != nullptr) {
-        net::ByteBuffer buf(*hit);
-        d.tables_[v] = DetectionTable::deserialize(buf);
-      } else {
-        missing.push_back(inputs[v]);
-        missingIdx.push_back(static_cast<std::size_t>(v));
-      }
-    }
-    if (!missing.empty()) {
-      const gate::PackedEvaluator packed(netlist);
-      std::vector<DetectionTable> built =
-          buildDetectionTables(packed, collapsed, missing);
-      for (std::size_t j = 0; j < built.size(); ++j) {
-        net::ByteBuffer buf;
-        built[j].serialize(buf);
-        store->insert(dictionaryKey(d.digest_, storeNamespace, missing[j]),
-                      buf.bytes());
-        d.tables_[missingIdx[j]] = std::move(built[j]);
-      }
+    const std::vector<cache::Value> bytes = fetchOrBuildTables(
+        store.get(), d.digest_, storeNamespace, inputs,
+        [&](const std::vector<Word>& missing) {
+          const gate::PackedEvaluator packed(netlist);
+          return buildDetectionTables(packed, collapsed, missing);
+        });
+    d.tables_.reserve(configs);
+    for (const cache::Value& b : bytes) {
+      net::ByteBuffer buf(*b);
+      d.tables_.push_back(DetectionTable::deserialize(buf));
     }
     return d;
   }

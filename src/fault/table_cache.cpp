@@ -16,6 +16,37 @@ cache::CacheKey detectionTableKey(std::uint64_t digest, std::uint64_t ns,
       args.buffer().bytes());
 }
 
+std::vector<cache::Value> fetchOrBuildTables(cache::ResultStore* store,
+                                             std::uint64_t digest,
+                                             std::uint64_t ns,
+                                             const std::vector<Word>& inputs,
+                                             const TableBuilder& build) {
+  std::vector<cache::Value> tables(inputs.size());
+  std::vector<cache::CacheKey> keys(store != nullptr ? inputs.size() : 0);
+  std::vector<std::size_t> missAt;
+  std::vector<Word> missing;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    if (store != nullptr) {
+      keys[i] = detectionTableKey(digest, ns, inputs[i]);
+      tables[i] = store->fetch(keys[i]);
+    }
+    if (tables[i] == nullptr) {
+      missAt.push_back(i);
+      missing.push_back(inputs[i]);
+    }
+  }
+  if (missing.empty()) return tables;
+  const std::vector<DetectionTable> built = build(missing);
+  for (std::size_t j = 0; j < missAt.size(); ++j) {
+    net::ByteBuffer buf;
+    built[j].serialize(buf);
+    tables[missAt[j]] =
+        std::make_shared<const std::vector<std::uint8_t>>(buf.bytes());
+    if (store != nullptr) store->insert(keys[missAt[j]], buf.bytes());
+  }
+  return tables;
+}
+
 DetectionTableCache::DetectionTableCache(std::string component,
                                          std::span<const std::string> faultList)
     : component_(std::move(component)),

@@ -31,13 +31,15 @@
 //              warm.
 //
 // Every store entry holds one table under detectionTableKey, which the
-// provider's GetDetectionTable and GetDetectionTables paths call too, so a
+// provider's GetDetectionTable and GetDetectionTables paths and
+// FaultDictionary::build reach through fetchOrBuildTables, so a
 // client-side view and a provider-side store attached to the same
 // ResultStore share entries at any batch size: a table the provider built
 // for one user is a local, zero-round-trip hit for the next.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -56,6 +58,23 @@ namespace vcad::fault {
 /// marshalled as the remote stub sends it.
 cache::CacheKey detectionTableKey(std::uint64_t digest, std::uint64_t ns,
                                   const Word& inputs);
+
+/// Builds the detection tables of the configurations it is given, in order.
+using TableBuilder =
+    std::function<std::vector<DetectionTable>(const std::vector<Word>&)>;
+
+/// The one store-through path for serialized detection tables: each
+/// configuration of `inputs` is fetched from `store` under
+/// detectionTableKey(digest, ns, ·), and the misses are built in a single
+/// `build` call and inserted. Returns each table's serialize() bytes in
+/// request order, identical whichever entries hit. A null `store` builds
+/// everything; `build` is not called when nothing misses. Concurrent misses
+/// of one key may each build: the inserted bytes are identical.
+std::vector<cache::Value> fetchOrBuildTables(cache::ResultStore* store,
+                                             std::uint64_t digest,
+                                             std::uint64_t ns,
+                                             const std::vector<Word>& inputs,
+                                             const TableBuilder& build);
 
 /// A detection table as the campaign pins it: each row's faulty output and
 /// the indices of its faults into the component's published fault list,

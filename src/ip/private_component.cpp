@@ -58,11 +58,6 @@ std::vector<std::string> PrivateComponent::faultList() const {
   return fault::symbolicFaultList(*netlist_, collapsed_);
 }
 
-fault::DetectionTable PrivateComponent::detectionTable(
-    const Word& inputs) const {
-  return std::move(fault::buildDetectionTables(packed_, collapsed_, {inputs})[0]);
-}
-
 std::vector<fault::DetectionTable> PrivateComponent::detectionTables(
     const std::vector<Word>& inputs) const {
   return fault::buildDetectionTables(packed_, collapsed_, inputs);

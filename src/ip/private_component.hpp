@@ -44,12 +44,9 @@ class PrivateComponent {
   /// Phase-1 data for virtual fault simulation.
   std::vector<std::string> faultList() const;
 
-  /// Phase-2 data: the detection table for one input configuration.
-  fault::DetectionTable detectionTable(const Word& inputs) const;
-
-  /// Phase-2 data, batched: one table per buffered input configuration, in
-  /// order, built on the packed bit-parallel engine (64 configurations per
-  /// fault pass). Identical to calling detectionTable() per entry.
+  /// Phase-2 data: one detection table per input configuration, in order,
+  /// built on the packed bit-parallel engine (64 configurations per fault
+  /// pass).
   std::vector<fault::DetectionTable> detectionTables(
       const std::vector<Word>& inputs) const;
 

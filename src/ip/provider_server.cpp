@@ -587,98 +587,50 @@ Response ProviderServer::execute(const Request& request,
       for (const std::string& f : faults) resp.payload.writeString(f);
       return resp;
     }
-    case MethodId::GetDetectionTable: {
-      if (spec.testability < ModelLevel::Dynamic) {
-        return Response::failure(
-            Status::Error,
-            "no dynamic testability model for " + inst->component);
-      }
-      const Word inputs = args.takeWord();
-      Response resp;
-      resp.version = inst->digest;
-      const StoreView view = storeFor(*inst);
-      cache::ResultStore::Claim claim;
-      if (view.store != nullptr) {
-        claim = view.store->fetchOrClaim(
-            fault::detectionTableKey(inst->digest, view.ns, inputs));
-      }
-      if (claim.value != nullptr) {
-        // Warm hit: the exact bytes a cold execution produced, so the
-        // response is bit-identical to the uncached one.
-        resp.payload = net::ByteBuffer(*claim.value);
-        resp.cached = true;
-      } else {
-        {
-          std::lock_guard<std::mutex> exec(inst->execMutex);
-          inst->impl->detectionTable(inputs).serialize(resp.payload);
-        }
-        if (claim.owned()) claim.fulfill(resp.payload.bytes());
-      }
-      charge(*session, MethodId::GetDetectionTable,
-             spec.fees.perDetectionTableCents, resp);
-      cache = true;
-      return resp;
-    }
+    case MethodId::GetDetectionTable:
     case MethodId::GetDetectionTables: {
       if (spec.testability < ModelLevel::Dynamic) {
         return Response::failure(
             Status::Error,
             "no dynamic testability model for " + inst->component);
       }
-      // Batched variant: one table per buffered input configuration, one
-      // message pair total. The store holds one entry per configuration
-      // under the single-table key, so a batch hits whatever any batch size
-      // (or a client view) wrote; only the misses are built, in one packed
-      // bit-parallel sweep (64 configurations per fault pass). Plain
-      // fetch/insert, not one claim per key: a request holding several
-      // claims while it waits on another request's claim could deadlock.
-      // Fees are identical to the per-table method — batching saves round
-      // trips, not licensing cost — and a warm hit charges exactly the
-      // same: the fee licenses the detection data, not the provider's CPU.
-      const std::vector<Word> configs = args.takeWordVector();
-      Response resp;
-      resp.version = inst->digest;
+      // One table per input configuration. The store holds one entry per
+      // configuration under the single-table key, so either method hits
+      // whatever the other (or a client view) wrote; only the misses are
+      // built, in one packed bit-parallel sweep (64 configurations per
+      // fault pass). The batched form answers any number of configurations
+      // in one message pair; its fees are identical to the per-table
+      // method's — batching saves round trips, not licensing cost — and a
+      // warm hit charges exactly the same: the fee licenses the detection
+      // data, not the provider's CPU.
+      const bool batched = request.method == MethodId::GetDetectionTables;
+      const std::vector<Word> configs =
+          batched ? args.takeWordVector() : std::vector<Word>{args.takeWord()};
       const StoreView view = storeFor(*inst);
-      std::vector<cache::CacheKey> keys(configs.size());
-      std::vector<cache::Value> tables(configs.size());
-      std::vector<std::size_t> missAt;
-      std::vector<Word> missing;
-      for (std::size_t i = 0; i < configs.size(); ++i) {
-        if (view.store != nullptr) {
-          keys[i] = fault::detectionTableKey(inst->digest, view.ns, configs[i]);
-          tables[i] = view.store->fetch(keys[i]);
-        }
-        if (tables[i] == nullptr) {
-          missAt.push_back(i);
-          missing.push_back(configs[i]);
-        }
+      bool built = false;
+      const std::vector<cache::Value> tables = fault::fetchOrBuildTables(
+          view.store.get(), inst->digest, view.ns, configs,
+          [&](const std::vector<Word>& missing) {
+            built = true;
+            std::lock_guard<std::mutex> exec(inst->execMutex);
+            return inst->impl->detectionTables(missing);
+          });
+      // Request order, each table's bytes as a cold build serializes them;
+      // the batched payload leads with the table count.
+      std::vector<std::uint8_t> payload;
+      if (batched) {
+        net::ByteBuffer count;
+        count.writeU32(static_cast<std::uint32_t>(configs.size()));
+        payload = count.bytes();
       }
-      if (!missing.empty()) {
-        std::vector<fault::DetectionTable> built;
-        {
-          std::lock_guard<std::mutex> exec(inst->execMutex);
-          built = inst->impl->detectionTables(missing);
-        }
-        for (std::size_t j = 0; j < missAt.size(); ++j) {
-          net::ByteBuffer buf;
-          built[j].serialize(buf);
-          tables[missAt[j]] =
-              std::make_shared<const std::vector<std::uint8_t>>(buf.bytes());
-          if (view.store != nullptr) {
-            view.store->insert(keys[missAt[j]], buf.bytes());
-          }
-        }
-      }
-      // Request order, each table's bytes as a cold build serializes them.
-      net::ByteBuffer count;
-      count.writeU32(static_cast<std::uint32_t>(configs.size()));
-      std::vector<std::uint8_t> payload = count.bytes();
       for (const cache::Value& t : tables) {
         payload.insert(payload.end(), t->begin(), t->end());
       }
+      Response resp;
+      resp.version = inst->digest;
       resp.payload = net::ByteBuffer(std::move(payload));
-      resp.cached = !configs.empty() && missing.empty();
-      charge(*session, MethodId::GetDetectionTables,
+      resp.cached = !configs.empty() && !built;
+      charge(*session, request.method,
              spec.fees.perDetectionTableCents *
                  static_cast<double>(configs.size()),
              resp);

@@ -4,8 +4,9 @@
 // invalidation when the netlist changes, loopback/socket parity of the
 // ChannelStats cache counters, batch-independent store entries (per-table
 // and batched calls, provider and client views, hit each other's entries),
-// cross-site sharing with FaultDictionary::build, and the execute-once
-// guarantee for concurrent same-key misses arriving through the provider.
+// cross-site sharing with FaultDictionary::build, single-table and batched
+// calls agreeing with each other and a cold build in every store state, and
+// concurrent same-key misses of both methods through the provider.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -475,11 +476,114 @@ TEST(WarmCampaign, DictionaryBuildSharesTheCampaignWarmedStore) {
   }
 }
 
-TEST(WarmCampaign, ConcurrentSameKeyMissesThroughProviderExecuteOnce) {
-  // N client threads, each with its own channel and session, all demand
-  // the same fresh detection tables at once. The store's claim-on-miss
-  // contract must hold through the provider dispatch path: one compute
-  // per configuration, everyone receives identical bytes.
+enum class StoreState { None, Cold, Warm };
+
+/// The table responses one provider in `state` gives a fresh client for
+/// `configs`, through one GetDetectionTables call (batched) or one
+/// GetDetectionTable call per configuration.
+struct ServedTables {
+  std::vector<rmi::Response> responses;
+  double invoiceCents = 0.0;  // the session's table-method invoice items
+};
+
+ServedTables serveTables(StoreState state, bool batched,
+                         const std::vector<Word>& configs) {
+  ip::ProviderServer server("provider.host", nullptr);
+  registerMultiplier(server);
+  if (state != StoreState::None) {
+    server.setResultStore(cache::ResultStore::inMemory());
+  }
+  if (state == StoreState::Warm) {
+    Rig warmer(server, /*seed=*/7);
+    warmer.client->detectionTables(configs);
+  }
+  Rig rig(server, /*seed=*/8);
+  ServedTables out;
+  const auto call = [&](rmi::MethodId method, rmi::Args args) {
+    out.responses.push_back(
+        rig.provider.call(method, rig.mult->instanceId(), std::move(args)));
+    EXPECT_TRUE(out.responses.back().ok()) << out.responses.back().error;
+  };
+  if (batched) {
+    rmi::Args args;
+    args.addWordVector(configs);
+    call(rmi::MethodId::GetDetectionTables, std::move(args));
+  } else {
+    for (const Word& w : configs) {
+      rmi::Args args;
+      args.addWord(w);
+      call(rmi::MethodId::GetDetectionTable, std::move(args));
+    }
+  }
+  for (const auto& item : server.invoice(rig.provider.session()).items) {
+    if (item.method == rmi::MethodId::GetDetectionTable ||
+        item.method == rmi::MethodId::GetDetectionTables) {
+      out.invoiceCents += item.cents;
+    }
+  }
+  return out;
+}
+
+TEST(WarmCampaign, SingleAndBatchedTablesAgreeInEveryStoreState) {
+  // Both table methods serve through one store-through path. With no
+  // store, a cold store or a warm one, each GetDetectionTable payload is
+  // the matching table of a GetDetectionTables payload over the same
+  // configurations and of a store-less cold build, and the cached flag,
+  // version and fees agree.
+  std::vector<Word> configs;
+  for (std::uint64_t c : {0x15u, 0x2Au, 0x00u, 0x3Fu}) {
+    configs.push_back(Word::fromUint(2 * kW, c));
+  }
+  const Netlist nl = gate::makeArrayMultiplier(kW);
+  const auto collapsed = collapseAll(nl, /*dominance=*/true,
+                                     /*includePrimaryInputs=*/false,
+                                     /*includePrimaryOutputNets=*/false);
+  net::ByteBuffer coldBuild;
+  coldBuild.writeU32(static_cast<std::uint32_t>(configs.size()));
+  for (const DetectionTable& t :
+       buildDetectionTables(gate::PackedEvaluator(nl), collapsed, configs)) {
+    t.serialize(coldBuild);
+  }
+
+  for (const StoreState state :
+       {StoreState::None, StoreState::Cold, StoreState::Warm}) {
+    SCOPED_TRACE("store state " + std::to_string(static_cast<int>(state)));
+    const ServedTables batch = serveTables(state, /*batched=*/true, configs);
+    const ServedTables singles = serveTables(state, /*batched=*/false, configs);
+    ASSERT_EQ(batch.responses.size(), 1u);
+    ASSERT_EQ(singles.responses.size(), configs.size());
+    const rmi::Response& b = batch.responses[0];
+    EXPECT_EQ(b.payload.bytes(), coldBuild.bytes());
+    EXPECT_EQ(b.cached, state == StoreState::Warm);
+    EXPECT_EQ(b.version, cache::netlistDigest(nl));
+
+    // The batch's count, then every single-table payload in request order.
+    net::ByteBuffer joined;
+    joined.writeU32(static_cast<std::uint32_t>(configs.size()));
+    std::vector<std::uint8_t> bytes = joined.bytes();
+    double singleFees = 0.0;
+    for (const rmi::Response& r : singles.responses) {
+      bytes.insert(bytes.end(), r.payload.bytes().begin(),
+                   r.payload.bytes().end());
+      EXPECT_EQ(r.cached, b.cached);
+      EXPECT_EQ(r.version, b.version);
+      EXPECT_DOUBLE_EQ(r.feeCents, b.feeCents / configs.size());
+      singleFees += r.feeCents;
+    }
+    EXPECT_EQ(bytes, b.payload.bytes());
+    EXPECT_DOUBLE_EQ(singleFees, b.feeCents);
+    EXPECT_DOUBLE_EQ(singles.invoiceCents, batch.invoiceCents);
+    EXPECT_DOUBLE_EQ(batch.invoiceCents, b.feeCents);
+  }
+}
+
+TEST(WarmCampaign, ConcurrentSingleAndBatchedMissesServeIdenticalBytes) {
+  // Client threads, each with its own channel and session, demand the same
+  // fresh detection tables at once: half one GetDetectionTable call per
+  // configuration, half one GetDetectionTables call for all of them.
+  // Racing misses may each build, but every client receives the same
+  // bytes, the store keeps one entry per configuration, and every
+  // configuration requested is one store lookup.
   auto store = cache::ResultStore::inMemory();
   ip::ProviderServer server("provider.host", nullptr);
   registerMultiplier(server);
@@ -487,6 +591,8 @@ TEST(WarmCampaign, ConcurrentSameKeyMissesThroughProviderExecuteOnce) {
 
   constexpr int kThreads = 4;
   constexpr std::uint64_t kConfigs = 6;
+  std::vector<std::uint64_t> configs(kConfigs);
+  for (std::uint64_t c = 0; c < kConfigs; ++c) configs[c] = c;
   std::vector<std::unique_ptr<Rig>> rigs;
   for (int t = 0; t < kThreads; ++t) {
     rigs.push_back(std::make_unique<Rig>(server, /*seed=*/100 + t));
@@ -496,21 +602,24 @@ TEST(WarmCampaign, ConcurrentSameKeyMissesThroughProviderExecuteOnce) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      for (std::uint64_t c = 0; c < kConfigs; ++c) {
-        got[static_cast<std::size_t>(t)].push_back(
-            tableBytes(*rigs[static_cast<std::size_t>(t)]->client, c));
+      const auto at = static_cast<std::size_t>(t);
+      ip::RemoteFaultClient& client = *rigs[at]->client;
+      if (t % 2 == 0) {
+        for (std::uint64_t c : configs) got[at].push_back(tableBytes(client, c));
+      } else {
+        got[at] = batchBytes(client, configs);
       }
     });
   }
   for (auto& th : threads) th.join();
 
+  ASSERT_EQ(got[0].size(), kConfigs);
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(got[static_cast<std::size_t>(t)], got[0]) << "thread " << t;
   }
-  // Exactly one compute per configuration, no matter how the misses raced.
-  EXPECT_EQ(store->stats().misses, kConfigs);
-  EXPECT_EQ(store->stats().hits + store->stats().misses,
-            static_cast<std::uint64_t>(kThreads) * kConfigs);
+  const cache::TaggedCacheStats s = store->stats();
+  EXPECT_EQ(s.entries, kConfigs);
+  EXPECT_EQ(s.hits + s.misses, static_cast<std::uint64_t>(kThreads) * kConfigs);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "core/rng.hpp"
 #include "fault/table_cache.hpp"
 #include "gate/generators.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::fault {
 namespace {
@@ -28,7 +29,7 @@ TEST_F(Ip1Detection, TableAtOneZeroMatchesPaperShape) {
   // rows — outputs (OIP1,OIP2) = 00 caused by sum-path sa0 faults, and 11
   // caused by the carry-path fault I6sa1.
   const DetectionTable t =
-      buildDetectionTable(eval_, collapsed_, Word::fromString("01"));
+      oracles::buildDetectionTable(eval_, collapsed_, Word::fromString("01"));
   EXPECT_EQ(t.faultFreeOutput().toString(), "01");  // OIP2=0, OIP1=1
   ASSERT_EQ(t.rows().size(), 2u);
 
@@ -50,7 +51,7 @@ TEST_F(Ip1Detection, TableAtOneZeroMatchesPaperShape) {
 
 TEST_F(Ip1Detection, UnexcitedFaultsAbsent) {
   const DetectionTable t =
-      buildDetectionTable(eval_, collapsed_, Word::fromString("01"));
+      oracles::buildDetectionTable(eval_, collapsed_, Word::fromString("01"));
   // I6sa0 cannot be excited when the fault-free carry is already 0.
   EXPECT_EQ(t.faultyOutputFor("I6sa0"), nullptr);
   // I6sa1 is excited and maps to output 11.
@@ -62,7 +63,8 @@ TEST_F(Ip1Detection, UnexcitedFaultsAbsent) {
 TEST_F(Ip1Detection, AllInputConfigurationsProduceConsistentTables) {
   for (unsigned v = 0; v < 4; ++v) {
     const Word in = Word::fromUint(2, v);
-    const DetectionTable t = buildDetectionTable(eval_, collapsed_, in);
+    const DetectionTable t =
+        oracles::buildDetectionTable(eval_, collapsed_, in);
     EXPECT_EQ(t.inputs(), in);
     for (const auto& row : t.rows()) {
       EXPECT_NE(row.faultyOutput, t.faultFreeOutput());
@@ -86,7 +88,7 @@ TEST_F(Ip1Detection, AllInputConfigurationsProduceConsistentTables) {
 
 TEST_F(Ip1Detection, SerializationRoundTrip) {
   const DetectionTable t =
-      buildDetectionTable(eval_, collapsed_, Word::fromString("01"));
+      oracles::buildDetectionTable(eval_, collapsed_, Word::fromString("01"));
   net::ByteBuffer buf;
   t.serialize(buf);
   const DetectionTable back = DetectionTable::deserialize(buf);
@@ -101,7 +103,7 @@ TEST_F(Ip1Detection, SerializationRoundTrip) {
 
 TEST_F(Ip1Detection, IsAParamValue) {
   const DetectionTable t =
-      buildDetectionTable(eval_, collapsed_, Word::fromString("01"));
+      oracles::buildDetectionTable(eval_, collapsed_, Word::fromString("01"));
   const ParamValue& v = t;  // DetectionTable is a parameter value
   EXPECT_FALSE(v.isNull());
   EXPECT_NE(v.toString().find("DetectionTable"), std::string::npos);
@@ -112,8 +114,8 @@ TEST(DetectionTable, ExcitedFaultCountOnMultiplier) {
   const Netlist nl = gate::makeArrayMultiplier(3);
   gate::NetlistEvaluator eval(nl);
   const auto collapsed = collapseAll(nl, true, false, false);
-  const DetectionTable t =
-      buildDetectionTable(eval, collapsed, Word::fromUint(6, 0b101011));
+  const DetectionTable t = oracles::buildDetectionTable(
+      eval, collapsed, Word::fromUint(6, 0b101011));
   EXPECT_GT(t.excitedFaultCount(), 0u);
   EXPECT_LE(t.excitedFaultCount(), collapsed.size());
   // Row outputs are unique.

@@ -5,6 +5,7 @@
 #include "fault/block_design.hpp"
 #include "fault/virtual_sim.hpp"
 #include "gate/generators.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::fault {
 namespace {
@@ -18,7 +19,8 @@ TEST(Dictionary, MatchesDynamicTablesExactly) {
   for (unsigned v = 0; v < 4; ++v) {
     const Word in = Word::fromUint(2, v);
     const DetectionTable& fromDict = dict.tableFor(in);
-    const DetectionTable dynamic = buildDetectionTable(eval, collapsed, in);
+    const DetectionTable dynamic =
+        oracles::buildDetectionTable(eval, collapsed, in);
     ASSERT_EQ(fromDict.rows().size(), dynamic.rows().size()) << v;
     for (size_t r = 0; r < dynamic.rows().size(); ++r) {
       EXPECT_EQ(fromDict.rows()[r].faultyOutput, dynamic.rows()[r].faultyOutput);

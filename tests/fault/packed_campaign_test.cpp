@@ -100,7 +100,7 @@ TEST(PackedDetectionTables, BatchMatchesScalarBuilderPerConfig) {
     ASSERT_EQ(tables.size(), inputs.size());
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       const DetectionTable scalar =
-          buildDetectionTable(eval, collapsed, inputs[i]);
+          oracles::buildDetectionTable(eval, collapsed, inputs[i]);
       EXPECT_EQ(tables[i].inputs(), scalar.inputs());
       EXPECT_EQ(tables[i].faultFreeOutput(), scalar.faultFreeOutput());
       ASSERT_EQ(tables[i].rows().size(), scalar.rows().size()) << i;
@@ -126,7 +126,8 @@ TEST(PackedDictionary, BuildMatchesScalarTablePerConfiguration) {
   ASSERT_EQ(dict.tableCount(), 128u);
   for (std::uint64_t v = 0; v < 128; ++v) {
     const Word in = Word::fromUint(7, v);
-    const DetectionTable scalar = buildDetectionTable(eval, collapsed, in);
+    const DetectionTable scalar =
+        oracles::buildDetectionTable(eval, collapsed, in);
     const DetectionTable& packed = dict.tableFor(in);
     net::ByteBuffer a, b;
     packed.serialize(a);

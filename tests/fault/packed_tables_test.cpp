@@ -15,6 +15,7 @@
 #include "gate/family.hpp"
 #include "gate/generators.hpp"
 #include "obs/metrics.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::fault {
 namespace {
@@ -55,7 +56,7 @@ void expectMatchesScalar(const Netlist& nl, const CollapsedFaults& collapsed,
   ASSERT_EQ(tables.size(), inputs.size()) << label;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     ASSERT_EQ(bytesOf(tables[i]),
-              bytesOf(buildDetectionTable(eval, collapsed, inputs[i])))
+              bytesOf(oracles::buildDetectionTable(eval, collapsed, inputs[i])))
         << label << " config " << i << " " << inputs[i].toString();
   }
 }
@@ -187,7 +188,7 @@ TEST(FaultParallelTables, DictionaryOverBlockWithFewFaults) {
   for (std::uint64_t v = 0; v < 128; ++v) {
     const Word in = Word::fromUint(7, v);
     EXPECT_EQ(bytesOf(dict.tableFor(in)),
-              bytesOf(buildDetectionTable(eval, collapsed, in)))
+              bytesOf(oracles::buildDetectionTable(eval, collapsed, in)))
         << "config " << v;
   }
 }

@@ -8,6 +8,7 @@
 #include "fault/serial_sim.hpp"
 #include "fault/virtual_sim.hpp"
 #include "gate/generators.hpp"
+#include "oracles/oracles.hpp"
 #include "rtl/modules.hpp"
 
 namespace vcad::ip {
@@ -257,7 +258,7 @@ TEST(RemoteFaultClient, MatchesLocalFaultAnalysis) {
   for (unsigned v = 0; v < 4; ++v) {
     const Word in = Word::fromUint(2, v);
     const auto remoteTable = remote.detectionTable(in);
-    const auto localTable = fault::buildDetectionTable(eval, collapsed, in);
+    const auto localTable = oracles::buildDetectionTable(eval, collapsed, in);
     ASSERT_EQ(remoteTable.rows().size(), localTable.rows().size());
     for (size_t r = 0; r < localTable.rows().size(); ++r) {
       EXPECT_EQ(remoteTable.rows()[r].faultyOutput,

@@ -9,6 +9,7 @@
 
 #include "cache/result_store.hpp"
 #include "core/circuit.hpp"
+#include "fault/detection.hpp"
 #include "fault/fault_client.hpp"
 #include "fault/serial_sim.hpp"
 #include "fault/virtual_sim.hpp"
@@ -35,6 +36,14 @@ fault::CampaignResult serialCampaign(
 /// fault set and symbols as `sim`.
 fault::CampaignResult runScalar(const fault::SerialFaultSimulator& sim,
                                 const std::vector<Word>& patterns);
+
+/// The scalar detection-table builder: simulate the component under every
+/// collapsed fault for `inputs`, one fault at a time, and group the
+/// erroneous outputs by output pattern string (fault names sorted). The
+/// packed fault::buildDetectionTables must match it byte for byte.
+fault::DetectionTable buildDetectionTable(
+    const gate::NetlistEvaluator& eval, const fault::CollapsedFaults& collapsed,
+    const Word& inputs);
 
 /// Gate-level average power walking the scalar evaluator one pattern at a
 /// time and summing transitionEnergyPj per consecutive pair.
