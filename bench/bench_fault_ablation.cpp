@@ -329,7 +329,7 @@ bool tableBatchSweep() {
     const auto res = sim.run(pats2);
     const auto after = channel.stats();
     const std::uint64_t built = (lanesBuilt() - lanesBefore) / faultsPerTable;
-    const cache::TaggedCacheStats st = store->stats();
+    const cache::ResultStore::Stats st = store->stats();
     if (batch == 1) builtAtBatch1 = built;
     const std::string builtCol =
         obs::kObsCompiledIn ? std::to_string(built) : "n/a";

@@ -10,8 +10,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "net/faulty_transport.hpp"
-
 namespace vcad::cache {
 
 namespace {
@@ -142,7 +140,9 @@ void FileBackend::scanSegment(std::size_t seg) {
                    kChecksumLen)) {
       break;
     }
-    if (net::fnv1a(body) != readU64(sumBuf)) break;  // corrupt suffix
+    if (KeyBuilder().mixBytes(body).digest() != readU64(sumBuf)) {
+      break;  // corrupt suffix
+    }
     CacheKey key;
     key.hi = readU64(body.data());
     key.lo = readU64(body.data() + 8);
@@ -185,18 +185,24 @@ bool FileBackend::fetch(const CacheKey& key, std::vector<std::uint8_t>& out) {
   if (it == index_.end()) return false;
   const Location& loc = it->second;
   const int fd = fds_[loc.segment];
-  std::vector<std::uint8_t> body(kBodyFixedLen + loc.valueLen);
+  // The body's fixed part and its value are read apart, the value straight
+  // into `out`; FNV-1a over the two in turn is the checksum of the body.
+  std::uint8_t fixed[kBodyFixedLen];
   std::uint8_t sumBuf[kChecksumLen];
-  if (!readExact(fd, loc.bodyOffset, body.data(), body.size()) ||
-      !readExact(fd, loc.bodyOffset + body.size(), sumBuf, kChecksumLen) ||
-      net::fnv1a(body) != readU64(sumBuf)) {
+  out.resize(loc.valueLen);
+  if (!readExact(fd, loc.bodyOffset, fixed, kBodyFixedLen) ||
+      !readExact(fd, loc.bodyOffset + kBodyFixedLen, out.data(), out.size()) ||
+      !readExact(fd, loc.bodyOffset + kBodyFixedLen + out.size(), sumBuf,
+                 kChecksumLen) ||
+      KeyBuilder().mixBytes(fixed, kBodyFixedLen).mixBytes(out).digest() !=
+          readU64(sumBuf)) {
     // Never serve bytes that fail the checksum — drop the index entry so
     // the caller recomputes and overwrites.
+    out.clear();
     ++stats_.corruptRejected;
     index_.erase(it);
     return false;
   }
-  out.assign(body.begin() + kBodyFixedLen, body.end());
   ++stats_.hits;
   stats_.bytesRead += out.size();
   return true;
@@ -211,9 +217,10 @@ void FileBackend::store(const CacheKey& key,
   putU64(record, key.lo);
   putU32(record, static_cast<std::uint32_t>(value.size()));
   record.insert(record.end(), value.begin(), value.end());
-  const std::uint64_t sum = net::fnv1a(std::vector<std::uint8_t>(
-      record.begin() + kHeaderLen, record.end()));
-  putU64(record, sum);
+  putU64(record, KeyBuilder()
+                     .mixBytes(record.data() + kHeaderLen,
+                               record.size() - kHeaderLen)
+                     .digest());
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (activeSize_ >= config_.segmentBytes) rotateLocked();
@@ -243,7 +250,7 @@ void FileBackend::sync() {
   for (int fd : fds_) ::fsync(fd);
 }
 
-BackendStats FileBackend::stats() const {
+FileBackend::Stats FileBackend::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
 }

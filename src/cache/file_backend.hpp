@@ -1,4 +1,6 @@
-// Append-only file-segment backend (the NodeStore-style disk tier).
+// Append-only file-segment backend: the disk tier under
+// cache::ResultStore (rippled's NodeStore shape). Safe to call from many
+// threads; a memory-tier miss probes it while other shards keep serving.
 //
 // Values live in numbered segment files ("cache-000042.seg") under one
 // directory. A store appends one self-checking record to the active
@@ -16,7 +18,7 @@
 //   u32  valueLen
 //   u8[] value
 //   ----------------------------------------------------------------------
-//   u64  FNV-1a(body)  — the same frame-checksum helper the transport uses
+//   u64  FNV-1a(body)  — the same hash as the transport's frame checksum
 //
 // Crash safety: a torn append leaves a short or checksum-failed record at
 // the tail of one segment. The open scan stops that segment at the last
@@ -32,16 +34,25 @@
 #include <string>
 #include <vector>
 
-#include "cache/backend.hpp"
+#include "cache/key.hpp"
 
 namespace vcad::cache {
 
-class FileBackend final : public Backend {
+class FileBackend {
  public:
   struct Config {
     std::string directory;  // created if missing
     std::size_t segmentBytes = 8u << 20;  // rotate past this size
     bool syncEveryStore = false;          // fsync per store (durability knob)
+  };
+
+  struct Stats {
+    std::uint64_t fetches = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t stores = 0;
+    std::uint64_t bytesRead = 0;
+    std::uint64_t bytesWritten = 0;
+    std::uint64_t corruptRejected = 0;  // checksum-failed reads refused
   };
 
   /// What the open scan found (and repaired).
@@ -53,17 +64,19 @@ class FileBackend final : public Backend {
   };
 
   explicit FileBackend(Config config);
-  ~FileBackend() override;
+  ~FileBackend();
 
   FileBackend(const FileBackend&) = delete;
   FileBackend& operator=(const FileBackend&) = delete;
 
-  std::string name() const override { return "file"; }
-  bool fetch(const CacheKey& key, std::vector<std::uint8_t>& out) override;
-  void store(const CacheKey& key,
-             const std::vector<std::uint8_t>& value) override;
-  void sync() override;
-  BackendStats stats() const override;
+  /// Fills `out` and returns true when the key is present and its record
+  /// passes the checksum. A checksum failure leaves `out` empty.
+  bool fetch(const CacheKey& key, std::vector<std::uint8_t>& out);
+  /// Appends the value for a key (an overwrite supersedes older records).
+  void store(const CacheKey& key, const std::vector<std::uint8_t>& value);
+  /// Flushes every segment to durable storage.
+  void sync();
+  Stats stats() const;
 
   const RecoveryReport& recovery() const { return recovery_; }
   std::size_t indexSize() const;
@@ -86,7 +99,7 @@ class FileBackend final : public Backend {
   std::vector<int> fds_;          // one read/append fd per segment
   std::uint64_t activeSize_ = 0;  // bytes in the last (append) segment
   RecoveryReport recovery_;
-  BackendStats stats_;
+  Stats stats_;
 };
 
 }  // namespace vcad::cache

@@ -1,15 +1,16 @@
 #include "cache/result_store.hpp"
 
-#include "obs/metrics.hpp"
+#include <algorithm>
+#include <utility>
 
 namespace vcad::cache {
 
 namespace {
 
-/// TaggedCacheStats under its registry names (cache.*). A backend hit is
+/// ResultStore::Stats under their registry names (cache.*). A disk hit is
 /// a hit to the caller; the footprint gauges are levels, summed over the
 /// live stores.
-void report(const TaggedCacheStats& s, obs::Registry::Tally& t) {
+void report(const ResultStore::Stats& s, obs::Registry::Tally& t) {
   t.count("cache.hits", s.hits + s.backendHits);
   t.count("cache.misses", s.misses);
   t.count("cache.backendHits", s.backendHits);
@@ -19,46 +20,102 @@ void report(const TaggedCacheStats& s, obs::Registry::Tally& t) {
   t.level("cache.entries", static_cast<std::int64_t>(s.entries));
 }
 
-TaggedCache::Config cacheConfig(const ResultStore::Config& config,
-                                std::shared_ptr<Backend> backend) {
-  TaggedCache::Config c;
-  c.maxBytes = config.maxBytes;
-  c.shards = config.shards;
-  c.backend = std::move(backend);
-  return c;
-}
-
-std::shared_ptr<FileBackend> makeFile(const ResultStore::Config& config) {
-  if (config.directory.empty()) return nullptr;
-  FileBackend::Config fc;
-  fc.directory = config.directory;
-  fc.segmentBytes = config.segmentBytes;
-  fc.syncEveryStore = config.syncEveryStore;
-  return std::make_shared<FileBackend>(fc);
-}
-
 }  // namespace
 
 ResultStore::ResultStore(Config config)
-    : file_(makeFile(config)),
-      cache_(cacheConfig(config, file_ ? std::shared_ptr<Backend>(file_)
-                                       : nullptr)),
+    : maxBytesPerShard_(std::max<std::size_t>(config.maxBytes / kShards, 1)),
+      file_(config.directory.empty()
+                ? nullptr
+                : std::make_unique<FileBackend>(
+                      FileBackend::Config{config.directory})),
       obs_(obs::Registry::global(),
-           [this](obs::Registry::Tally& t) { report(cache_.stats(), t); }) {}
+           [this](obs::Registry::Tally& t) { report(stats(), t); }) {}
 
 std::shared_ptr<ResultStore> ResultStore::inMemory(std::size_t maxBytes) {
-  Config c;
-  c.maxBytes = maxBytes;
-  return std::make_shared<ResultStore>(c);
+  return std::make_shared<ResultStore>(Config{maxBytes, {}});
 }
 
 std::shared_ptr<ResultStore> ResultStore::withDisk(
     const std::string& directory) {
-  Config c;
-  c.directory = directory;
-  return std::make_shared<ResultStore>(c);
+  return std::make_shared<ResultStore>(Config{.directory = directory});
 }
 
-void ResultStore::sync() { cache_.backend().sync(); }
+void ResultStore::insertLocked(Shard& s, const CacheKey& key, Value v) {
+  auto it = s.map.find(key);
+  if (it != s.map.end()) {
+    // Replace in place: a key recomputed by a racing miss, identical bytes.
+    s.bytes -= it->second.value->size();
+    s.bytes += v->size();
+    it->second.value = std::move(v);
+    s.lru.splice(s.lru.begin(), s.lru, it->second.lruPos);
+  } else {
+    s.lru.push_front(key);
+    s.bytes += v->size();
+    s.map.emplace(key, Entry{std::move(v), s.lru.begin()});
+    ++s.stats.insertions;
+  }
+  while (s.bytes > maxBytesPerShard_ && s.map.size() > 1) {
+    auto vit = s.map.find(s.lru.back());
+    s.bytes -= vit->second.value->size();
+    s.map.erase(vit);
+    s.lru.pop_back();
+    ++s.stats.evictions;
+  }
+}
+
+Value ResultStore::fetch(const CacheKey& key) {
+  Shard& s = shardOf(key);
+  {
+    std::lock_guard<std::mutex> lock(s.mutex);
+    auto it = s.map.find(key);
+    if (it != s.map.end()) {
+      s.lru.splice(s.lru.begin(), s.lru, it->second.lruPos);
+      ++s.stats.hits;
+      return it->second.value;
+    }
+  }
+  std::vector<std::uint8_t> fromDisk;
+  if (file_ != nullptr && file_->fetch(key, fromDisk)) {
+    Value v = std::make_shared<const std::vector<std::uint8_t>>(
+        std::move(fromDisk));
+    std::lock_guard<std::mutex> lock(s.mutex);
+    ++s.stats.backendHits;
+    insertLocked(s, key, v);
+    return v;
+  }
+  std::lock_guard<std::mutex> lock(s.mutex);
+  ++s.stats.misses;
+  return nullptr;
+}
+
+void ResultStore::insert(const CacheKey& key, Value value) {
+  Shard& s = shardOf(key);
+  {
+    std::lock_guard<std::mutex> lock(s.mutex);
+    insertLocked(s, key, value);
+  }
+  // Write-through happens outside the shard lock: disk latency must not
+  // stall readers of this shard.
+  if (file_ != nullptr) file_->store(key, *value);
+}
+
+void ResultStore::sync() {
+  if (file_ != nullptr) file_->sync();
+}
+
+ResultStore::Stats ResultStore::stats() const {
+  Stats total;
+  for (const Shard& s : shards_) {
+    std::lock_guard<std::mutex> lock(s.mutex);
+    total.hits += s.stats.hits;
+    total.backendHits += s.stats.backendHits;
+    total.misses += s.stats.misses;
+    total.insertions += s.stats.insertions;
+    total.evictions += s.stats.evictions;
+    total.bytes += s.bytes;
+    total.entries += s.map.size();
+  }
+  return total;
+}
 
 }  // namespace vcad::cache

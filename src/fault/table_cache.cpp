@@ -16,6 +16,16 @@ cache::CacheKey detectionTableKey(std::uint64_t digest, std::uint64_t ns,
       args.buffer().bytes());
 }
 
+namespace {
+
+cache::Value serializeTable(const DetectionTable& table) {
+  net::ByteBuffer buf;
+  table.serialize(buf);
+  return std::make_shared<const std::vector<std::uint8_t>>(buf.bytes());
+}
+
+}  // namespace
+
 std::vector<cache::Value> fetchOrBuildTables(cache::ResultStore* store,
                                              std::uint64_t digest,
                                              std::uint64_t ns,
@@ -38,11 +48,8 @@ std::vector<cache::Value> fetchOrBuildTables(cache::ResultStore* store,
   if (missing.empty()) return tables;
   const std::vector<DetectionTable> built = build(missing);
   for (std::size_t j = 0; j < missAt.size(); ++j) {
-    net::ByteBuffer buf;
-    built[j].serialize(buf);
-    tables[missAt[j]] =
-        std::make_shared<const std::vector<std::uint8_t>>(buf.bytes());
-    if (store != nullptr) store->insert(keys[missAt[j]], buf.bytes());
+    tables[missAt[j]] = serializeTable(built[j]);
+    if (store != nullptr) store->insert(keys[missAt[j]], tables[missAt[j]]);
   }
   return tables;
 }
@@ -138,9 +145,8 @@ const ResolvedTable* DetectionTableCache::insert(const Word& inputs,
                                                  const DetectionTable& table) {
   ResolvedTable resolved = resolve(table);
   if (storeAttached()) {
-    net::ByteBuffer buf;
-    table.serialize(buf);
-    store_->insert(detectionTableKey(digest_, ns_, inputs), buf.bytes());
+    store_->insert(detectionTableKey(digest_, ns_, inputs),
+                   serializeTable(table));
   }
   return &pinned_.emplace(inputs, std::move(resolved)).first->second;
 }

@@ -8,7 +8,7 @@
 //      FaultyTransport             TransportStats    transport.*
 //      JobQueue                    JobQueue::Stats   mt.queue.*
 //      MultiTenantProviderServer   its Stats         mt.*
-//      ResultStore                 TaggedCacheStats  cache.*
+//      ResultStore                 its Stats         cache.*
 //    Each owner holds one Attachment for its lifetime. The attachment's
 //    reporter maps the struct's fields onto metric names, and snapshot()
 //    runs every live reporter. When an owner is destroyed, or zeroes its

@@ -1,8 +1,9 @@
-// Tests of the two-tier TaggedCache: key derivation, LRU accounting and
-// in-place replacement, fetch/insert from many threads over a hot key set
-// (TSan-verified under -DVCAD_SANITIZE=thread), and backend promotion after
-// memory eviction.
-#include "cache/tagged_cache.hpp"
+// Tests of the result store: key derivation, the memory tier's LRU
+// accounting and in-place replacement, fetch/insert from many threads over
+// a hot key set (TSan-verified under -DVCAD_SANITIZE=thread), promotion
+// from the disk tier after memory eviction, and the store-through path
+// handing out the very value it inserted.
+#include "cache/result_store.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,9 +14,8 @@
 #include <thread>
 #include <vector>
 
-#include "cache/file_backend.hpp"
 #include "cache/key.hpp"
-#include "cache/result_store.hpp"
+#include "fault/table_cache.hpp"
 #include "gate/generators.hpp"
 #include "net/faulty_transport.hpp"
 #include "obs/metrics.hpp"
@@ -69,75 +69,104 @@ TEST(CacheKey, ResultKeySeparatesEveryAddressComponent) {
 // Memory tier: insert/fetch, LRU pressure, byte accounting
 // ---------------------------------------------------------------------------
 
-TEST(TaggedCache, InsertThenFetchReturnsIdenticalBytes) {
-  TaggedCache cache(TaggedCache::Config{});
+Value valueOf(std::vector<std::uint8_t> bytes) {
+  return std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
+}
+
+/// A key of shard 0 (every key with (hi ^ lo) % kShards == 0 shares it), so
+/// LRU order across these keys is one shard's and its budget is exact.
+CacheKey shardZeroKey(std::uint64_t i) {
+  return CacheKey{1, 1 + i * ResultStore::kShards};
+}
+
+TEST(ResultStore, InsertThenFetchReturnsIdenticalBytes) {
+  ResultStore store(ResultStore::Config{});
   const CacheKey key{1, 2};
   const auto payload = bytesOf({9, 8, 7});
-  cache.insert(key, payload);
+  store.insert(key, valueOf(payload));
 
-  const Value hit = cache.fetch(key);
+  const Value hit = store.fetch(key);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, payload);
-  EXPECT_EQ(cache.fetch(CacheKey{1, 3}), nullptr);
+  EXPECT_EQ(store.fetch(CacheKey{1, 3}), nullptr);
 
-  const TaggedCacheStats s = cache.stats();
+  const ResultStore::Stats s = store.stats();
   EXPECT_EQ(s.insertions, 1u);
   EXPECT_EQ(s.entries, 1u);
   EXPECT_EQ(s.bytes, payload.size());
 }
 
-TEST(TaggedCache, LruEvictsColdEntriesUnderBytePressure) {
-  // One shard so LRU order is global and the byte budget is exact.
-  TaggedCache::Config cfg;
-  cfg.maxBytes = 1024;
-  cfg.shards = 1;
-  TaggedCache cache(cfg);
+TEST(ResultStore, LruEvictsColdEntriesUnderBytePressure) {
+  // 1024 bytes per shard, every key in one shard.
+  ResultStore store(ResultStore::Config{1024 * ResultStore::kShards, {}});
 
-  const std::vector<std::uint8_t> block(256, 0xAB);
+  const Value block = valueOf(std::vector<std::uint8_t>(256, 0xAB));
   for (std::uint64_t i = 0; i < 4; ++i) {
-    cache.insert(CacheKey{1, i}, block);
+    store.insert(shardZeroKey(i), block);
   }
-  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(store.stats().evictions, 0u);
 
   // Touch key 0 so it is hottest, then overflow: key 1 (now coldest) goes.
-  ASSERT_NE(cache.fetch(CacheKey{1, 0}), nullptr);
-  cache.insert(CacheKey{1, 99}, block);
+  ASSERT_NE(store.fetch(shardZeroKey(0)), nullptr);
+  store.insert(shardZeroKey(99), block);
 
-  const TaggedCacheStats s = cache.stats();
+  const ResultStore::Stats s = store.stats();
   EXPECT_EQ(s.evictions, 1u);
   EXPECT_LE(s.bytes, 1024u);
-  EXPECT_NE(cache.fetch(CacheKey{1, 0}), nullptr);   // hot entry survived
-  EXPECT_EQ(cache.fetch(CacheKey{1, 1}), nullptr);   // cold entry evicted
-  EXPECT_NE(cache.fetch(CacheKey{1, 99}), nullptr);  // newcomer resident
+  EXPECT_NE(store.fetch(shardZeroKey(0)), nullptr);   // hot entry survived
+  EXPECT_EQ(store.fetch(shardZeroKey(1)), nullptr);   // cold entry evicted
+  EXPECT_NE(store.fetch(shardZeroKey(99)), nullptr);  // newcomer resident
 }
 
-TEST(TaggedCache, OverwriteReplacesValueWithoutLeakingBytes) {
-  TaggedCache::Config cfg;
-  cfg.shards = 1;
-  TaggedCache cache(cfg);
-  const CacheKey key{5, 5};
-  cache.insert(key, std::vector<std::uint8_t>(100, 1));
-  cache.insert(key, std::vector<std::uint8_t>(40, 2));
+TEST(ResultStore, OverwriteReplacesValueWithoutLeakingBytes) {
+  ResultStore store(ResultStore::Config{});
+  const CacheKey key = shardZeroKey(5);
+  store.insert(key, valueOf(std::vector<std::uint8_t>(100, 1)));
+  store.insert(key, valueOf(std::vector<std::uint8_t>(40, 2)));
 
-  const Value hit = cache.fetch(key);
+  const Value hit = store.fetch(key);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->size(), 40u);
-  EXPECT_EQ(cache.stats().entries, 1u);
-  EXPECT_EQ(cache.stats().bytes, 40u);
+  EXPECT_EQ(store.stats().entries, 1u);
+  EXPECT_EQ(store.stats().bytes, 40u);
+}
+
+TEST(ResultStore, FetchReturnsTheInsertedValueNotACopy) {
+  ResultStore store(ResultStore::Config{});
+  const CacheKey key{3, 4};
+  const Value v = valueOf(bytesOf({1, 2, 3}));
+  store.insert(key, v);
+  EXPECT_EQ(store.fetch(key).get(), v.get());
+
+  // The store-through path hands its caller the value it inserted: a
+  // freshly built table is serialized once, not once per holder.
+  const Word inputs = Word::fromUint(4, 5);
+  const std::vector<Value> tables = fault::fetchOrBuildTables(
+      &store, 7, 0, {inputs}, [](const std::vector<Word>& missing) {
+        std::vector<fault::DetectionTable> built;
+        for (const Word& w : missing) {
+          built.emplace_back(w, Word::fromUint(2, 1),
+                             std::vector<fault::DetectionTable::Row>{
+                                 {Word::fromUint(2, 0), {"g1/sa0"}}});
+        }
+        return built;
+      });
+  ASSERT_EQ(tables.size(), 1u);
+  ASSERT_NE(tables[0], nullptr);
+  EXPECT_EQ(store.fetch(fault::detectionTableKey(7, 0, inputs)).get(),
+            tables[0].get());
 }
 
 // ---------------------------------------------------------------------------
 // Concurrency
 // ---------------------------------------------------------------------------
 
-TEST(TaggedCache, ManyThreadsManyKeysHammer) {
+TEST(ResultStore, ManyThreadsManyKeysHammer) {
   // TSan target: concurrent fetch / insert-on-miss over a small hot key set
-  // with an LRU small enough to keep evicting. Racing misses of one key
-  // both insert; every insert carries the key's one value.
-  TaggedCache::Config cfg;
-  cfg.maxBytes = 4096;
-  cfg.shards = 4;
-  TaggedCache cache(cfg);
+  // with an LRU small enough to keep evicting (two entries per shard).
+  // Racing misses of one key both insert; every insert carries the key's
+  // one value.
+  ResultStore store(ResultStore::Config{128 * ResultStore::kShards, {}});
 
   constexpr int kThreads = 6;
   constexpr int kIters = 400;
@@ -147,10 +176,10 @@ TEST(TaggedCache, ManyThreadsManyKeysHammer) {
       for (int i = 0; i < kIters; ++i) {
         const CacheKey key{static_cast<std::uint64_t>((i * 7 + t) % 13) + 1,
                            static_cast<std::uint64_t>((i * 3) % 5)};
-        const Value hit = cache.fetch(key);
+        const Value hit = store.fetch(key);
         if (hit == nullptr) {
-          cache.insert(key, std::vector<std::uint8_t>(
-                                64, static_cast<std::uint8_t>(key.hi)));
+          store.insert(key, valueOf(std::vector<std::uint8_t>(
+                                64, static_cast<std::uint8_t>(key.hi))));
         } else {
           ASSERT_EQ(hit->size(), 64u);
           EXPECT_EQ((*hit)[0], static_cast<std::uint8_t>(key.hi));
@@ -159,7 +188,7 @@ TEST(TaggedCache, ManyThreadsManyKeysHammer) {
     });
   }
   for (auto& th : threads) th.join();
-  const TaggedCacheStats s = cache.stats();
+  const ResultStore::Stats s = store.stats();
   EXPECT_EQ(s.hits + s.misses, static_cast<std::uint64_t>(kThreads * kIters));
   // Every miss inserted; a racing miss of a resident key replaced it in
   // place, so insertions never exceed misses and the footprint is exact.
@@ -168,36 +197,31 @@ TEST(TaggedCache, ManyThreadsManyKeysHammer) {
 }
 
 // ---------------------------------------------------------------------------
-// Two-tier behavior through a real disk backend
+// Two tiers: memory over a real disk backend
 // ---------------------------------------------------------------------------
 
-TEST(TaggedCache, EvictedEntryIsPromotedBackFromDiskBackend) {
+TEST(ResultStore, EvictedEntryIsPromotedBackFromDiskBackend) {
   char tmpl[] = "/tmp/vcad-cache-XXXXXX";
   ASSERT_NE(mkdtemp(tmpl), nullptr);
 
-  FileBackend::Config fbCfg;
-  fbCfg.directory = tmpl;
-  TaggedCache::Config cfg;
-  cfg.maxBytes = 512;  // tiny memory tier: everything spills fast
-  cfg.shards = 1;
-  cfg.backend = std::make_shared<FileBackend>(fbCfg);
-  TaggedCache cache(cfg);
+  // A tiny memory tier (512 bytes per shard): everything spills fast.
+  ResultStore store(ResultStore::Config{512 * ResultStore::kShards, tmpl});
 
-  const CacheKey cold{1, 1};
-  cache.insert(cold, std::vector<std::uint8_t>(300, 0xCD));
+  const CacheKey cold = shardZeroKey(1);
+  store.insert(cold, valueOf(std::vector<std::uint8_t>(300, 0xCD)));
   // Push the first entry out of the memory tier.
-  cache.insert(CacheKey{1, 2}, std::vector<std::uint8_t>(300, 0xEE));
-  ASSERT_GE(cache.stats().evictions, 1u);
+  store.insert(shardZeroKey(2), valueOf(std::vector<std::uint8_t>(300, 0xEE)));
+  ASSERT_GE(store.stats().evictions, 1u);
 
   // The fetch must come back as a hit from the disk tier, not a miss — the
   // value was written through on insert.
-  const auto missesBefore = cache.stats().misses;
-  const Value hit = cache.fetch(cold);
+  const auto missesBefore = store.stats().misses;
+  const Value hit = store.fetch(cold);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->size(), 300u);
   EXPECT_EQ((*hit)[0], 0xCD);
-  EXPECT_GE(cache.stats().backendHits, 1u);
-  EXPECT_EQ(cache.stats().misses, missesBefore);
+  EXPECT_GE(store.stats().backendHits, 1u);
+  EXPECT_EQ(store.stats().misses, missesBefore);
 }
 
 TEST(ResultStore, FacadeCountsAndSurvivesReopenViaDisk) {
@@ -209,7 +233,7 @@ TEST(ResultStore, FacadeCountsAndSurvivesReopenViaDisk) {
   {
     auto store = ResultStore::withDisk(dir);
     ASSERT_EQ(store->fetch(key), nullptr);
-    store->insert(key, bytesOf({10, 11}));
+    store->insert(key, valueOf(bytesOf({10, 11})));
     store->sync();
     EXPECT_EQ(store->stats().misses, 1u);
   }
@@ -237,9 +261,9 @@ TEST(ResultStore, FootprintGaugesSumOverLiveStores) {
   const obs::Registry& reg = obs::Registry::global();
   auto a = ResultStore::inMemory();
   auto b = ResultStore::inMemory();
-  a->insert(CacheKey{1, 1}, std::vector<std::uint8_t>(100, 0xAA));
-  a->insert(CacheKey{1, 2}, std::vector<std::uint8_t>(50, 0xAB));
-  b->insert(CacheKey{2, 1}, std::vector<std::uint8_t>(30, 0xBB));
+  a->insert(CacheKey{1, 1}, valueOf(std::vector<std::uint8_t>(100, 0xAA)));
+  a->insert(CacheKey{1, 2}, valueOf(std::vector<std::uint8_t>(50, 0xAB)));
+  b->insert(CacheKey{2, 1}, valueOf(std::vector<std::uint8_t>(30, 0xBB)));
   const obs::Registry::Snapshot snap = reg.snapshot();
   EXPECT_EQ(snap.gaugeOr("cache.bytes"),
             static_cast<std::int64_t>(a->stats().bytes + b->stats().bytes));

@@ -617,7 +617,7 @@ TEST(WarmCampaign, ConcurrentSingleAndBatchedMissesServeIdenticalBytes) {
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(got[static_cast<std::size_t>(t)], got[0]) << "thread " << t;
   }
-  const cache::TaggedCacheStats s = store->stats();
+  const cache::ResultStore::Stats s = store->stats();
   EXPECT_EQ(s.entries, kConfigs);
   EXPECT_EQ(s.hits + s.misses, static_cast<std::uint64_t>(kThreads) * kConfigs);
 }

@@ -423,9 +423,9 @@ CellResult runCell(const CellSpec& spec, const MatrixDesign& d) {
   // report the warm rerun (fresh providers and channels, same store).
   auto store = cache::ResultStore::inMemory();
   runCombCell(spec, d, store);
-  const cache::TaggedCacheStats primed = store->stats();
+  const cache::ResultStore::Stats primed = store->stats();
   CellResult out = runCombCell(spec, d, store);
-  const cache::TaggedCacheStats after = store->stats();
+  const cache::ResultStore::Stats after = store->stats();
   out.storeHits =
       (after.hits + after.backendHits) - (primed.hits + primed.backendHits);
   return out;

@@ -1,4 +1,5 @@
 #include <map>
+#include <memory>
 #include <string>
 
 #include "core/sim_controller.hpp"
@@ -75,7 +76,9 @@ fault::CampaignResult serialCampaign(
         if (digests[c] != 0) {
           net::ByteBuffer buf;
           table.serialize(buf);
-          store->insert(storeKey(c, inputs), buf.bytes());
+          store->insert(storeKey(c, inputs),
+                        std::make_shared<const std::vector<std::uint8_t>>(
+                            buf.bytes()));
         }
         pinned = pins.emplace(key, std::move(table)).first;
         ++res.detectionTablesRequested;

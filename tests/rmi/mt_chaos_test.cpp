@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -32,12 +33,35 @@ using chaos::ChaosRig;
 /// uses by default, so bit-identity covers the batched wire.
 constexpr std::size_t kBatch = fault::VirtualFaultSimulator::kDefaultTableBatch;
 
+/// Forwards to a tenant's shard, first running `gate` once across every
+/// endpoint sharing `once` (the other dispatches wait until it returns).
+class GatedEndpoint : public rmi::ServerEndpoint {
+ public:
+  GatedEndpoint(std::unique_ptr<rmi::ServerEndpoint> inner,
+                std::once_flag& once, std::function<void()> gate)
+      : inner_(std::move(inner)), once_(once), gate_(std::move(gate)) {}
+
+  rmi::Response dispatch(const rmi::Request& request) override {
+    std::call_once(once_, gate_);
+    return inner_->dispatch(request);
+  }
+  std::string hostName() const override { return inner_->hostName(); }
+
+ private:
+  std::unique_ptr<rmi::ServerEndpoint> inner_;
+  std::once_flag& once_;
+  std::function<void()> gate_;
+};
+
 /// Shared rig: the multi-tenant server plus a registry of the shards its
 /// factory built, so tests can query per-tenant provider ledgers after the
-/// campaigns finish.
+/// campaigns finish. A test that sets `firstDispatchGate` before start()
+/// holds the server's first dispatch until the gate returns.
 struct MtRig {
   std::mutex mutex;
   std::map<ip::TenantId, chaos::ProviderShard*> shards;
+  std::function<void()> firstDispatchGate;
+  std::once_flag gateOnce;
   std::unique_ptr<ip::MultiTenantProviderServer> server;
   std::string path;
 
@@ -52,6 +76,11 @@ struct MtRig {
           {
             std::lock_guard<std::mutex> lock(mutex);
             shards[tenant] = shard.get();
+          }
+          if (firstDispatchGate) {
+            return std::unique_ptr<rmi::ServerEndpoint>(
+                std::make_unique<GatedEndpoint>(std::move(shard), gateOnce,
+                                                firstDispatchGate));
           }
           return std::unique_ptr<rmi::ServerEndpoint>(std::move(shard));
         },
@@ -255,6 +284,15 @@ TEST(MtChaos, SheddingQueuePreservesCoverageAndFees) {
   cfg.queue.workers = 1;
   cfg.queue.maxQueueDepth = 1;
   MtRig rig(cfg);
+  // The one worker holds the first request until the queue has shed one,
+  // so the clients overlap however the threads are scheduled.
+  rig.firstDispatchGate = [&rig] {
+    rig.server->awaitStats(
+        [](const ip::MultiTenantProviderServer::Stats& st) {
+          return st.shedTooManyPending + st.shedOverloaded > 0;
+        },
+        30.0);
+  };
   rig.start();
   // A generous attempt budget: shed storms must exhaust before it does
   // (a TransportFailure would trigger session recovery and re-billing,
