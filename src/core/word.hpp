@@ -8,6 +8,8 @@
 // operands, 32-bit products).
 #pragma once
 
+#include <bit>
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -81,6 +83,12 @@ class Word {
   /// MSB-first display form, e.g. "1X01".
   std::string toString() const;
 
+  /// Orders two words as their toString() forms compare, read off the
+  /// planes without building a string: the highest common-prefix bit where
+  /// they differ decides, by 0 < 1 < X < Z; a word that is a proper prefix
+  /// of the other comes first.
+  static std::strong_ordering compareDisplay(const Word& a, const Word& b);
+
   // Low-level plane accessors for bit-parallel engines (bit i describes the
   // word's bit i). The value plane is canonical: 0 wherever the bit is not
   // a strong 0/1.
@@ -96,6 +104,25 @@ class Word {
 };
 
 std::ostream& operator<<(std::ostream& os, const Word& w);
+
+inline std::strong_ordering Word::compareDisplay(const Word& a, const Word& b) {
+  const int common = a.width_ < b.width_ ? a.width_ : b.width_;
+  if (common == 0) return a.width_ <=> b.width_;
+  // Each word's top `common` bits, its string's common-length prefix.
+  const int sa = a.width_ - common, sb = b.width_ - common;
+  const std::uint64_t diff = ((a.bits_ >> sa) ^ (b.bits_ >> sb)) |
+                             ((a.known_ >> sa) ^ (b.known_ >> sb)) |
+                             ((a.zmask_ >> sa) ^ (b.zmask_ >> sb));
+  if (diff == 0) return a.width_ <=> b.width_;
+  const int top = std::bit_width(diff) - 1;
+  // The display character's rank: 0, 1, X = 2, Z = 3.
+  const auto rank = [top](const Word& w, int shift) {
+    const int i = top + shift;
+    return (w.known_ >> i & 1) != 0 ? static_cast<int>(w.bits_ >> i & 1)
+                                    : 2 + static_cast<int>(w.zmask_ >> i & 1);
+  };
+  return rank(a, sa) <=> rank(b, sb);
+}
 
 }  // namespace vcad
 

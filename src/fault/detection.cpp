@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <numeric>
+#include <sstream>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -35,17 +35,18 @@ std::size_t DetectionTable::excitedFaultCount() const {
 }
 
 std::string DetectionTable::toString() const {
-  std::string s = "DetectionTable(in=" + inputs_.toString() +
-                  ", fault-free=" + faultFree_.toString() + ")";
+  std::ostringstream os;
+  os << "DetectionTable(in=" << inputs_ << ", fault-free=" << faultFree_
+     << ")";
   for (const Row& row : rows_) {
-    s += "\n  " + row.faultyOutput.toString() + " <- {";
+    os << "\n  " << row.faultyOutput << " <- {";
     for (std::size_t i = 0; i < row.faults.size(); ++i) {
-      if (i != 0) s += ", ";
-      s += row.faults[i];
+      if (i != 0) os << ", ";
+      os << row.faults[i];
     }
-    s += "}";
+    os << "}";
   }
-  return s;
+  return os.str();
 }
 
 void DetectionTable::serialize(net::ByteBuffer& buf) const {
@@ -113,6 +114,14 @@ std::vector<DetectionTable> buildDetectionTables(
   std::vector<Force> forces;
   std::vector<std::uint64_t> faultLanes(nFaults);  // per sorted fault, this pass
   std::vector<std::pair<std::size_t, std::uint64_t>> runs;  // (config, lanes)
+  // One per detecting lane of the current group: its configuration, faulty
+  // output and fault, appended in lane order (so by configuration).
+  struct Hit {
+    std::size_t config;
+    Word out;
+    std::size_t fault;
+  };
+  std::vector<Hit> hits;
   std::uint64_t passes = 0, lanesUsed = 0;
   for (std::size_t group = 0; group < inputs.size(); group += kLanes) {
     // Fault-free pass: one configuration per lane.
@@ -123,7 +132,7 @@ std::vector<DetectionTable> buildDetectionTables(
     // Faulty passes: lane = one (configuration, fault) pair, filled
     // configuration-major, so pair t is configuration t / F and the fault
     // at sorted position t % F.
-    std::vector<std::map<std::string, DetectionTable::Row>> byOutput(nCfg);
+    hits.clear();
     const std::size_t pairs = nCfg * nFaults;
     std::size_t broadcastCfg = kLanes;  // configuration filling all of base
     for (std::size_t t0 = 0; t0 < pairs; t0 += kLanes) {
@@ -186,21 +195,41 @@ std::vector<DetectionTable> buildDetectionTables(
         const int lane = std::countr_zero(diff);
         diff &= diff - 1;
         const std::size_t t = t0 + static_cast<std::size_t>(lane);
-        const Word out = packed.outputsOf(work, lane);
-        auto& row = byOutput[t / nFaults][out.toString()];
-        row.faultyOutput = out;
         const std::size_t i = order[t % nFaults];
         if (symbols[i].empty()) symbols[i] = symbolOf(nl, faults[i]);
-        row.faults.push_back(symbols[i]);
+        hits.push_back({t / nFaults, packed.outputsOf(work, lane), i});
       }
     }
 
+    // Rows in the order the scalar builder's string-keyed map gives: per
+    // configuration, by output display string, each row's faults by name.
+    // Each row's names are copied once, into a vector of their exact size.
+    const auto rowOrder = [&](const Hit& a, const Hit& b) {
+      if (const auto o = Word::compareDisplay(a.out, b.out); o != 0) {
+        return o < 0;
+      }
+      return symbols[a.fault] < symbols[b.fault];
+    };
+    auto first = hits.begin();
     for (std::size_t c = 0; c < nCfg; ++c) {
+      const auto last = std::find_if(
+          first, hits.end(), [c](const Hit& h) { return h.config != c; });
+      std::sort(first, last, rowOrder);
+      const auto rowEnd = [last](auto row) {
+        return std::find_if(row, last,
+                            [&](const Hit& h) { return h.out != row->out; });
+      };
+      std::size_t nRows = 0;
+      for (auto row = first; row != last; row = rowEnd(row)) ++nRows;
       std::vector<DetectionTable::Row> rows;
-      rows.reserve(byOutput[c].size());
-      for (auto& [key, row] : byOutput[c]) {
-        std::sort(row.faults.begin(), row.faults.end());
-        rows.push_back(std::move(row));
+      rows.reserve(nRows);
+      while (first != last) {
+        const auto row = first;
+        first = rowEnd(row);
+        std::vector<std::string> names;
+        names.reserve(static_cast<std::size_t>(first - row));
+        for (auto h = row; h != first; ++h) names.push_back(symbols[h->fault]);
+        rows.push_back({row->out, std::move(names)});
       }
       tables.emplace_back(inputs[group + c],
                           packed.outputsOf(golden, static_cast<int>(c)),

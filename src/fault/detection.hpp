@@ -87,7 +87,8 @@ class DetectionTable final : public ParamValue {
 /// Provider-side construction on the packed bit-parallel engine: for each
 /// configuration, the component simulated under every collapsed fault, the
 /// erroneous outputs grouped into rows in deterministic order (by output
-/// pattern string, fault names sorted). Each lane of a pass holds one
+/// display string, compared on the planes by Word::compareDisplay; fault
+/// names sorted within a row). Each lane of a pass holds one
 /// (configuration, collapsed fault) pair, filled configuration-major, so a
 /// one-configuration call takes ⌈F/64⌉ passes for F faults and C
 /// configurations never take more than ⌈C/64⌉·F. Every pass starts from the

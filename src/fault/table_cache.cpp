@@ -47,6 +47,12 @@ std::vector<cache::Value> fetchOrBuildTables(cache::ResultStore* store,
   }
   if (missing.empty()) return tables;
   const std::vector<DetectionTable> built = build(missing);
+  if (built.size() != missing.size()) {
+    throw std::runtime_error("detection-table builder returned " +
+                             std::to_string(built.size()) + " tables for " +
+                             std::to_string(missing.size()) +
+                             " configurations");
+  }
   for (std::size_t j = 0; j < missAt.size(); ++j) {
     tables[missAt[j]] = serializeTable(built[j]);
     if (store != nullptr) store->insert(keys[missAt[j]], tables[missAt[j]]);

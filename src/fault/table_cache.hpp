@@ -68,7 +68,9 @@ using TableBuilder =
 /// detectionTableKey(digest, ns, ·), and the misses are built in a single
 /// `build` call and inserted. Returns each table's serialize() bytes in
 /// request order, identical whichever entries hit. A null `store` builds
-/// everything; `build` is not called when nothing misses. Concurrent misses
+/// everything; `build` is not called when nothing misses, and throws
+/// std::runtime_error when it returns other than one table per miss (nothing
+/// is inserted then). Concurrent misses
 /// of one key may each build: the inserted bytes are identical.
 std::vector<cache::Value> fetchOrBuildTables(cache::ResultStore* store,
                                              std::uint64_t digest,

@@ -222,12 +222,21 @@ Logic PackedEvaluator::netValue(const std::vector<LanePlanes>& planes,
 
 Word PackedEvaluator::outputsOf(const std::vector<LanePlanes>& planes,
                                 int lane) const {
+  // Output i's lane bit lands at bit i of each of the word's planes.
   const auto& pos = nl_->primaryOutputs();
-  Word w(static_cast<int>(pos.size()));
-  for (std::size_t i = 0; i < pos.size(); ++i) {
-    w.setBit(static_cast<int>(i), netValue(planes, pos[i], lane));
+  if (pos.size() > static_cast<std::size_t>(Word::kMaxWidth)) {
+    throw std::invalid_argument("PackedEvaluator: " +
+                                std::to_string(pos.size()) +
+                                " primary outputs exceed a Word");
   }
-  return w;
+  std::uint64_t val = 0, known = 0, z = 0;
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    const LanePlanes& p = planes[static_cast<std::size_t>(pos[i])];
+    val |= (p.val >> lane & 1) << i;
+    known |= (p.known >> lane & 1) << i;
+    z |= (p.z >> lane & 1) << i;
+  }
+  return Word::fromPlanes(static_cast<int>(pos.size()), val, known, z);
 }
 
 std::uint64_t PackedEvaluator::outputDiffMask(

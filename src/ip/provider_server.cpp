@@ -617,12 +617,13 @@ Response ProviderServer::execute(const Request& request,
           });
       // Request order, each table's bytes as a cold build serializes them;
       // the batched payload leads with the table count.
+      net::ByteBuffer count;
+      if (batched) count.writeU32(static_cast<std::uint32_t>(configs.size()));
+      std::size_t size = count.size();
+      for (const cache::Value& t : tables) size += t->size();
       std::vector<std::uint8_t> payload;
-      if (batched) {
-        net::ByteBuffer count;
-        count.writeU32(static_cast<std::uint32_t>(configs.size()));
-        payload = count.bytes();
-      }
+      payload.reserve(size);
+      payload.assign(count.bytes().begin(), count.bytes().end());
       for (const cache::Value& t : tables) {
         payload.insert(payload.end(), t->begin(), t->end());
       }

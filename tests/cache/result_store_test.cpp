@@ -157,6 +157,27 @@ TEST(ResultStore, FetchReturnsTheInsertedValueNotACopy) {
             tables[0].get());
 }
 
+TEST(ResultStore, ShortBuilderBatchThrowsAndInsertsNothing) {
+  // A builder that returns fewer tables than configurations is reported,
+  // not read past.
+  ResultStore store(ResultStore::Config{});
+  const std::vector<Word> inputs = {Word::fromUint(4, 1), Word::fromUint(4, 2)};
+  EXPECT_THROW(fault::fetchOrBuildTables(
+                   &store, 7, 0, inputs,
+                   [](const std::vector<Word>& missing) {
+                     return std::vector<fault::DetectionTable>{
+                         {missing.front(), Word::fromUint(2, 1), {}}};
+                   }),
+               std::runtime_error);
+  EXPECT_EQ(store.stats().insertions, 0u);
+  EXPECT_THROW(fault::fetchOrBuildTables(
+                   nullptr, 7, 0, inputs,
+                   [](const std::vector<Word>&) {
+                     return std::vector<fault::DetectionTable>{};
+                   }),
+               std::runtime_error);
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency
 // ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <compare>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "core/rng.hpp"
 
@@ -117,11 +120,11 @@ TEST(Word, BitIndexBoundsChecked) {
   EXPECT_THROW(w.setBit(-1, Logic::L0), std::out_of_range);
 }
 
+constexpr Logic kValues[] = {Logic::L0, Logic::L1, Logic::X, Logic::Z};
+
 // Plane-wise concat/slice/insert against their per-bit definitions, on
 // random widths 1-64 filled with all four logic values.
 Word randomWord(Rng& rng, int width) {
-  static constexpr Logic kValues[] = {Logic::L0, Logic::L1, Logic::X,
-                                      Logic::Z};
   Word w(width);
   for (int i = 0; i < width; ++i) w.setBit(i, kValues[rng.below(4)]);
   return w;
@@ -193,6 +196,54 @@ TEST(Word, HashSeparatesWhatEqualitySeparates) {
   EXPECT_EQ(set.count(Word::fromString("0000")), 1u);
   EXPECT_EQ(std::hash<Word>{}(Word::fromString("1X0Z")),
             std::hash<Word>{}(Word::fromString("1X0Z")));
+}
+
+// Every word of `width` bits: the 4^width values, counting in base 4.
+std::vector<Word> allWords(int width) {
+  std::vector<Word> out;
+  for (int n = 0; n < 1 << (2 * width); ++n) {
+    Word w(width);
+    for (int i = 0; i < width; ++i) w.setBit(i, kValues[n >> (2 * i) & 3]);
+    out.push_back(w);
+  }
+  return out;
+}
+
+TEST(Word, CompareDisplayMatchesStringOrderOnEveryShortWord) {
+  // Every pair of words of widths 1-3, mixed widths included (a proper
+  // prefix orders first).
+  std::vector<Word> words;
+  for (int width = 1; width <= 3; ++width) {
+    for (Word& w : allWords(width)) words.push_back(std::move(w));
+  }
+  ASSERT_EQ(words.size(), 4u + 16u + 64u);
+  for (const Word& a : words) {
+    for (const Word& b : words) {
+      ASSERT_EQ(Word::compareDisplay(a, b), a.toString() <=> b.toString())
+          << a << " vs " << b;
+    }
+  }
+}
+
+TEST(Word, CompareDisplayMatchesStringOrderOnRandomWideWords) {
+  Rng rng(0xc0de);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const Word a = randomWord(rng, 64);
+    // Half the pairs share a random-length top prefix, so the deciding bit
+    // sits anywhere from the MSB down to bit 0.
+    Word b = randomWord(rng, 64);
+    if (trial % 2 == 0) {
+      const int keep = static_cast<int>(rng.below(65));
+      if (keep > 0) b.insert(64 - keep, a.slice(64 - keep, keep));
+    }
+    ASSERT_EQ(Word::compareDisplay(a, b), a.toString() <=> b.toString())
+        << a << " vs " << b;
+    const Word c = randomWord(rng, 1 + static_cast<int>(rng.below(64)));
+    ASSERT_EQ(Word::compareDisplay(a, c), a.toString() <=> c.toString())
+        << a << " vs " << c;
+  }
+  EXPECT_EQ(Word::compareDisplay(Word(), Word()), std::strong_ordering::equal);
+  EXPECT_EQ(Word::compareDisplay(Word(), Word(64)), std::strong_ordering::less);
 }
 
 class WordUintRoundTrip : public ::testing::TestWithParam<int> {};

@@ -144,6 +144,41 @@ TEST(FaultParallelTables, BothPolaritiesOfOneNetShareAPass) {
                       "primary input");
 }
 
+TEST(FaultParallelTables, RowsOrderZAfterStrongValuesOnAPrimaryInputOutput) {
+  // A primary input that is also the most significant primary output keeps
+  // its Z under every fault but its own, so rows first differ at a 0/1-vs-Z
+  // bit: the display order puts "0…" and "1…" before "Z…".
+  Netlist nl;
+  const NetId a = nl.addInput("a");
+  const NetId b = nl.addInput("b");
+  const NetId s = nl.addInput("s");
+  nl.markOutput(nl.addGate(gate::GateType::Or, {a, b}, "h"));
+  nl.markOutput(nl.addGate(gate::GateType::And, {a, b}, "g"));
+  nl.markOutput(s);
+  const CollapsedFaults collapsed = collapseAll(nl, /*dominance=*/false);
+
+  // s=Z, b=0, a=1: fault-free "Z01".
+  const gate::PackedEvaluator packed(nl);
+  const Word in = Word::fromString("Z01");
+  const DetectionTable table =
+      buildDetectionTables(packed, collapsed, {in}).front();
+  EXPECT_EQ(table.faultFreeOutput().toString(), "Z01");
+  std::vector<std::string> outputs;
+  for (const DetectionTable::Row& row : table.rows()) {
+    outputs.push_back(row.faultyOutput.toString());
+  }
+  EXPECT_EQ(outputs, (std::vector<std::string>{"001", "101", "Z00", "Z11"}));
+
+  // Every configuration of {0, 1, X, Z}^3, one call, against the oracle.
+  const char kChars[] = "01XZ";
+  std::vector<Word> all;
+  for (int n = 0; n < 64; ++n) {
+    all.push_back(Word::fromString(
+        {kChars[n >> 4], kChars[n >> 2 & 3], kChars[n & 3]}));
+  }
+  expectMatchesScalar(nl, collapsed, all, "primary-input output");
+}
+
 TEST(FaultParallelTables, PassCountsAndLaneFill) {
   if (!obs::kObsCompiledIn) GTEST_SKIP() << "observability compiled out";
   Rng rng(0x7ab1e05);
