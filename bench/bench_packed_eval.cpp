@@ -145,7 +145,8 @@ Measurement tableThroughput(const std::string& name, const gate::Netlist& nl,
   const fault::CollapsedFaults collapsed = fault::collapseAll(nl);
 
   const gate::NetlistEvaluator eval(nl);
-  std::vector<fault::DetectionTable> scalar, packedTables;
+  std::vector<fault::DetectionTable> scalar;
+  std::vector<cache::Value> packedTables;
   const double scalarSec = secondsOf([&] {
     for (const Word& c : configs) {
       scalar.push_back(oracles::buildDetectionTable(eval, collapsed, c));
@@ -155,11 +156,13 @@ Measurement tableThroughput(const std::string& name, const gate::Netlist& nl,
   const double packedSec = secondsOf([&] {
     for (const Word& c : configs) {
       packedTables.push_back(
-          std::move(fault::buildDetectionTables(packed, collapsed, {c})[0]));
+          fault::buildSerializedTables(packed, collapsed, {c})[0]);
     }
   });
   for (std::size_t i = 0; i < nTables; ++i) {
-    if (scalar[i].toString() != packedTables[i].toString()) {
+    net::ByteBuffer scalarBytes;
+    scalar[i].serialize(scalarBytes);
+    if (scalarBytes.bytes() != *packedTables[i]) {
       std::fprintf(stderr, "FATAL: %s packed/scalar table %zu disagree\n",
                    name.c_str(), i);
       std::exit(1);

@@ -49,40 +49,81 @@ std::string DetectionTable::toString() const {
   return os.str();
 }
 
+void DetectionTable::Writer::header(const Word& inputs, const Word& faultFree,
+                                    std::uint32_t rows) {
+  buf_.writeWord(inputs);
+  buf_.writeWord(faultFree);
+  buf_.writeU32(rows);
+}
+
+void DetectionTable::Writer::row(const Word& faultyOutput,
+                                 std::uint32_t faults) {
+  buf_.writeWord(faultyOutput);
+  buf_.writeU32(faults);
+}
+
+void DetectionTable::Writer::fault(const std::string& name) {
+  buf_.writeString(name);
+}
+
 void DetectionTable::serialize(net::ByteBuffer& buf) const {
-  buf.writeWord(inputs_);
-  buf.writeWord(faultFree_);
-  buf.writeU32(static_cast<std::uint32_t>(rows_.size()));
+  Writer out(buf);
+  out.header(inputs_, faultFree_, static_cast<std::uint32_t>(rows_.size()));
   for (const Row& row : rows_) {
-    buf.writeWord(row.faultyOutput);
-    buf.writeU32(static_cast<std::uint32_t>(row.faults.size()));
-    for (const std::string& f : row.faults) buf.writeString(f);
+    out.row(row.faultyOutput, static_cast<std::uint32_t>(row.faults.size()));
+    for (const std::string& f : row.faults) out.fault(f);
   }
 }
 
-DetectionTable DetectionTable::deserialize(net::ByteBuffer& buf) {
+namespace {
+
+/// One table read off `in`, names copied into strings.
+DetectionTable readTable(net::ByteReader& in) {
   struct Sink {
-    DetectionTable table;
-    void header(Word inputs, Word faultFree, std::size_t rows) {
-      table.inputs_ = std::move(inputs);
-      table.faultFree_ = std::move(faultFree);
-      table.rows_.reserve(rows);
+    Word inputs, faultFree;
+    std::vector<DetectionTable::Row> rows;
+    void header(Word in, Word ff, std::size_t n) {
+      inputs = std::move(in);
+      faultFree = std::move(ff);
+      rows.reserve(n);
     }
     void row(Word faultyOutput, std::uint32_t /*faults*/) {
-      table.rows_.push_back({std::move(faultyOutput), {}});
+      rows.push_back({std::move(faultyOutput), {}});
     }
-    void fault(std::string_view name) {
-      table.rows_.back().faults.emplace_back(name);
-    }
+    void fault(std::string_view name) { rows.back().faults.emplace_back(name); }
   };
-  return buf.readWith([](net::ByteReader& in) {
-    Sink sink;
-    decode(in, sink);
-    return std::move(sink.table);
-  });
+  Sink sink;
+  DetectionTable::decode(in, sink);
+  return DetectionTable(std::move(sink.inputs), std::move(sink.faultFree),
+                        std::move(sink.rows));
 }
 
-std::vector<DetectionTable> buildDetectionTables(
+}  // namespace
+
+DetectionTable DetectionTable::deserialize(net::ByteBuffer& buf) {
+  return buf.readWith(readTable);
+}
+
+DetectionTable DetectionTable::fromBytes(
+    const std::vector<std::uint8_t>& bytes) {
+  net::ByteReader in(bytes);
+  return readTable(in);
+}
+
+cache::Value DetectionTable::readBytes(net::ByteReader& in) {
+  struct Skip {
+    void header(const Word&, const Word&, std::size_t) {}
+    void row(const Word&, std::uint32_t) {}
+    void fault(std::string_view) {}
+  };
+  const std::size_t begin = in.position();
+  Skip skip;
+  decode(in, skip);
+  return std::make_shared<const std::vector<std::uint8_t>>(
+      in.data() + begin, in.data() + in.position());
+}
+
+std::vector<cache::Value> buildSerializedTables(
     const gate::PackedEvaluator& packed, const CollapsedFaults& collapsed,
     const std::vector<Word>& inputs) {
   using Force = gate::PackedEvaluator::LaneForce;
@@ -108,7 +149,7 @@ std::vector<DetectionTable> buildDetectionTables(
     for (std::size_t i = 0; i < nFaults; ++i) order[next[bucket(i)]++] = i;
   }
 
-  std::vector<DetectionTable> tables;
+  std::vector<cache::Value> tables;
   tables.reserve(inputs.size());
   std::vector<gate::LanePlanes> golden, base, work;
   std::vector<Force> forces;
@@ -203,7 +244,8 @@ std::vector<DetectionTable> buildDetectionTables(
 
     // Rows in the order the scalar builder's string-keyed map gives: per
     // configuration, by output display string, each row's faults by name.
-    // Each row's names are copied once, into a vector of their exact size.
+    // Each table goes straight to bytes through DetectionTable::Writer, into
+    // a buffer sized for it up front.
     const auto rowOrder = [&](const Hit& a, const Hit& b) {
       if (const auto o = Word::compareDisplay(a.out, b.out); o != 0) {
         return o < 0;
@@ -219,21 +261,30 @@ std::vector<DetectionTable> buildDetectionTables(
         return std::find_if(row, last,
                             [&](const Hit& h) { return h.out != row->out; });
       };
-      std::size_t nRows = 0;
-      for (auto row = first; row != last; row = rowEnd(row)) ++nRows;
-      std::vector<DetectionTable::Row> rows;
-      rows.reserve(nRows);
+      using Writer = DetectionTable::Writer;
+      const Word& in = inputs[group + c];
+      const Word faultFree = packed.outputsOf(golden, static_cast<int>(c));
+      std::uint32_t nRows = 0;
+      std::size_t size = Writer::headerSize(in, faultFree);
+      for (auto h = first; h != last; ++h) {
+        if (h == first || h->out != (h - 1)->out) {
+          ++nRows;
+          size += Writer::rowSize(h->out);
+        }
+        size += Writer::faultSize(symbols[h->fault]);
+      }
+      net::ByteBuffer buf;
+      buf.reserve(size);
+      Writer out(buf);
+      out.header(in, faultFree, nRows);
       while (first != last) {
         const auto row = first;
         first = rowEnd(row);
-        std::vector<std::string> names;
-        names.reserve(static_cast<std::size_t>(first - row));
-        for (auto h = row; h != first; ++h) names.push_back(symbols[h->fault]);
-        rows.push_back({row->out, std::move(names)});
+        out.row(row->out, static_cast<std::uint32_t>(first - row));
+        for (auto h = row; h != first; ++h) out.fault(symbols[h->fault]);
       }
-      tables.emplace_back(inputs[group + c],
-                          packed.outputsOf(golden, static_cast<int>(c)),
-                          std::move(rows));
+      tables.push_back(
+          std::make_shared<const std::vector<std::uint8_t>>(buf.release()));
     }
   }
 
@@ -247,6 +298,18 @@ std::vector<DetectionTable> buildDetectionTables(
     span.arg("configs", static_cast<double>(inputs.size()));
     span.arg("faults", static_cast<double>(nFaults));
     span.arg("passes", static_cast<double>(passes));
+  }
+  return tables;
+}
+
+std::vector<DetectionTable> buildDetectionTables(
+    const gate::PackedEvaluator& packed, const CollapsedFaults& collapsed,
+    const std::vector<Word>& inputs) {
+  std::vector<DetectionTable> tables;
+  tables.reserve(inputs.size());
+  for (const cache::Value& bytes :
+       buildSerializedTables(packed, collapsed, inputs)) {
+    tables.push_back(DetectionTable::fromBytes(*bytes));
   }
   return tables;
 }

@@ -15,6 +15,7 @@
 #include <string_view>
 #include <vector>
 
+#include "cache/result_store.hpp"
 #include "core/estimation.hpp"
 #include "fault/model.hpp"
 #include "gate/packed_eval.hpp"
@@ -50,16 +51,49 @@ class DetectionTable final : public ParamValue {
 
   std::string toString() const override;
 
+  /// The one writer of the wire format decode() reads: serialize() and the
+  /// packed builder both lay tables out through it. Call header() once,
+  /// then per row row() followed by one fault() per fault. Words go as
+  /// ByteBuffer::writeWord, counts as big-endian u32, names as strings.
+  class Writer {
+   public:
+    explicit Writer(net::ByteBuffer& buf) : buf_(buf) {}
+    void header(const Word& inputs, const Word& faultFree, std::uint32_t rows);
+    void row(const Word& faultyOutput, std::uint32_t faults);
+    void fault(const std::string& name);
+
+    /// Bytes header(), row() and fault() write, for sizing a buffer.
+    static std::size_t headerSize(const Word& inputs, const Word& faultFree) {
+      return net::ByteBuffer::wordSize(inputs.width()) +
+             net::ByteBuffer::wordSize(faultFree.width()) + 4;
+    }
+    static std::size_t rowSize(const Word& faultyOutput) {
+      return net::ByteBuffer::wordSize(faultyOutput.width()) + 4;
+    }
+    static std::size_t faultSize(const std::string& name) {
+      return 4 + name.size();
+    }
+
+   private:
+    net::ByteBuffer& buf_;
+  };
+
   void serialize(net::ByteBuffer& buf) const;
   static DetectionTable deserialize(net::ByteBuffer& buf);
+  /// deserialize() over one table's serialized bytes.
+  static DetectionTable fromBytes(const std::vector<std::uint8_t>& bytes);
+
+  /// Reads one serialized table off `in` and returns a copy of exactly its
+  /// bytes, for callers that keep tables in wire form. Throws as decode().
+  static cache::Value readBytes(net::ByteReader& in);
 
   /// The one reader of the wire format serialize() writes, shared by
-  /// deserialize() and the campaign cache's resolved decode. Feeds `sink`
-  /// the table as it reads: sink.header(inputs, faultFreeOutput, rows),
-  /// then per row sink.row(faultyOutput, faults) followed by one
-  /// sink.fault(name) per fault, `name` a view into `in`'s bytes. `rows` is
-  /// capped by the bytes left, so it is a safe reserve() hint. Throws
-  /// std::out_of_range on underflow.
+  /// deserialize(), readBytes() and the campaign cache's resolved decode.
+  /// Feeds `sink` the table as it reads: sink.header(inputs,
+  /// faultFreeOutput, rows), then per row sink.row(faultyOutput, faults)
+  /// followed by one sink.fault(name) per fault, `name` a view into `in`'s
+  /// bytes. `rows` is capped by the bytes left, so it is a safe reserve()
+  /// hint. Throws std::out_of_range on underflow.
   template <typename Sink>
   static void decode(net::ByteReader& in, Sink& sink) {
     Word inputs = in.readWord();
@@ -92,9 +126,16 @@ class DetectionTable final : public ParamValue {
 /// (configuration, collapsed fault) pair, filled configuration-major, so a
 /// one-configuration call takes ⌈F/64⌉ passes for F faults and C
 /// configurations never take more than ⌈C/64⌉·F. Every pass starts from the
-/// fault-free planes and re-evaluates only from its first forced gate. The
-/// returned tables (one per input, same order) are identical to the scalar
-/// one-fault-at-a-time reference builder in the test oracles.
+/// fault-free planes and re-evaluates only from its first forced gate.
+/// Returns each table (one per input, same order) in wire form: the bytes
+/// DetectionTable::serialize writes for the table the scalar
+/// one-fault-at-a-time reference builder in the test oracles gives. Rows
+/// are written straight to bytes; no DetectionTable is built.
+std::vector<cache::Value> buildSerializedTables(
+    const gate::PackedEvaluator& packed, const CollapsedFaults& collapsed,
+    const std::vector<Word>& inputs);
+
+/// buildSerializedTables() decoded, for callers that want DetectionTables.
 std::vector<DetectionTable> buildDetectionTables(
     const gate::PackedEvaluator& packed, const CollapsedFaults& collapsed,
     const std::vector<Word>& inputs);

@@ -28,27 +28,20 @@ FaultDictionary FaultDictionary::build(
     inputs.push_back(Word::fromUint(n, v));
   }
 
-  if (store != nullptr) {
-    // Store-assisted build: fetch what any previous cache site already
-    // characterized, pack-build only the misses, write those through.
-    const std::vector<cache::Value> bytes = fetchOrBuildTables(
-        store.get(), d.digest_, storeNamespace, inputs,
-        [&](const std::vector<Word>& missing) {
-          const gate::PackedEvaluator packed(netlist);
-          return buildDetectionTables(packed, collapsed, missing);
-        });
-    d.tables_.reserve(configs);
-    for (const cache::Value& b : bytes) {
-      net::ByteBuffer buf(*b);
-      d.tables_.push_back(DetectionTable::deserialize(buf));
-    }
-    return d;
-  }
-
   // Packed construction: every lane of a pass is one (configuration,
   // fault) pair, so small blocks characterize many configurations per pass.
-  const gate::PackedEvaluator packed(netlist);
-  d.tables_ = buildDetectionTables(packed, collapsed, inputs);
+  // With a store, what any previous cache site already characterized is
+  // fetched, and only the misses are built and written through.
+  const std::vector<cache::Value> bytes = fetchOrBuildTables(
+      store.get(), d.digest_, storeNamespace, inputs,
+      [&](const std::vector<Word>& missing) {
+        const gate::PackedEvaluator packed(netlist);
+        return buildSerializedTables(packed, collapsed, missing);
+      });
+  d.tables_.reserve(configs);
+  for (const cache::Value& b : bytes) {
+    d.tables_.push_back(DetectionTable::fromBytes(*b));
+  }
   return d;
 }
 

@@ -14,6 +14,25 @@ std::vector<DetectionTable> FaultClient::detectionTables(
   return out;
 }
 
+std::vector<cache::Value> FaultClient::serializedTables(
+    const std::vector<Word>& inputs) {
+  std::vector<DetectionTable> tables;
+  if (inputs.size() == 1) {
+    tables.push_back(detectionTable(inputs.front()));
+  } else {
+    tables = detectionTables(inputs);
+  }
+  std::vector<cache::Value> out;
+  out.reserve(tables.size());
+  for (const DetectionTable& t : tables) {
+    net::ByteBuffer buf;
+    t.serialize(buf);
+    out.push_back(
+        std::make_shared<const std::vector<std::uint8_t>>(buf.release()));
+  }
+  return out;
+}
+
 Word FaultClient::observedInputs(const SimContext& ctx) {
   Module& m = module();
   const auto ins = m.inputPorts();
@@ -68,6 +87,11 @@ DetectionTable LocalFaultBlock::detectionTable(const Word& inputs) {
 std::vector<DetectionTable> LocalFaultBlock::detectionTables(
     const std::vector<Word>& inputs) {
   return buildDetectionTables(packed_, collapsed_, inputs);
+}
+
+std::vector<cache::Value> LocalFaultBlock::serializedTables(
+    const std::vector<Word>& inputs) {
+  return buildSerializedTables(packed_, collapsed_, inputs);
 }
 
 }  // namespace vcad::fault

@@ -41,6 +41,16 @@ class FaultClient {
   virtual std::vector<DetectionTable> detectionTables(
       const std::vector<Word>& inputs);
 
+  /// Phase 2 in wire form: each configuration's detection table as the
+  /// bytes DetectionTable::serialize writes, in order. This is the campaign
+  /// engine's only table call. The default makes the calls above, so a
+  /// client that overrides only them is asked exactly as before:
+  /// detectionTable() for one configuration, detectionTables() otherwise,
+  /// each result serialized. Clients holding tables as bytes (the packed
+  /// builder, the RMI stub) return those bytes directly.
+  virtual std::vector<cache::Value> serializedTables(
+      const std::vector<Word>& inputs);
+
   /// Netlist-version digest of the implementation behind this client —
   /// the content half of the result-store key (see cache::netlistDigest).
   /// Local blocks derive it from the netlist they own; remote stubs learn
@@ -81,6 +91,10 @@ class LocalFaultBlock final : public FaultClient {
   /// Batched tables on the packed bit-parallel engine: the buffered inputs
   /// are evaluated 64 to a pass, one pass per collapsed fault per block.
   std::vector<DetectionTable> detectionTables(
+      const std::vector<Word>& inputs) override;
+
+  /// The packed builder's bytes, as built.
+  std::vector<cache::Value> serializedTables(
       const std::vector<Word>& inputs) override;
 
   std::uint64_t versionDigest() const override { return digest_; }

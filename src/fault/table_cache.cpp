@@ -16,16 +16,6 @@ cache::CacheKey detectionTableKey(std::uint64_t digest, std::uint64_t ns,
       args.buffer().bytes());
 }
 
-namespace {
-
-cache::Value serializeTable(const DetectionTable& table) {
-  net::ByteBuffer buf;
-  table.serialize(buf);
-  return std::make_shared<const std::vector<std::uint8_t>>(buf.bytes());
-}
-
-}  // namespace
-
 std::vector<cache::Value> fetchOrBuildTables(cache::ResultStore* store,
                                              std::uint64_t digest,
                                              std::uint64_t ns,
@@ -46,7 +36,7 @@ std::vector<cache::Value> fetchOrBuildTables(cache::ResultStore* store,
     }
   }
   if (missing.empty()) return tables;
-  const std::vector<DetectionTable> built = build(missing);
+  const std::vector<cache::Value> built = build(missing);
   if (built.size() != missing.size()) {
     throw std::runtime_error("detection-table builder returned " +
                              std::to_string(built.size()) + " tables for " +
@@ -54,8 +44,8 @@ std::vector<cache::Value> fetchOrBuildTables(cache::ResultStore* store,
                              " configurations");
   }
   for (std::size_t j = 0; j < missAt.size(); ++j) {
-    tables[missAt[j]] = serializeTable(built[j]);
-    if (store != nullptr) store->insert(keys[missAt[j]], tables[missAt[j]]);
+    tables[missAt[j]] = built[j];
+    if (store != nullptr) store->insert(keys[missAt[j]], built[j]);
   }
   return tables;
 }
@@ -99,8 +89,7 @@ std::uint32_t DetectionTableCache::indexOf(std::string_view name) const {
 }
 
 // Assembles a ResolvedTable from a table fed to it row by row: the sink
-// DetectionTable::decode reads stored bytes into, and what resolve() feeds
-// an in-memory table through.
+// DetectionTable::decode reads a table's bytes into.
 struct DetectionTableCache::Resolver {
   const DetectionTableCache& cache;
   ResolvedTable table;
@@ -115,16 +104,6 @@ struct DetectionTableCache::Resolver {
     ++table.rows.back().end;
   }
 };
-
-ResolvedTable DetectionTableCache::resolve(const DetectionTable& table) const {
-  Resolver r{*this, {}};
-  r.header(table.inputs(), table.faultFreeOutput(), table.rows().size());
-  for (const DetectionTable::Row& row : table.rows()) {
-    r.row(row.faultyOutput, static_cast<std::uint32_t>(row.faults.size()));
-    for (const std::string& f : row.faults) r.fault(f);
-  }
-  return std::move(r.table);
-}
 
 ResolvedTable DetectionTableCache::decode(
     const std::vector<std::uint8_t>& bytes) const {
@@ -148,11 +127,10 @@ const ResolvedTable* DetectionTableCache::findStored(const Word& inputs) {
 }
 
 const ResolvedTable* DetectionTableCache::insert(const Word& inputs,
-                                                 const DetectionTable& table) {
-  ResolvedTable resolved = resolve(table);
+                                                 cache::Value table) {
+  ResolvedTable resolved = decode(*table);
   if (storeAttached()) {
-    store_->insert(detectionTableKey(digest_, ns_, inputs),
-                   serializeTable(table));
+    store_->insert(detectionTableKey(digest_, ns_, inputs), std::move(table));
   }
   return &pinned_.emplace(inputs, std::move(resolved)).first->second;
 }

@@ -2,16 +2,21 @@
 // cache, a thin adapter over the shared result store that pins every table
 // in resolved form.
 //
+// Tables reach the cache in wire form only: the bytes
+// DetectionTable::serialize writes, as FaultClient::serializedTables hands
+// them over. No DetectionTable and no per-fault string is built on the way.
+//
 // Resolved form: a campaign's skip check and detection bookkeeping only
 // need, per row, the faulty output and which of the component's published
 // faults the row holds. The cache borrows that published list (faultList()
 // order, as the campaign lays it out in CampaignResult::faultList with the
 // "<module>/" prefix rows do not carry) and builds one name -> index lookup
-// over it per campaign. Each table is resolved once, when it is pinned: a
+// over it per campaign. Each table is decoded once, when it is pinned: a
 // row becomes its faulty output plus the uint32 indices of its faults into
-// the list, stored flat. No fault name is kept per table, and a name the
-// list lacks is rejected (std::runtime_error naming the component), so a
-// provider cannot report faults it never published.
+// the list, stored flat, names looked up as views into the bytes. No fault
+// name is kept per table, and a name the list lacks is rejected
+// (std::runtime_error naming the component), so a provider cannot report
+// faults it never published.
 //
 // Two layers, with distinct accounting:
 //   pin map  — tables this campaign already holds, keyed by the observed
@@ -23,12 +28,10 @@
 //   store    — optional view onto a shared cache::ResultStore, scoped by
 //              the component's netlist-version digest. A store hit decodes
 //              the stored bytes straight into the resolved form (no copy
-//              of the bytes, no string per fault: names are looked up as
-//              views into the stored value) and pins it: no client fetch
-//              happens, counted as `tableStoreHits`. Fresh fetches are
-//              written through, serialized exactly as the provider sends
-//              them, so the next campaign (or tenant, or process) starts
-//              warm.
+//              of the bytes) and pins it: no client fetch happens, counted
+//              as `tableStoreHits`. Fresh fetches are written through as
+//              the very value the client returned, so the next campaign (or
+//              tenant, or process) starts warm.
 //
 // Every store entry holds one table under detectionTableKey, which the
 // provider's GetDetectionTable and GetDetectionTables paths and
@@ -59,19 +62,20 @@ namespace vcad::fault {
 cache::CacheKey detectionTableKey(std::uint64_t digest, std::uint64_t ns,
                                   const Word& inputs);
 
-/// Builds the detection tables of the configurations it is given, in order.
+/// Builds the detection tables of the configurations it is given, in order,
+/// each as its serialize() bytes (buildSerializedTables).
 using TableBuilder =
-    std::function<std::vector<DetectionTable>(const std::vector<Word>&)>;
+    std::function<std::vector<cache::Value>(const std::vector<Word>&)>;
 
 /// The one store-through path for serialized detection tables: each
 /// configuration of `inputs` is fetched from `store` under
 /// detectionTableKey(digest, ns, ·), and the misses are built in a single
-/// `build` call and inserted. Returns each table's serialize() bytes in
-/// request order, identical whichever entries hit. A null `store` builds
-/// everything; `build` is not called when nothing misses, and throws
-/// std::runtime_error when it returns other than one table per miss (nothing
-/// is inserted then). Concurrent misses
-/// of one key may each build: the inserted bytes are identical.
+/// `build` call and inserted as built. Returns each table's serialize()
+/// bytes in request order, identical whichever entries hit. A null `store`
+/// builds everything; `build` is not called when nothing misses, and this
+/// throws std::runtime_error when it returns other than one table per miss
+/// (nothing is inserted then). Concurrent misses of one key may each build:
+/// the inserted bytes are identical.
 std::vector<cache::Value> fetchOrBuildTables(cache::ResultStore* store,
                                              std::uint64_t digest,
                                              std::uint64_t ns,
@@ -124,15 +128,15 @@ class DetectionTableCache {
   /// insert()s.
   const ResolvedTable* findStored(const Word& inputs);
 
-  /// Pins a freshly fetched table and writes it through to the store (when
-  /// attached). Returns the stable pinned pointer.
-  const ResolvedTable* insert(const Word& inputs, const DetectionTable& table);
+  /// Pins a freshly fetched table, given as its serialize() bytes, and
+  /// writes the same value through to the store (when attached). Returns
+  /// the stable pinned pointer. Throws as decode(); nothing is pinned or
+  /// stored then.
+  const ResolvedTable* insert(const Word& inputs, cache::Value table);
 
-  /// `table` resolved against the fault list, and the same resolution
-  /// decoded from its serialized bytes. Both throw std::runtime_error on a
-  /// fault name the list lacks; decode throws std::out_of_range on
-  /// truncated bytes.
-  ResolvedTable resolve(const DetectionTable& table) const;
+  /// A table's serialized bytes resolved against the fault list. Throws
+  /// std::runtime_error on a fault name the list lacks and
+  /// std::out_of_range on truncated bytes.
   ResolvedTable decode(const std::vector<std::uint8_t>& bytes) const;
 
   std::size_t pinnedCount() const { return pinned_.size(); }

@@ -198,20 +198,15 @@ CampaignResult VirtualFaultSimulator::run(
       }
       if (missing.empty()) continue;
       FaultClient& comp = *components_[c];
-      std::vector<DetectionTable> fetched;
-      if (missing.size() == 1) {
-        fetched.push_back(comp.detectionTable(missing.front()));
-      } else {
-        fetched = comp.detectionTables(missing);
-        if (fetched.size() != missing.size()) {
-          throw std::runtime_error(
-              "detectionTables returned a short batch for component " +
-              comp.module().name());
-        }
+      std::vector<cache::Value> fetched = comp.serializedTables(missing);
+      if (fetched.size() != missing.size()) {
+        throw std::runtime_error(
+            "serializedTables returned a short batch for component " +
+            comp.module().name());
       }
       ++res.tableFetchRoundTrips;
       for (std::size_t j = 0; j < missing.size(); ++j) {
-        compCache.insert(missing[j], fetched[j]);
+        compCache.insert(missing[j], std::move(fetched[j]));
       }
       for (std::size_t i = 0; i < nBatch; ++i) {
         if (tables[i][c] == nullptr) {

@@ -37,11 +37,11 @@
 // One engine runs phase 2, on the calling thread. Patterns are processed in
 // batches (setTableBatch, default kDefaultTableBatch = 32): per component,
 // the batch's unseen input configurations are fetched in one round trip
-// (the paper's pattern buffering applied to fault characterization). A
-// single missing configuration goes out as detectionTable
-// (GetDetectionTable), two or more as one detectionTables
-// (GetDetectionTables) call, so batch 1 puts exactly the per-pattern
-// traffic on the wire. The campaign pins one
+// (the paper's pattern buffering applied to fault characterization), as
+// one FaultClient::serializedTables call returning the tables in wire
+// form. On a remote component a single missing configuration goes out as
+// GetDetectionTable, two or more as one GetDetectionTables call, so batch 1
+// puts exactly the per-pattern traffic on the wire. The campaign pins one
 // SimulationController per batch position for the fault-free runs and one
 // for injections — one slot of the state arena each — and reset()s them
 // between runs (an O(1) generation renew) instead of reconstructing them.
@@ -49,8 +49,8 @@
 // The row-skip check reads no fault names. Each component's
 // DetectionTableCache pins its tables resolved: a row is its faulty output
 // plus the indices of its faults into the component's published fault
-// list, resolved once when the table is pinned (fetched or read from the
-// store); a row naming a fault the component never published fails the
+// list, decoded once from the table's bytes when it is pinned (fetched or
+// read from the store); a row naming a fault the component never published fails the
 // campaign with std::runtime_error. Per component the engine keeps a
 // detected bitmap, one byte per published fault: a row is injected while
 // one of its faults' bytes is clear, and a fault's first detection sets

@@ -511,7 +511,7 @@ void MultiTenantProviderServer::executeJob(
     }
   }
 
-  std::vector<std::uint8_t> body = response.marshal().bytes();
+  std::vector<std::uint8_t> body = std::move(response).marshal().release();
   net::sealFrame(body);
   net::ResponseFrameHeader rh;
   rh.status = net::FrameStatus::Ok;

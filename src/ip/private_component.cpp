@@ -58,9 +58,9 @@ std::vector<std::string> PrivateComponent::faultList() const {
   return fault::symbolicFaultList(*netlist_, collapsed_);
 }
 
-std::vector<fault::DetectionTable> PrivateComponent::detectionTables(
+std::vector<cache::Value> PrivateComponent::serializedTables(
     const std::vector<Word>& inputs) const {
-  return fault::buildDetectionTables(packed_, collapsed_, inputs);
+  return fault::buildSerializedTables(packed_, collapsed_, inputs);
 }
 
 std::size_t PrivateComponent::evalCount() const {

@@ -46,8 +46,8 @@ class PrivateComponent {
 
   /// Phase-2 data: one detection table per input configuration, in order,
   /// built on the packed bit-parallel engine (64 configurations per fault
-  /// pass).
-  std::vector<fault::DetectionTable> detectionTables(
+  /// pass), each as its serialized bytes.
+  std::vector<cache::Value> serializedTables(
       const std::vector<Word>& inputs) const;
 
   const gate::Netlist& netlist() const { return *netlist_; }

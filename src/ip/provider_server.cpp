@@ -613,23 +613,21 @@ Response ProviderServer::execute(const Request& request,
           [&](const std::vector<Word>& missing) {
             built = true;
             std::lock_guard<std::mutex> exec(inst->execMutex);
-            return inst->impl->detectionTables(missing);
+            return inst->impl->serializedTables(missing);
           });
       // Request order, each table's bytes as a cold build serializes them;
-      // the batched payload leads with the table count.
-      net::ByteBuffer count;
-      if (batched) count.writeU32(static_cast<std::uint32_t>(configs.size()));
-      std::size_t size = count.size();
+      // the batched payload leads with the table count. Assembled once,
+      // with the headroom that lets the front end marshal and seal it in
+      // place.
+      std::size_t size = batched ? 4 : 0;
       for (const cache::Value& t : tables) size += t->size();
-      std::vector<std::uint8_t> payload;
-      payload.reserve(size);
-      payload.assign(count.bytes().begin(), count.bytes().end());
-      for (const cache::Value& t : tables) {
-        payload.insert(payload.end(), t->begin(), t->end());
-      }
       Response resp;
+      resp.payload.reserve(size + Response::kHeadroom);
+      if (batched) {
+        resp.payload.writeU32(static_cast<std::uint32_t>(configs.size()));
+      }
+      for (const cache::Value& t : tables) resp.payload.append(*t);
       resp.version = inst->digest;
-      resp.payload = net::ByteBuffer(std::move(payload));
       resp.cached = !configs.empty() && !built;
       charge(*session, request.method,
              spec.fees.perDetectionTableCents *

@@ -397,41 +397,56 @@ std::vector<std::string> RemoteFaultClient::faultList() {
   return out;
 }
 
-fault::DetectionTable RemoteFaultClient::detectionTable(const Word& inputs) {
-  Args args;
-  args.addWord(inputs);
-  Response resp = component_.provider().call(
-      MethodId::GetDetectionTable, component_.instanceId(), std::move(args));
-  if (!resp.ok()) {
-    throw std::runtime_error("GetDetectionTable failed: " + resp.error);
-  }
-  noteVersion(resp.version);
-  return fault::DetectionTable::deserialize(resp.payload);
-}
-
-std::vector<fault::DetectionTable> RemoteFaultClient::detectionTables(
-    const std::vector<Word>& inputs) {
+std::vector<cache::Value> RemoteFaultClient::fetchTables(
+    const std::vector<Word>& inputs, bool batched) {
   if (inputs.empty()) return {};
+  const MethodId method =
+      batched ? MethodId::GetDetectionTables : MethodId::GetDetectionTable;
   Args args;
-  args.addWordVector(inputs);
-  Response resp = component_.provider().call(
-      MethodId::GetDetectionTables, component_.instanceId(), std::move(args));
+  if (batched) {
+    args.addWordVector(inputs);
+  } else {
+    args.addWord(inputs.front());
+  }
+  Response resp = component_.provider().call(method, component_.instanceId(),
+                                             std::move(args));
   if (!resp.ok()) {
-    throw std::runtime_error("GetDetectionTables failed: " + resp.error);
+    throw std::runtime_error(rmi::toString(method) + " failed: " + resp.error);
   }
   noteVersion(resp.version);
-  const std::uint32_t n = resp.payload.readU32();
+  const std::uint32_t n = batched ? resp.payload.readU32() : 1;
   if (n != inputs.size()) {
     throw std::runtime_error(
         "GetDetectionTables: provider returned " + std::to_string(n) +
         " tables for " + std::to_string(inputs.size()) + " configurations");
   }
+  return resp.payload.readWith([n](net::ByteReader& in) {
+    std::vector<cache::Value> out;
+    out.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      out.push_back(fault::DetectionTable::readBytes(in));
+    }
+    return out;
+  });
+}
+
+fault::DetectionTable RemoteFaultClient::detectionTable(const Word& inputs) {
+  return fault::DetectionTable::fromBytes(*fetchTables({inputs}, false)[0]);
+}
+
+std::vector<fault::DetectionTable> RemoteFaultClient::detectionTables(
+    const std::vector<Word>& inputs) {
   std::vector<fault::DetectionTable> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    out.push_back(fault::DetectionTable::deserialize(resp.payload));
+  out.reserve(inputs.size());
+  for (const cache::Value& bytes : fetchTables(inputs, true)) {
+    out.push_back(fault::DetectionTable::fromBytes(*bytes));
   }
   return out;
+}
+
+std::vector<cache::Value> RemoteFaultClient::serializedTables(
+    const std::vector<Word>& inputs) {
+  return fetchTables(inputs, inputs.size() != 1);
 }
 
 // --- RemoteSeqFaultClient ------------------------------------------------

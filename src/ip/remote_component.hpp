@@ -250,6 +250,12 @@ class RemoteFaultClient final : public fault::FaultClient {
   std::vector<fault::DetectionTable> detectionTables(
       const std::vector<Word>& inputs) override;
 
+  /// The response payload sliced into one value per table, with no decode
+  /// into strings: GetDetectionTable for one configuration,
+  /// GetDetectionTables otherwise (the calls the default would make).
+  std::vector<cache::Value> serializedTables(
+      const std::vector<Word>& inputs) override;
+
   /// Netlist-version digest learned from the provider's responses
   /// (Response::version). 0 until the first successful fault call; changes
   /// only if the provider re-instantiates with a different netlist, at
@@ -262,6 +268,12 @@ class RemoteFaultClient final : public fault::FaultClient {
   void noteVersion(std::uint64_t v) {
     if (v != 0) version_.store(v, std::memory_order_release);
   }
+
+  /// The stub's one table call: GetDetectionTables for `inputs` when
+  /// `batched`, GetDetectionTable for its one configuration otherwise.
+  /// Returns each table's bytes, sliced out of the payload.
+  std::vector<cache::Value> fetchTables(const std::vector<Word>& inputs,
+                                        bool batched);
 
   RemoteComponent& component_;
   std::atomic<std::uint64_t> version_{0};

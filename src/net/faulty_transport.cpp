@@ -1,5 +1,8 @@
 #include "net/faulty_transport.hpp"
 
+#include <bit>
+#include <cstring>
+
 #include "core/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -31,21 +34,46 @@ std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
   return h;
 }
 
+std::uint64_t frameChecksum(const std::uint8_t* data, std::size_t size) {
+  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, data + i, sizeof(word));
+    if constexpr (std::endian::native == std::endian::big) {
+      word = __builtin_bswap64(word);
+    }
+    h ^= word;
+    h *= kPrime;
+  }
+  for (; i < size; ++i) {
+    h ^= data[i];
+    h *= kPrime;
+  }
+  // The length last: runs of zero words and zero tail bytes cost the same
+  // number of steps, so without it a zero run could shrink unnoticed.
+  h ^= size;
+  h *= kPrime;
+  return h;
+}
+
 void sealFrame(std::vector<std::uint8_t>& bytes) {
-  const std::uint64_t sum = fnv1a(bytes);
+  const std::uint64_t sum = frameChecksum(bytes.data(), bytes.size());
   for (int shift = 56; shift >= 0; shift -= 8) {
     bytes.push_back(static_cast<std::uint8_t>(sum >> shift));
   }
 }
 
 bool openFrame(std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < 8) return false;
+  if (bytes.size() < kFrameChecksumBytes) return false;
+  const std::size_t size = bytes.size() - kFrameChecksumBytes;
   std::uint64_t claimed = 0;
-  for (std::size_t i = bytes.size() - 8; i < bytes.size(); ++i) {
+  for (std::size_t i = size; i < bytes.size(); ++i) {
     claimed = (claimed << 8) | bytes[i];
   }
-  bytes.resize(bytes.size() - 8);
-  return fnv1a(bytes) == claimed;
+  bytes.resize(size);
+  return frameChecksum(bytes.data(), size) == claimed;
 }
 
 // --- profiles --------------------------------------------------------------

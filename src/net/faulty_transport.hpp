@@ -26,11 +26,22 @@ namespace vcad::net {
 
 // --- message framing ---------------------------------------------------
 
-/// FNV-1a 64-bit hash of a byte block (the frame checksum).
+/// FNV-1a 64-bit hash of a byte block, one byte per step (the result
+/// store's key digest, cache::KeyBuilder, is defined by it).
 std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes);
 
-/// Appends an 8-byte FNV-1a checksum so the receiver can detect corruption
-/// deterministically (flipped bits never silently unmarshal into garbage).
+/// The frame checksum: FNV-1a's offset basis and multiply, folding eight
+/// little-endian bytes per step, the tail (size % 8 bytes) one per step,
+/// then the size. Each step is a bijection of the state, so any damage
+/// confined to one 8-byte word (or one tail byte) always changes the result.
+std::uint64_t frameChecksum(const std::uint8_t* data, std::size_t size);
+
+/// Bytes sealFrame() appends.
+inline constexpr std::size_t kFrameChecksumBytes = 8;
+
+/// Appends the 8-byte frameChecksum, big-endian, so the receiver can detect
+/// corruption deterministically (flipped bits never silently unmarshal
+/// into garbage).
 void sealFrame(std::vector<std::uint8_t>& bytes);
 
 /// Verifies and strips the trailing checksum; returns false (leaving the

@@ -5,11 +5,9 @@
 
 namespace vcad::net {
 
-void ByteReader::need(std::size_t n) const {
-  if (n > size_ - pos_) {
-    throw std::out_of_range("ByteBuffer underflow: need " + std::to_string(n) +
-                            " bytes, have " + std::to_string(size_ - pos_));
-  }
+void ByteReader::underflow(std::size_t n) const {
+  throw std::out_of_range("ByteBuffer underflow: need " + std::to_string(n) +
+                          " bytes, have " + std::to_string(size_ - pos_));
 }
 
 void ByteBuffer::writeU8(std::uint8_t v) { data_.push_back(v); }
@@ -73,21 +71,10 @@ void ByteBuffer::writeWordVector(const std::vector<Word>& words) {
   for (const Word& w : words) writeWord(w);
 }
 
-std::uint8_t ByteReader::readU8() {
-  need(1);
-  return data_[pos_++];
-}
-
 std::uint16_t ByteReader::readU16() {
   const auto hi = readU8();
   const auto lo = readU8();
   return static_cast<std::uint16_t>((hi << 8) | lo);
-}
-
-std::uint32_t ByteReader::readU32() {
-  const std::uint32_t hi = readU16();
-  const std::uint32_t lo = readU16();
-  return (hi << 16) | lo;
 }
 
 std::uint64_t ByteReader::readU64() {
@@ -107,14 +94,6 @@ double ByteReader::readDouble() {
 
 std::string ByteReader::readString() { return std::string(readStringView()); }
 
-std::string_view ByteReader::readStringView() {
-  const std::uint32_t n = readU32();
-  need(n);
-  const std::string_view s(reinterpret_cast<const char*>(data_ + pos_), n);
-  pos_ += n;
-  return s;
-}
-
 std::vector<std::uint8_t> ByteReader::readBytes() {
   const std::uint32_t n = readU32();
   need(n);
@@ -129,11 +108,15 @@ Word ByteReader::readWord() {
     throw std::invalid_argument("Word width out of range: " +
                                 std::to_string(width));
   }
+  const std::size_t bytes = ByteBuffer::wordSize(width) - 1;
+  need(bytes);
+  const std::uint8_t* packed = data_ + pos_;
+  pos_ += bytes;
   std::uint64_t value = 0;
   std::uint64_t known = 0;
   std::uint64_t z = 0;
   for (int i = 0; i < width; i += 4) {
-    const std::uint8_t acc = readU8();
+    const std::uint8_t acc = packed[i / 4];
     for (int k = 0; k < 4 && i + k < width; ++k) {
       const std::uint64_t code = (acc >> (2 * k)) & 0x3U;
       const std::uint64_t bit = 1ULL << (i + k);

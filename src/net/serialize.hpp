@@ -31,24 +31,46 @@ class ByteReader {
 
   // --- readers (throw std::out_of_range on underflow) -----------------------
 
-  std::uint8_t readU8();
+  // The readers a detection-table decode runs per row and per fault are
+  // inline, with one bounds check per value.
+  std::uint8_t readU8() {
+    need(1);
+    return data_[pos_++];
+  }
   std::uint16_t readU16();
-  std::uint32_t readU32();
+  std::uint32_t readU32() {
+    need(4);
+    const std::uint8_t* p = data_ + pos_;
+    pos_ += 4;
+    return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+           (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
+  }
   std::uint64_t readU64();
   bool readBool();
   double readDouble();
   std::string readString();
   /// readString without the copy: a view into the borrowed bytes.
-  std::string_view readStringView();
+  std::string_view readStringView() {
+    const std::uint32_t n = readU32();
+    need(n);
+    const std::string_view s(reinterpret_cast<const char*>(data_ + pos_), n);
+    pos_ += n;
+    return s;
+  }
   std::vector<std::uint8_t> readBytes();
   Word readWord();
   std::vector<Word> readWordVector();
 
   std::size_t position() const { return pos_; }
   std::size_t remaining() const { return size_ - pos_; }
+  /// The borrowed bytes, position() indexing into them.
+  const std::uint8_t* data() const { return data_; }
 
  private:
-  void need(std::size_t n) const;
+  void need(std::size_t n) const {
+    if (n > size_ - pos_) underflow(n);
+  }
+  [[noreturn]] void underflow(std::size_t n) const;
 
   const std::uint8_t* data_;
   std::size_t size_;
@@ -71,9 +93,17 @@ class ByteBuffer {
   void writeDouble(double v);
   void writeString(const std::string& s);
   void writeBytes(const std::vector<std::uint8_t>& bytes);
+  /// Appends `bytes` as they are, with no length prefix.
+  void append(const std::vector<std::uint8_t>& bytes) {
+    data_.insert(data_.end(), bytes.begin(), bytes.end());
+  }
 
   /// Compact word encoding: width byte + 2 bits per position.
   void writeWord(const Word& w);
+  /// Bytes writeWord() writes for a word of `width` positions.
+  static constexpr std::size_t wordSize(int width) {
+    return 1 + static_cast<std::size_t>(width + 3) / 4;
+  }
   void writeWordVector(const std::vector<Word>& words);
 
   // --- readers (throw std::out_of_range on underflow) -----------------------
@@ -106,6 +136,15 @@ class ByteBuffer {
   std::size_t remaining() const { return data_.size() - readPos_; }
   bool exhausted() const { return readPos_ >= data_.size(); }
   const std::vector<std::uint8_t>& bytes() const { return data_; }
+  /// Moves the bytes out, leaving the buffer empty.
+  std::vector<std::uint8_t> release() {
+    std::vector<std::uint8_t> out;
+    out.swap(data_);
+    readPos_ = 0;
+    return out;
+  }
+
+  void reserve(std::size_t n) { data_.reserve(n); }
 
   void rewind() { readPos_ = 0; }
   void clear() {

@@ -64,7 +64,7 @@ void LoopbackTransport::send(const net::RequestFrameHeader& header,
   net::TransportReply reply;
   reply.delivered = true;
   reply.serverCpuSec = cpuSec;
-  reply.sealedPayload = response.marshal().bytes();
+  reply.sealedPayload = std::move(response).marshal().release();
   net::sealFrame(reply.sealedPayload);
 
   std::lock_guard<std::mutex> lock(mutex_);

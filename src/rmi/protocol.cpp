@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "net/faulty_transport.hpp"
+
 namespace vcad::rmi {
 
 std::string toString(MethodId m) {
@@ -204,16 +206,35 @@ Request Request::unmarshal(net::ByteBuffer& buf) {
   return r;
 }
 
-net::ByteBuffer Response::marshal() const {
+namespace {
+
+/// Everything marshal() writes ahead of the payload bytes.
+net::ByteBuffer marshalHeader(const Response& r) {
   net::ByteBuffer out;
-  out.writeU8(static_cast<std::uint8_t>(status));
-  out.writeBool(replayed);
-  out.writeBool(cached);
-  out.writeU64(version);
-  out.writeString(error);
-  out.writeDouble(feeCents);
-  out.writeBytes(payload.bytes());
+  out.writeU8(static_cast<std::uint8_t>(r.status));
+  out.writeBool(r.replayed);
+  out.writeBool(r.cached);
+  out.writeU64(r.version);
+  out.writeString(r.error);
+  out.writeDouble(r.feeCents);
+  out.writeU32(static_cast<std::uint32_t>(r.payload.size()));
   return out;
+}
+
+}  // namespace
+
+net::ByteBuffer Response::marshal() const& {
+  net::ByteBuffer out = marshalHeader(*this);
+  out.append(payload.bytes());
+  return out;
+}
+
+net::ByteBuffer Response::marshal() && {
+  const net::ByteBuffer head = marshalHeader(*this);
+  std::vector<std::uint8_t> bytes = payload.release();
+  bytes.reserve(head.size() + bytes.size() + net::kFrameChecksumBytes);
+  bytes.insert(bytes.begin(), head.bytes().begin(), head.bytes().end());
+  return net::ByteBuffer(std::move(bytes));
 }
 
 Response Response::unmarshal(net::ByteBuffer& buf) {

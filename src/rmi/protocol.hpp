@@ -158,8 +158,18 @@ struct Response {
 
   bool ok() const { return status == Status::Ok; }
 
-  net::ByteBuffer marshal() const;
+  net::ByteBuffer marshal() const&;
+  /// The same bytes, with the payload moved into the message instead of
+  /// copied: the header is inserted ahead of it in place, leaving room for
+  /// the frame checksum the transports append. A payload with kHeadroom
+  /// spare capacity is never reallocated on the way to the wire.
+  net::ByteBuffer marshal() &&;
   static Response unmarshal(net::ByteBuffer& buf);
+
+  /// Spare capacity marshal() && needs behind an ok response's payload: the
+  /// 27-byte header (status, two flags, version, empty error, fee, payload
+  /// length) plus the 8-byte frame checksum.
+  static constexpr std::size_t kHeadroom = 3 + 8 + 4 + 8 + 4 + 8;
 
   static Response failure(Status s, std::string message);
 };

@@ -29,6 +29,13 @@ std::vector<std::uint8_t> bytesOf(std::initializer_list<int> vals) {
   return out;
 }
 
+/// `table` in wire form, as a detection-table builder returns it.
+Value tableValue(const fault::DetectionTable& table) {
+  net::ByteBuffer buf;
+  table.serialize(buf);
+  return std::make_shared<const std::vector<std::uint8_t>>(buf.release());
+}
+
 // ---------------------------------------------------------------------------
 // Key derivation
 // ---------------------------------------------------------------------------
@@ -138,23 +145,38 @@ TEST(ResultStore, FetchReturnsTheInsertedValueNotACopy) {
   store.insert(key, v);
   EXPECT_EQ(store.fetch(key).get(), v.get());
 
-  // The store-through path hands its caller the value it inserted: a
-  // freshly built table is serialized once, not once per holder.
+  // The store-through path inserts the builder's value as built and hands
+  // its caller that same value: a table is serialized once, not once per
+  // holder.
   const Word inputs = Word::fromUint(4, 5);
+  std::vector<Value> built;
   const std::vector<Value> tables = fault::fetchOrBuildTables(
-      &store, 7, 0, {inputs}, [](const std::vector<Word>& missing) {
-        std::vector<fault::DetectionTable> built;
+      &store, 7, 0, {inputs}, [&built](const std::vector<Word>& missing) {
         for (const Word& w : missing) {
-          built.emplace_back(w, Word::fromUint(2, 1),
-                             std::vector<fault::DetectionTable::Row>{
-                                 {Word::fromUint(2, 0), {"g1/sa0"}}});
+          built.push_back(tableValue(fault::DetectionTable(
+              w, Word::fromUint(2, 1),
+              {{Word::fromUint(2, 0), {"g1/sa0"}}})));
         }
         return built;
       });
   ASSERT_EQ(tables.size(), 1u);
   ASSERT_NE(tables[0], nullptr);
+  EXPECT_EQ(tables[0].get(), built[0].get());
   EXPECT_EQ(store.fetch(fault::detectionTableKey(7, 0, inputs)).get(),
             tables[0].get());
+
+  // The campaign's table cache writes the value its client fetched through
+  // to the store, the same pointer.
+  const std::vector<std::string> list = {"blk/g1/sa0"};
+  fault::DetectionTableCache cache("blk", list);
+  auto shared = std::make_shared<ResultStore>(ResultStore::Config{});
+  cache.attachStore(shared, 9);
+  const Word other = Word::fromUint(4, 6);
+  const Value fetched = tableValue(fault::DetectionTable(
+      other, Word::fromUint(2, 1), {{Word::fromUint(2, 3), {"g1/sa0"}}}));
+  ASSERT_NE(cache.insert(other, fetched), nullptr);
+  EXPECT_EQ(shared->fetch(fault::detectionTableKey(9, 0, other)).get(),
+            fetched.get());
 }
 
 TEST(ResultStore, ShortBuilderBatchThrowsAndInsertsNothing) {
@@ -165,15 +187,15 @@ TEST(ResultStore, ShortBuilderBatchThrowsAndInsertsNothing) {
   EXPECT_THROW(fault::fetchOrBuildTables(
                    &store, 7, 0, inputs,
                    [](const std::vector<Word>& missing) {
-                     return std::vector<fault::DetectionTable>{
-                         {missing.front(), Word::fromUint(2, 1), {}}};
+                     return std::vector<Value>{tableValue(
+                         {missing.front(), Word::fromUint(2, 1), {}})};
                    }),
                std::runtime_error);
   EXPECT_EQ(store.stats().insertions, 0u);
   EXPECT_THROW(fault::fetchOrBuildTables(
                    nullptr, 7, 0, inputs,
                    [](const std::vector<Word>&) {
-                     return std::vector<fault::DetectionTable>{};
+                     return std::vector<Value>{};
                    }),
                std::runtime_error);
 }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <memory>
 
 #include "core/rng.hpp"
 #include "fault/table_cache.hpp"
@@ -175,6 +177,22 @@ std::vector<std::uint8_t> bytesOf(const DetectionTable& t) {
   return buf.bytes();
 }
 
+/// `t` resolved by hand: each fault named by its first position in `names`.
+ResolvedTable resolution(const DetectionTable& t,
+                         const std::vector<std::string>& names) {
+  ResolvedTable out;
+  for (const DetectionTable::Row& row : t.rows()) {
+    const auto begin = static_cast<std::uint32_t>(out.faults.size());
+    for (const std::string& f : row.faults) {
+      out.faults.push_back(static_cast<std::uint32_t>(
+          std::find(names.begin(), names.end(), f) - names.begin()));
+    }
+    out.rows.push_back({row.faultyOutput, begin,
+                        static_cast<std::uint32_t>(out.faults.size())});
+  }
+  return out;
+}
+
 TEST(ResolvedTable, DecodeOfSerializedBytesEqualsResolution) {
   const std::vector<std::string> names = publishedFaults(40);
   const std::vector<std::string> list = qualified("blk", names);
@@ -183,8 +201,8 @@ TEST(ResolvedTable, DecodeOfSerializedBytesEqualsResolution) {
   for (const std::size_t rows : {0u, 1u, 2u, 17u, 200u}) {
     for (const int width : {0, 1, 5, 33, 64}) {
       const DetectionTable t = randomTable(rng, names, rows, width);
-      const ResolvedTable resolved = cache.resolve(t);
-      EXPECT_EQ(cache.decode(bytesOf(t)), resolved)
+      const ResolvedTable resolved = cache.decode(bytesOf(t));
+      EXPECT_EQ(resolved, resolution(t, names))
           << rows << " rows, width " << width;
       // The resolution keeps every row and names each fault by its index.
       ASSERT_EQ(resolved.rows.size(), rows);
@@ -215,6 +233,8 @@ TEST(ResolvedTable, EveryTruncatedPrefixThrowsOutOfRange) {
       EXPECT_THROW(cache.decode(prefix), std::out_of_range) << n;
       net::ByteBuffer buf(prefix);
       EXPECT_THROW(DetectionTable::deserialize(buf), std::out_of_range) << n;
+      net::ByteReader in(prefix);
+      EXPECT_THROW(DetectionTable::readBytes(in), std::out_of_range) << n;
     }
   }
 }
@@ -222,12 +242,14 @@ TEST(ResolvedTable, EveryTruncatedPrefixThrowsOutOfRange) {
 TEST(ResolvedTable, UnpublishedFaultNameThrowsNamingTheComponent) {
   const std::vector<std::string> names = publishedFaults(4);
   const std::vector<std::string> list = qualified("adder3", names);
-  const DetectionTableCache cache("adder3", list);
+  DetectionTableCache cache("adder3", list);
   const DetectionTable t(Word::fromString("01"), Word::fromString("10"),
                          {{Word::fromString("11"), {names[1], "bogus"}}});
+  const auto bytes = std::make_shared<const std::vector<std::uint8_t>>(
+      bytesOf(t));
   for (const auto& read :
-       {std::function<void()>([&] { (void)cache.resolve(t); }),
-        std::function<void()>([&] { (void)cache.decode(bytesOf(t)); })}) {
+       {std::function<void()>([&] { (void)cache.insert(t.inputs(), bytes); }),
+        std::function<void()>([&] { (void)cache.decode(*bytes); })}) {
     try {
       read();
       ADD_FAILURE() << "an unpublished fault name was accepted";
@@ -238,6 +260,8 @@ TEST(ResolvedTable, UnpublishedFaultNameThrowsNamingTheComponent) {
           << e.what();
     }
   }
+  EXPECT_EQ(cache.pinnedCount(), 0u);
+  EXPECT_EQ(cache.findPinned(t.inputs()), nullptr);
 }
 
 TEST(ResolvedTable, StoredBytesKeepTheirFormat) {
@@ -261,7 +285,7 @@ TEST(ResolvedTable, StoredBytesKeepTheirFormat) {
       qualified("ip1", {"I6sa1", "x", "a"});
   const DetectionTableCache cache("ip1", list);
   const ResolvedTable decoded = cache.decode(stored);
-  EXPECT_EQ(decoded, cache.resolve(t));
+  EXPECT_EQ(decoded, resolution(t, {"I6sa1", "x", "a"}));
   EXPECT_EQ(decoded.faults, (std::vector<std::uint32_t>{2, 0}));
 
   net::ByteBuffer buf(stored);

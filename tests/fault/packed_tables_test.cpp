@@ -9,11 +9,14 @@
 #include <thread>
 #include <vector>
 
+#include "core/circuit.hpp"
 #include "core/rng.hpp"
 #include "fault/detection.hpp"
 #include "fault/dictionary.hpp"
+#include "fault/fault_client.hpp"
 #include "gate/family.hpp"
 #include "gate/generators.hpp"
+#include "gate/netlist_module.hpp"
 #include "obs/metrics.hpp"
 #include "oracles/oracles.hpp"
 
@@ -52,12 +55,16 @@ void expectMatchesScalar(const Netlist& nl, const CollapsedFaults& collapsed,
                          const std::string& label) {
   const gate::NetlistEvaluator eval(nl);
   const gate::PackedEvaluator packed(nl);
+  const auto bytes = buildSerializedTables(packed, collapsed, inputs);
   const auto tables = buildDetectionTables(packed, collapsed, inputs);
+  ASSERT_EQ(bytes.size(), inputs.size()) << label;
   ASSERT_EQ(tables.size(), inputs.size()) << label;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    ASSERT_EQ(bytesOf(tables[i]),
-              bytesOf(oracles::buildDetectionTable(eval, collapsed, inputs[i])))
+    const std::vector<std::uint8_t> scalar =
+        bytesOf(oracles::buildDetectionTable(eval, collapsed, inputs[i]));
+    ASSERT_EQ(*bytes[i], scalar)
         << label << " config " << i << " " << inputs[i].toString();
+    ASSERT_EQ(bytesOf(tables[i]), scalar) << label << " config " << i;
   }
 }
 
@@ -177,6 +184,35 @@ TEST(FaultParallelTables, RowsOrderZAfterStrongValuesOnAPrimaryInputOutput) {
         {kChars[n >> 4], kChars[n >> 2 & 3], kChars[n & 3]}));
   }
   expectMatchesScalar(nl, collapsed, all, "primary-input output");
+}
+
+TEST(FaultParallelTables, LocalFaultBlockBytesAreTheScalarOraclesTables) {
+  // A local block's wire-form tables, one and many configurations per call,
+  // are the scalar oracle's tables serialized.
+  constexpr int kW = 6;
+  auto nl = std::make_shared<const Netlist>(gate::makeArrayMultiplier(kW));
+  Circuit top("top");
+  auto& ca = top.makeWord(kW);
+  auto& cb = top.makeWord(kW);
+  auto& co = top.makeWord(2 * kW);
+  auto& mod = top.make<gate::NetlistModule>(
+      "m", nl,
+      std::vector<gate::NetlistModule::PortGroup>{{"a", &ca, 0, kW},
+                                                  {"b", &cb, kW, kW}},
+      std::vector<gate::NetlistModule::PortGroup>{{"p", &co, 0, 2 * kW}});
+  LocalFaultBlock block(mod);
+  const gate::NetlistEvaluator eval(*nl);
+  Rng rng(24);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{9}}) {
+    const std::vector<Word> inputs = randomConfigs(rng, 2 * kW, n, 10);
+    const std::vector<cache::Value> bytes = block.serializedTables(inputs);
+    ASSERT_EQ(bytes.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(*bytes[i], bytesOf(oracles::buildDetectionTable(
+                               eval, block.collapsed(), inputs[i])))
+          << n << " configurations, config " << i;
+    }
+  }
 }
 
 TEST(FaultParallelTables, PassCountsAndLaneFill) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/rng.hpp"
 #include "core/sim_controller.hpp"
 #include "fault/serial_sim.hpp"
 #include "fault/virtual_sim.hpp"
@@ -206,6 +207,48 @@ TEST(RemoteComponent, SpecEstimatorsSelectableBySetup) {
   localOnly.apply(f.c);
   EXPECT_EQ(f.mult->boundEstimator(localOnly.id(), ParamKind::AvgPower)->name(),
             "constant");
+}
+
+TEST(RemoteFaultClient, SerializedTablesAreTheDecodedTablesBytes) {
+  // The stub's wire-form tables are the bytes of the tables its decoding
+  // calls return, for one configuration and for many. Each call is one
+  // round trip, on the method the decoding call uses: GetDetectionTable for
+  // one configuration, GetDetectionTables for many.
+  Figure2 f(RemoteConfig{});
+  RemoteFaultClient remote(*f.mult);
+  Rng rng(11);
+  const auto callsOf = [&](rmi::MethodId method) {
+    std::uint64_t calls = 0;
+    for (const auto& item : f.server.invoice(f.provider.session()).items) {
+      if (item.method == method) calls = item.calls;
+    }
+    return calls;
+  };
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}}) {
+    std::vector<Word> inputs;
+    for (std::size_t i = 0; i < n; ++i) {
+      inputs.push_back(Word::fromUint(2 * Figure2::kWidth, rng.next()));
+    }
+    const rmi::MethodId method = n == 1 ? rmi::MethodId::GetDetectionTable
+                                        : rmi::MethodId::GetDetectionTables;
+    const std::uint64_t calls = f.channel.stats().calls;
+    const std::uint64_t methodCalls = callsOf(method);
+    const std::vector<cache::Value> bytes = remote.serializedTables(inputs);
+    EXPECT_EQ(f.channel.stats().calls, calls + 1);
+    EXPECT_EQ(callsOf(method), methodCalls + 1);
+    const std::vector<fault::DetectionTable> tables =
+        n == 1 ? std::vector<fault::DetectionTable>{remote.detectionTable(
+                     inputs.front())}
+               : remote.detectionTables(inputs);
+    ASSERT_EQ(bytes.size(), n);
+    ASSERT_EQ(tables.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      net::ByteBuffer buf;
+      tables[i].serialize(buf);
+      EXPECT_EQ(*bytes[i], buf.bytes()) << n << " configurations, table " << i;
+    }
+  }
+  EXPECT_TRUE(remote.serializedTables({}).empty());
 }
 
 TEST(RemoteFaultClient, MatchesLocalFaultAnalysis) {

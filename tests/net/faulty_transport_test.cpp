@@ -135,6 +135,43 @@ TEST(FaultyTransport, SealedFramesRoundTripAndRejectDamage) {
   }
 }
 
+TEST(FaultyTransport, DamageInsideOneByteOrWordIsAlwaysCaught) {
+  // The frame checksum folds eight bytes per step, each step a bijection of
+  // its state: any change confined to one byte, or to one aligned 8-byte
+  // word of the payload, must fail to open, on every frame length.
+  Rng rng(24);
+  for (std::size_t n = 0; n <= 40; ++n) {
+    std::vector<std::uint8_t> frame;
+    for (std::size_t i = 0; i < n; ++i) {
+      frame.push_back(static_cast<std::uint8_t>(rng.next()));
+    }
+    sealFrame(frame);
+    ASSERT_EQ(frame.size(), n + kFrameChecksumBytes);
+    for (std::size_t at = 0; at < frame.size(); ++at) {
+      for (unsigned mask = 1; mask < 256; ++mask) {
+        std::vector<std::uint8_t> damaged = frame;
+        damaged[at] ^= static_cast<std::uint8_t>(mask);
+        EXPECT_FALSE(openFrame(damaged))
+            << "length " << n << ", byte " << at << ", mask " << mask;
+      }
+    }
+    for (std::size_t word = 0; word + 8 <= n; word += 8) {
+      for (int trial = 0; trial < 64; ++trial) {
+        std::vector<std::uint8_t> damaged = frame;
+        std::uint64_t flips = rng.next() | 1;
+        for (std::size_t k = 0; k < 8; ++k, flips >>= 8) {
+          damaged[word + k] ^= static_cast<std::uint8_t>(flips);
+        }
+        EXPECT_FALSE(openFrame(damaged))
+            << "length " << n << ", word " << word;
+      }
+    }
+    std::vector<std::uint8_t> clean = frame;
+    ASSERT_TRUE(openFrame(clean));
+    EXPECT_EQ(clean.size(), n);
+  }
+}
+
 TEST(FaultyTransport, InjectedCorruptionNeverGoesUndetected) {
   FaultyTransport transport(FaultProfile::corrupt(), 0x5eed);
   Rng rng(99);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "net/faulty_transport.hpp"
+
 namespace vcad::rmi {
 namespace {
 
@@ -54,6 +58,44 @@ TEST(Response, MarshalRoundTrip) {
   EXPECT_DOUBLE_EQ(back.feeCents, 12.5);
   EXPECT_DOUBLE_EQ(back.payload.readDouble(), 9.75);
   EXPECT_FALSE(back.ok());
+}
+
+TEST(Response, MovingMarshalWritesTheSameBytes) {
+  Response ok;
+  ok.version = 0x1122334455667788ULL;
+  ok.feeCents = 3.5;
+  ok.cached = true;
+  for (int i = 0; i < 1000; ++i) {
+    ok.payload.writeU8(static_cast<std::uint8_t>(i));
+  }
+  Response failed = Response::failure(Status::NotFound, "no such instance");
+  failed.replayed = true;
+  for (const Response& r : {ok, failed, Response{}}) {
+    const std::vector<std::uint8_t> copied = r.marshal().bytes();
+    Response moved = r;
+    EXPECT_EQ(std::move(moved).marshal().bytes(), copied);
+  }
+}
+
+TEST(Response, MovingMarshalKeepsAPayloadWithHeadroomInPlace) {
+  // An ok response's payload reserved with kHeadroom spare bytes becomes
+  // the marshalled and sealed frame without a reallocation.
+  Response r;
+  r.version = 42;
+  r.feeCents = 0.25;
+  r.payload.reserve(4096 + Response::kHeadroom);
+  for (int i = 0; i < 4096; ++i) {
+    r.payload.writeU8(static_cast<std::uint8_t>(i));
+  }
+  const std::vector<std::uint8_t> copied = r.marshal().bytes();
+  const std::uint8_t* storage = r.payload.bytes().data();
+  std::vector<std::uint8_t> frame = std::move(r).marshal().release();
+  EXPECT_EQ(frame, copied);
+  EXPECT_EQ(frame.data(), storage);
+  net::sealFrame(frame);
+  EXPECT_EQ(frame.data(), storage);
+  ASSERT_TRUE(net::openFrame(frame));
+  EXPECT_EQ(frame, copied);
 }
 
 TEST(Response, FailureHelper) {
