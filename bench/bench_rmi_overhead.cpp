@@ -13,6 +13,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <future>
+#include <vector>
 
 #include "common.hpp"
 
@@ -115,7 +117,8 @@ void perProfileCost() {
 }
 
 /// The --async sweep: N EstimatePower calls submitted to the completion
-/// queue at each in-flight depth, drained with waitAny. The simulated
+/// queue at each in-flight depth as callAsync futures, then each one
+/// collected with get(). The simulated
 /// ledger gives the serialized cost (sum of per-call round trips) and the
 /// longest single call; the pipelined estimate divides the serialized cost
 /// across the in-flight depth, floored by that longest call — the
@@ -151,18 +154,18 @@ void asyncPipelineSweep(const char* jsonPath) {
       channel.setMaxInFlight(depth);
 
       const auto start = std::chrono::steady_clock::now();
+      std::vector<std::future<rmi::Response>> inFlight;
+      inFlight.reserve(kCalls);
       for (int i = 0; i < kCalls; ++i) {
-        rmi::Request request;
-        request.method = rmi::MethodId::EstimatePower;
-        request.session = provider.session();
-        request.instance = id;
-        std::vector<Word> batch(kBatch, Word::fromUint(16, 0xABCD + i));
-        request.args.addWordVector(batch);
-        (void)channel.submit(std::move(request));
+        rmi::Args power;
+        power.addWordVector(
+            std::vector<Word>(kBatch, Word::fromUint(16, 0xABCD + i)));
+        inFlight.push_back(provider.callAsync(rmi::MethodId::EstimatePower,
+                                              id, std::move(power)));
       }
       int drained = 0;
-      while (auto done = channel.waitAny()) {
-        if (done->second.ok()) ++drained;
+      for (auto& call : inFlight) {
+        if (call.get().ok()) ++drained;
       }
       const double realSec =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -15,7 +15,6 @@ void report(const JobQueue::Stats& s, obs::Registry::Tally& t) {
   t.count("mt.queue.executed", s.executed);
   t.count("mt.queue.shedTooManyPending", s.shedTooManyPending);
   t.count("mt.queue.shedOverloaded", s.shedOverloaded);
-  t.count("mt.queue.promotions", s.promotions);
   t.peak("mt.queue.depth", static_cast<std::int64_t>(s.peakDepth));
   for (std::size_t lane = 0; lane < s.peakLaneDepth.size(); ++lane) {
     t.peak("mt.queue.lane" + std::to_string(lane) + ".depth",
@@ -73,7 +72,7 @@ JobQueue::Admit JobQueue::add(net::JobPriority priority, Job job) {
       ++stats_.shedTooManyPending;
       return Admit::TooManyPending;
     }
-    lanes_[lane].push_back(Entry{std::move(job), popSeq_});
+    lanes_[lane].push_back(std::move(job));
     ++depth_;
     ++stats_.enqueued;
     stats_.peakDepth = std::max(stats_.peakDepth, depth_);
@@ -92,14 +91,9 @@ void JobQueue::workerLoop() {
       std::unique_lock<std::mutex> lock(mutex_);
       workCv_.wait(lock, [this] { return depth_ != 0 || stop_; });
       if (depth_ == 0) return;  // stop_ and nothing admitted: done
-      // Every dequeue ticks the aging clock and promotes overdue waiters
-      // *before* lane selection, so a just-promoted job competes in its new
-      // lane immediately.
-      const std::uint64_t now = ++popSeq_;
-      if (config_.agingThreshold != 0) ageLanesLocked(now);
       // Most urgent non-empty lane, FIFO within it.
       while (lane < net::kJobPriorityCount && lanes_[lane].empty()) ++lane;
-      job = std::move(lanes_[lane].front().job);
+      job = std::move(lanes_[lane].front());
       lanes_[lane].pop_front();
       --depth_;
       ++running_;
@@ -112,23 +106,6 @@ void JobQueue::workerLoop() {
       ++stats_.executedByPriority[lane];
     }
     idleCv_.notify_all();
-  }
-}
-
-void JobQueue::ageLanesLocked(std::uint64_t now) {
-  // Lanes are aged most-urgent-first: a job promoted 2→1 this tick has its
-  // age stamp reset, so it cannot leapfrog 2→0 in one dequeue — each hop
-  // costs a full agingThreshold wait, bounding total starvation at
-  // lane × agingThreshold dequeues.
-  for (std::size_t lane = 1; lane < net::kJobPriorityCount; ++lane) {
-    while (!lanes_[lane].empty() &&
-           now - lanes_[lane].front().agePop >= config_.agingThreshold) {
-      Entry promoted = std::move(lanes_[lane].front());
-      lanes_[lane].pop_front();
-      promoted.agePop = now;
-      lanes_[lane - 1].push_back(std::move(promoted));
-      ++stats_.promotions;
-    }
   }
 }
 

@@ -16,13 +16,6 @@
 //     function is only ever run on Ok.
 //   - stop() is graceful: already-admitted jobs still execute, then the
 //     workers exit. drain() waits for the queue to empty without stopping.
-//   - Priority aging (Config::agingThreshold > 0): a queued job that has
-//     waited through `agingThreshold` dequeues is promoted one lane, so a
-//     saturated Compute lane cannot starve Batch forever. The clock is the
-//     dequeue sequence number — deterministic under a single worker, and
-//     load-proportional (an idle queue never promotes). A lane-3 job
-//     reaches lane 0 within 3×agingThreshold dequeues: a bounded
-//     starvation window.
 //
 // The counters live in Stats alone; the global obs::Registry reads them
 // as mt.queue.* through the queue's attachment.
@@ -53,9 +46,6 @@ class JobQueue {
     std::size_t maxQueueDepth = 256;
     /// Per-lane bounds; 0 = no per-lane bound beyond the global one.
     std::array<std::size_t, net::kJobPriorityCount> perPriorityDepth{};
-    /// Dequeues a queued job may wait through before being promoted one
-    /// priority lane (anti-starvation). 0 = aging off.
-    std::uint64_t agingThreshold = 0;
   };
 
   /// The typed admission verdict — maps 1:1 onto FrameStatus codes.
@@ -72,7 +62,6 @@ class JobQueue {
     std::uint64_t shedTooManyPending = 0;
     std::uint64_t shedOverloaded = 0;
     std::uint64_t rejectedStopped = 0;
-    std::uint64_t promotions = 0;  // aging promotions, one lane each
     std::size_t peakDepth = 0;  // max queued depth ever observed
     std::array<std::size_t, net::kJobPriorityCount> peakLaneDepth{};
     std::array<std::uint64_t, net::kJobPriorityCount> executedByPriority{};
@@ -98,24 +87,15 @@ class JobQueue {
   std::size_t workers() const { return config_.workers; }
 
  private:
-  struct Entry {
-    Job job;
-    /// Dequeue-sequence stamp of admission (or last promotion): the job is
-    /// promoted again once popSeq_ has advanced by agingThreshold.
-    std::uint64_t agePop = 0;
-  };
-
   void workerLoop();
-  void ageLanesLocked(std::uint64_t now);
 
   Config config_;
   mutable std::mutex mutex_;
   std::condition_variable workCv_;  // wakes workers
   std::condition_variable idleCv_;  // wakes drain()/stop() waiters
-  std::array<std::deque<Entry>, net::kJobPriorityCount> lanes_;
+  std::array<std::deque<Job>, net::kJobPriorityCount> lanes_;
   std::size_t depth_ = 0;    // total queued across lanes
   std::size_t running_ = 0;  // jobs currently executing
-  std::uint64_t popSeq_ = 0;  // dequeues so far — the aging clock
   bool stop_ = false;
   Stats stats_;
   obs::Registry::Attachment obs_;  // mt.queue.* read from stats_

@@ -13,26 +13,15 @@ using rmi::Response;
 
 // --- ProviderHandle ----------------------------------------------------
 
-ProviderHandle::ProviderHandle(rmi::RmiChannel& channel, CallMode mode)
-    : channel_(&channel), callMode_(mode) {
+ProviderHandle::ProviderHandle(rmi::RmiChannel& channel) : channel_(&channel) {
   Request open;
   open.method = MethodId::OpenSession;
-  Response resp = channelCall(open);
+  Response resp = channel_->call(open);
   if (!resp.ok()) {
     throw std::runtime_error("ProviderHandle: OpenSession failed: " +
                              resp.error);
   }
   session_ = resp.payload.readU64();
-}
-
-Response ProviderHandle::channelCall(const Request& request) {
-  if (callMode_ == CallMode::CompletionQueue) {
-    // Submit-and-wait through the completion queue: one call in flight, so
-    // the deterministic accounting order matches the blocking path exactly
-    // — the bit-identity the chaos harness asserts between the two modes.
-    return channel_->wait(channel_->submit(request));
-  }
-  return channel_->call(request);
 }
 
 Response ProviderHandle::callRaw(MethodId method, rmi::SessionId session,
@@ -46,7 +35,7 @@ Response ProviderHandle::callRaw(MethodId method, rmi::SessionId session,
   req.component = component;
   req.args = std::move(args);
   req.idempotencyKey = key;
-  return channelCall(req);
+  return channel_->call(req);
 }
 
 rmi::InstanceId ProviderHandle::currentInstance(rmi::InstanceId instance) const {
@@ -136,7 +125,7 @@ bool ProviderHandle::recover() {
     probe.method = MethodId::GetCatalog;
     probe.session = session();
     probe.idempotencyKey = channel_->makeKey();
-    const Response alive = channelCall(probe);
+    const Response alive = channel_->call(probe);
     if (alive.ok()) return true;
     if (alive.status != rmi::Status::UnknownSession) return false;
   }
@@ -144,7 +133,7 @@ bool ProviderHandle::recover() {
   Request open;
   open.method = MethodId::OpenSession;
   open.idempotencyKey = channel_->makeKey();
-  Response opened = channelCall(open);
+  Response opened = channel_->call(open);
   if (!opened.ok()) return false;
   const rmi::SessionId fresh = opened.payload.readU64();
 

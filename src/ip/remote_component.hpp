@@ -56,22 +56,12 @@ struct SessionManifest {
 /// billed is answered from its replay cache, never executed twice.
 class ProviderHandle {
  public:
-  /// How blocking calls travel: straight through RmiChannel::call, or
-  /// submitted to the channel's completion queue and waited on — the same
-  /// simulated outcome (the chaos harness holds that line bit-for-bit),
-  /// exercised end-to-end through the async machinery.
-  enum class CallMode { Blocking, CompletionQueue };
-
-  explicit ProviderHandle(rmi::RmiChannel& channel,
-                          CallMode mode = CallMode::Blocking);
+  explicit ProviderHandle(rmi::RmiChannel& channel);
 
   rmi::RmiChannel& channel() { return *channel_; }
   rmi::SessionId session() const {
     return session_.load(std::memory_order_acquire);
   }
-
-  void setCallMode(CallMode mode) { callMode_ = mode; }
-  CallMode callMode() const { return callMode_; }
 
   rmi::Response call(rmi::MethodId method, rmi::InstanceId instance,
                      rmi::Args args, const std::string& component = "");
@@ -124,12 +114,9 @@ class ProviderHandle {
   rmi::Response callRaw(rmi::MethodId method, rmi::SessionId session,
                         rmi::InstanceId instance, rmi::Args args,
                         const std::string& component, std::uint64_t key);
-  /// Routes one request per the handle's call mode.
-  rmi::Response channelCall(const rmi::Request& request);
   rmi::InstanceId currentInstance(rmi::InstanceId instance) const;
 
   rmi::RmiChannel* channel_;
-  CallMode callMode_ = CallMode::Blocking;
   std::atomic<rmi::SessionId> session_{0};
   bool autoRecover_ = true;
   std::atomic<std::uint64_t> recoveries_{0};

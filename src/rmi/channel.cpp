@@ -81,6 +81,12 @@ void report(const ChannelStats& s, obs::Registry::Tally& t) {
   t.sum("rmi.networkSec", s.networkSec);
 }
 
+/// Completion-queue depth when setMaxInFlight was never called (or got 0).
+std::size_t defaultDepth() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return std::min<std::size_t>(4, std::max<std::size_t>(2, hw));
+}
+
 /// RAII in-flight marker; what the fault-injector swap assertion observes.
 struct InFlightGuard {
   explicit InFlightGuard(std::atomic<int>& counter) : counter_(counter) {
@@ -144,25 +150,14 @@ RmiChannel::~RmiChannel() {
     workers.swap(asyncWorkers_);
     abandoned.swap(asyncQueue_);
     asyncWorkCv_.notify_all();
-    asyncDoneCv_.notify_all();
   }
   for (std::thread& t : workers) t.join();
   // Jobs that never ran: break them gently so a stray future.get() sees a
   // typed failure instead of std::future_error.
   for (AsyncJob& job : abandoned) {
-    if (job.viaFuture) {
-      job.promise.set_value(Response::failure(
-          Status::TransportFailure, "channel destroyed before dispatch"));
-    }
+    job.promise.set_value(Response::failure(
+        Status::TransportFailure, "channel destroyed before dispatch"));
   }
-}
-
-ServerEndpoint& RmiChannel::server() {
-  if (endpoint_ == nullptr) {
-    throw std::logic_error(
-        "RmiChannel::server(): no in-process endpoint behind this transport");
-  }
-  return *endpoint_;
 }
 
 Response RmiChannel::call(const Request& request) {
@@ -211,11 +206,7 @@ void RmiChannel::resetStats() {
 
 void RmiChannel::ensureWorkersLocked() {
   if (!asyncWorkers_.empty() || asyncStop_) return;
-  std::size_t n = maxInFlight_;
-  if (n == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    n = std::min<std::size_t>(4, std::max<std::size_t>(2, hw));
-  }
+  const std::size_t n = maxInFlight_ != 0 ? maxInFlight_ : defaultDepth();
   asyncWorkers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     asyncWorkers_.emplace_back([this] { workerLoop(); });
@@ -234,94 +225,11 @@ void RmiChannel::workerLoop() {
       asyncQueue_.pop_front();
       ++runningJobs_;
     }
-    Response response = transact(job.request, /*blocking=*/false);
-    if (job.viaFuture) {
-      job.promise.set_value(std::move(response));
-      std::lock_guard<std::mutex> lock(asyncMutex_);
-      --runningJobs_;
-      asyncDoneCv_.notify_all();
-    } else {
-      std::lock_guard<std::mutex> lock(asyncMutex_);
-      asyncDone_[job.handle] = std::move(response);
-      --runningJobs_;
-      asyncDoneCv_.notify_all();
-    }
-  }
-}
-
-void RmiChannel::enqueueJob(AsyncJob job) {
-  std::lock_guard<std::mutex> lock(asyncMutex_);
-  if (asyncStop_) {
-    if (job.viaFuture) {
-      job.promise.set_value(Response::failure(
-          Status::TransportFailure, "channel shutting down"));
-    } else {
-      asyncDone_[job.handle] = Response::failure(Status::TransportFailure,
-                                                 "channel shutting down");
-      asyncDoneCv_.notify_all();
-    }
-    return;
-  }
-  ensureWorkersLocked();
-  asyncQueue_.push_back(std::move(job));
-  asyncWorkCv_.notify_one();
-}
-
-RmiChannel::CallHandle RmiChannel::submit(Request request) {
-  AsyncJob job;
-  job.request = std::move(request);
-  {
+    job.promise.set_value(transact(job.request, /*blocking=*/false));
     std::lock_guard<std::mutex> lock(asyncMutex_);
-    job.handle = nextHandle_++;
-    asyncLive_.insert(job.handle);
+    --runningJobs_;
+    asyncDoneCv_.notify_all();
   }
-  const CallHandle handle{job.handle};
-  enqueueJob(std::move(job));
-  return handle;
-}
-
-bool RmiChannel::poll(CallHandle handle, Response* out) {
-  std::lock_guard<std::mutex> lock(asyncMutex_);
-  auto it = asyncDone_.find(handle.id);
-  if (it == asyncDone_.end()) return false;
-  if (out != nullptr) *out = std::move(it->second);
-  asyncDone_.erase(it);
-  asyncLive_.erase(handle.id);
-  asyncDoneCv_.notify_all();  // a waitAny() may be watching asyncLive_
-  return true;
-}
-
-Response RmiChannel::wait(CallHandle handle) {
-  std::unique_lock<std::mutex> lock(asyncMutex_);
-  asyncDoneCv_.wait(lock, [&] {
-    return asyncDone_.count(handle.id) != 0 ||
-           asyncLive_.count(handle.id) == 0 || asyncStop_;
-  });
-  auto it = asyncDone_.find(handle.id);
-  if (it == asyncDone_.end()) {
-    return Response::failure(Status::TransportFailure,
-                             "completion queue: unknown or abandoned handle");
-  }
-  Response response = std::move(it->second);
-  asyncDone_.erase(it);
-  asyncLive_.erase(handle.id);
-  asyncDoneCv_.notify_all();  // a waitAny() may be watching asyncLive_
-  return response;
-}
-
-std::optional<std::pair<RmiChannel::CallHandle, Response>>
-RmiChannel::waitAny() {
-  std::unique_lock<std::mutex> lock(asyncMutex_);
-  asyncDoneCv_.wait(lock, [&] {
-    return !asyncDone_.empty() || asyncLive_.empty() || asyncStop_;
-  });
-  if (asyncDone_.empty()) return std::nullopt;
-  auto it = asyncDone_.begin();
-  CallHandle handle{it->first};
-  Response response = std::move(it->second);
-  asyncDone_.erase(it);
-  asyncLive_.erase(handle.id);
-  return std::make_pair(handle, std::move(response));
 }
 
 void RmiChannel::setMaxInFlight(std::size_t workers) {
@@ -343,17 +251,21 @@ void RmiChannel::setMaxInFlight(std::size_t workers) {
 
 std::size_t RmiChannel::maxInFlight() const {
   std::lock_guard<std::mutex> lock(asyncMutex_);
-  if (maxInFlight_ != 0) return maxInFlight_;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::min<std::size_t>(4, std::max<std::size_t>(2, hw));
+  return maxInFlight_ != 0 ? maxInFlight_ : defaultDepth();
 }
 
 std::future<Response> RmiChannel::callAsync(Request request) {
-  AsyncJob job;
-  job.request = std::move(request);
-  job.viaFuture = true;
+  AsyncJob job{std::move(request), {}};
   std::future<Response> future = job.promise.get_future();
-  enqueueJob(std::move(job));
+  std::lock_guard<std::mutex> lock(asyncMutex_);
+  if (asyncStop_) {
+    job.promise.set_value(
+        Response::failure(Status::TransportFailure, "channel shutting down"));
+    return future;
+  }
+  ensureWorkersLocked();
+  asyncQueue_.push_back(std::move(job));
+  asyncWorkCv_.notify_one();
   return future;
 }
 

@@ -20,15 +20,14 @@
 // overlap account, so the harness can reconstruct how much latency was
 // hidden behind client compute.
 //
-// Non-blocking calls run on a bounded completion-queue worker pool
-// (submit/poll/wait/waitAny, with a std::future shim for legacy callers):
-// several requests can be in flight at once, pipelined onto the transport
-// and matched back by per-attempt request ids — not one OS thread per call.
+// Non-blocking calls (callAsync) run on a bounded completion-queue worker
+// pool and hand back a std::future: several requests can be in flight at
+// once, pipelined onto the transport and matched back by per-attempt
+// request ids — not one OS thread per call.
 //
-// Thread safety: call(), callAsync() and the completion-queue API may be
-// used concurrently from any number of threads (the channel's own
-// completion-queue workers run non-blocking calls while caller threads
-// issue blocking ones). Stats/model updates are guarded by one mutex, and
+// Thread safety: call() and callAsync() may be used concurrently from any
+// number of threads (the channel's own completion-queue workers run
+// non-blocking calls while caller threads issue blocking ones). Stats/model updates are guarded by one mutex, and
 // the loopback transport serializes endpoint dispatch, so a ServerEndpoint
 // behind *this channel's loopback* only ever sees one in-flight request.
 // Servers reached by many channels or over a socket, where the provider
@@ -45,8 +44,6 @@
 #include <future>
 #include <map>
 #include <memory>
-#include <optional>
-#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -165,40 +162,20 @@ class RmiChannel {
   /// Synchronous call: the client stalls for the full round trip.
   Response call(const Request& request);
 
-  // --- completion queue (truly-async calls) -------------------------------
+  // --- completion queue (non-blocking calls) ------------------------------
 
-  /// Ticket for one in-flight non-blocking call.
-  struct CallHandle {
-    std::uint64_t id = 0;
-    bool valid() const { return id != 0; }
-  };
-
-  /// Enqueues a non-blocking call on the bounded worker pool and returns
-  /// immediately. Round-trip cost lands on the overlap account.
-  CallHandle submit(Request request);
-
-  /// Non-blocking completion check; claims the response into `*out` (or
-  /// discards it when out == nullptr) if ready.
-  bool poll(CallHandle handle, Response* out);
-
-  /// Blocks until `handle` completes and claims its response. An unknown or
-  /// already-claimed handle yields a TransportFailure response rather than
-  /// deadlocking.
-  Response wait(CallHandle handle);
-
-  /// Blocks until *any* submitted call completes and claims it; nullopt
-  /// when nothing is in flight. Completion order, not submission order.
-  std::optional<std::pair<CallHandle, Response>> waitAny();
+  /// Non-blocking call: enqueues `request` on the bounded worker pool and
+  /// returns at once. The future yields the response; its round-trip cost
+  /// lands on the overlap account (asyncCalls / nonblockingWallSec). A call
+  /// still queued when the channel is destroyed yields a typed
+  /// TransportFailure, never std::future_error.
+  std::future<Response> callAsync(Request request);
 
   /// Resizes the worker pool (the in-flight depth). Blocks until currently
-  /// queued work drains, then takes effect for subsequent submissions.
+  /// queued work drains, then takes effect for subsequent calls.
   /// 0 restores the default depth.
   void setMaxInFlight(std::size_t workers);
   std::size_t maxInFlight() const;
-
-  /// Legacy shim: a std::future fulfilled by the completion queue — same
-  /// bounded pool, not a thread per call.
-  std::future<Response> callAsync(Request request);
 
   // --- chaos / policy ------------------------------------------------------
 
@@ -255,8 +232,6 @@ class RmiChannel {
   /// transport crosses a process boundary (use RemoteConfig's explicit
   /// PublicPartSource there).
   ServerEndpoint* endpointOrNull() { return endpoint_; }
-  /// Legacy accessor; throws std::logic_error on a non-loopback channel.
-  ServerEndpoint& server();
 
   net::Transport& wire() { return *wire_; }
 
@@ -277,10 +252,8 @@ class RmiChannel {
   };
 
   struct AsyncJob {
-    std::uint64_t handle = 0;  // 0: future-shim job
     Request request;
     std::promise<Response> promise;
-    bool viaFuture = false;
   };
 
   Response transact(const Request& request, bool blocking);
@@ -292,7 +265,6 @@ class RmiChannel {
   std::uint64_t stampKey();
   /// Reports stats_ to the registry under the stats mutex.
   obs::Registry::Reporter reportLocked();
-  void enqueueJob(AsyncJob job);
   void ensureWorkersLocked();
   void workerLoop();
 
@@ -325,12 +297,9 @@ class RmiChannel {
   // --- completion queue state (declared last: torn down first) -----------
   mutable std::mutex asyncMutex_;
   std::condition_variable asyncWorkCv_;  // wakes workers
-  std::condition_variable asyncDoneCv_;  // wakes waiters / drainers
+  std::condition_variable asyncDoneCv_;  // wakes setMaxInFlight's drain
   std::deque<AsyncJob> asyncQueue_;
-  std::map<std::uint64_t, Response> asyncDone_;  // completed, unclaimed
-  std::set<std::uint64_t> asyncLive_;  // submitted handles not yet claimed
   std::size_t runningJobs_ = 0;
-  std::uint64_t nextHandle_ = 1;
   std::size_t maxInFlight_ = 0;  // 0 = default pool size
   bool asyncStop_ = false;
   std::vector<std::thread> asyncWorkers_;

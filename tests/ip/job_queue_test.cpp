@@ -5,10 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -138,94 +136,6 @@ TEST(JobQueue, StopIsGracefulAndTerminal) {
   EXPECT_EQ(s.executed, 16u);
   EXPECT_EQ(s.rejectedStopped, 1u);
   q.stop();  // idempotent
-}
-
-TEST(JobQueue, AgingBoundsStarvationUnderAComputeStorm) {
-  // A self-replenishing Compute storm: every executed Compute job enqueues
-  // a fresh one (until a cap), so the Compute lane never empties and —
-  // without aging — a Batch job would wait behind the entire storm. With
-  // one worker every pop is sequential, so the dequeue-clock promotions
-  // are fully deterministic: the Batch job must hop Batch→Compute→Query
-  // within agingThreshold pops each, i.e. run within 3×threshold dequeues
-  // of admission, storm or no storm.
-  constexpr std::uint64_t kThreshold = 4;
-  constexpr int kStormSpawns = 36;
-  JobQueue::Config cfg;
-  cfg.workers = 1;
-  cfg.agingThreshold = kThreshold;
-  JobQueue q(cfg);
-  WorkerGate gate;
-  ASSERT_EQ(q.add(net::JobPriority::Compute, gate.job()), JobQueue::Admit::Ok);
-  gate.awaitEntered();  // the worker is pinned; everything below queues
-
-  std::vector<int> order;  // only the worker thread writes it
-  std::atomic<int> spawned{0};
-  std::function<JobQueue::Job(int)> storm = [&](int tag) -> JobQueue::Job {
-    return [&, tag] {
-      order.push_back(tag);
-      const int next = ++spawned;
-      if (next <= kStormSpawns) {
-        ASSERT_EQ(q.add(net::JobPriority::Compute, storm(100 + next)),
-                  JobQueue::Admit::Ok);
-      }
-    };
-  };
-  ASSERT_EQ(q.add(net::JobPriority::Batch, [&order] { order.push_back(-1); }),
-            JobQueue::Admit::Ok);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_EQ(q.add(net::JobPriority::Compute, storm(i)), JobQueue::Admit::Ok);
-  }
-  gate.release();
-  q.drain();
-
-  const auto batchAt = std::find(order.begin(), order.end(), -1);
-  ASSERT_NE(batchAt, order.end());
-  const auto batchIndex =
-      static_cast<std::uint64_t>(batchAt - order.begin());
-  // Every executed job costs one pop, so the execution index bounds the
-  // pops the Batch job waited through: three lane hops at kThreshold each.
-  EXPECT_LE(batchIndex, 3 * kThreshold);
-  EXPECT_GE(batchIndex, 1u);  // the storm genuinely ran ahead of it
-  EXPECT_EQ(order.size(), static_cast<std::size_t>(4 + kStormSpawns + 1));
-  EXPECT_GT(q.stats().promotions, 0u);
-}
-
-TEST(JobQueue, NoAgingMeansTheStormStarvesBatch) {
-  // Control experiment for the test above: identical storm, aging off —
-  // the Batch job runs dead last, proving the promotions (not luck or lane
-  // sizes) produced the bounded window.
-  JobQueue::Config cfg;
-  cfg.workers = 1;
-  cfg.agingThreshold = 0;
-  JobQueue q(cfg);
-  WorkerGate gate;
-  ASSERT_EQ(q.add(net::JobPriority::Compute, gate.job()), JobQueue::Admit::Ok);
-  gate.awaitEntered();
-
-  std::vector<int> order;
-  std::atomic<int> spawned{0};
-  constexpr int kStormSpawns = 36;
-  std::function<JobQueue::Job(int)> storm = [&](int tag) -> JobQueue::Job {
-    return [&, tag] {
-      order.push_back(tag);
-      const int next = ++spawned;
-      if (next <= kStormSpawns) {
-        ASSERT_EQ(q.add(net::JobPriority::Compute, storm(100 + next)),
-                  JobQueue::Admit::Ok);
-      }
-    };
-  };
-  ASSERT_EQ(q.add(net::JobPriority::Batch, [&order] { order.push_back(-1); }),
-            JobQueue::Admit::Ok);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_EQ(q.add(net::JobPriority::Compute, storm(i)), JobQueue::Admit::Ok);
-  }
-  gate.release();
-  q.drain();
-
-  ASSERT_FALSE(order.empty());
-  EXPECT_EQ(order.back(), -1);  // starved until the storm exhausted itself
-  EXPECT_EQ(q.stats().promotions, 0u);
 }
 
 TEST(JobQueue, VerdictAndPriorityNamesRender) {

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -389,12 +390,12 @@ TEST(ShedUniformity, LoopbackAndSocketBackendsCountShedsIdentically) {
   rmi::RmiChannel loopCh(loopShard, net::NetworkProfile::lan());
   auto& loopback = dynamic_cast<rmi::LoopbackTransport&>(loopCh.wire());
   loopback.setMaxConcurrentDispatches(1);
-  rmi::RmiChannel::CallHandle gated = loopCh.submit(echoRequest(0xF0));
+  std::future<rmi::Response> gated = loopCh.callAsync(echoRequest(0xF0));
   loopShard.awaitEntered(1);  // the only slot is now occupied
   rmi::Response loopRejected = loopCh.call(echoRequest(0xF1));
   EXPECT_EQ(loopRejected.status, rmi::Status::TransportFailure);
   loopShard.release();
-  EXPECT_TRUE(loopCh.wait(gated).ok());
+  EXPECT_TRUE(gated.get().ok());
   const rmi::ChannelStats loop = loopCh.stats();
 
   // Socket backend: admission on the provider front end's job queue. With

@@ -207,66 +207,35 @@ TEST(ChaosCampaign, RestartUnderLossyTransportStillConverges) {
 }
 
 TEST(ChaosCampaign, CompletionQueuePathIsBitIdenticalToBlockingPath) {
-  // Every provider call routed through the channel's completion queue
-  // (submit + wait) instead of the blocking path: same fault schedule, same
-  // coverage, same ledgers, same deterministic networkSec — the turbulence
-  // merely moves from the blocking account to the overlap account.
-  for (const net::FaultProfile& profile : net::FaultProfile::shipped()) {
-    for (std::uint64_t seed : {11u, 22u}) {
-      const std::string label =
-          "profile=" + profile.name + " seed=" + std::to_string(seed) +
-          " viaQueue";
-      const ChaosOutcome sync = runChaosCampaign(profile, seed);
-      const ChaosOutcome queued = runChaosCampaign(profile, seed, 6, 0, 1,
-                                                   nullptr, true,
-                                                   /*viaQueue=*/true);
-      EXPECT_EQ(queued.result.faultList, sync.result.faultList) << label;
-      EXPECT_EQ(queued.result.detected, sync.result.detected) << label;
-      EXPECT_EQ(queued.result.detectedAfterPattern,
-                sync.result.detectedAfterPattern)
-          << label;
-      EXPECT_EQ(queued.stats.calls, sync.stats.calls) << label;
-      EXPECT_EQ(queued.stats.retries, sync.stats.retries) << label;
-      EXPECT_EQ(queued.stats.timeouts, sync.stats.timeouts) << label;
-      EXPECT_EQ(queued.stats.duplicatesSuppressed,
-                sync.stats.duplicatesSuppressed)
-          << label;
-      EXPECT_EQ(queued.stats.corruptedFramesDropped,
-                sync.stats.corruptedFramesDropped)
-          << label;
-      EXPECT_EQ(queued.stats.transportFailures, sync.stats.transportFailures)
-          << label;
-      EXPECT_EQ(queued.stats.bytesSent, sync.stats.bytesSent) << label;
-      EXPECT_EQ(queued.stats.bytesReceived, sync.stats.bytesReceived) << label;
-      EXPECT_EQ(queued.stats.networkSec, sync.stats.networkSec) << label;
-      EXPECT_EQ(queued.stats.feesCents, sync.stats.feesCents) << label;
-      EXPECT_EQ(queued.providerFeesCents, sync.providerFeesCents) << label;
-      EXPECT_EQ(queued.transport.attempts, sync.transport.attempts) << label;
-      EXPECT_EQ(queued.transport.injected(), sync.transport.injected())
-          << label;
-      EXPECT_EQ(queued.remoteErrors, 0u) << label;
-      // The split is the one permitted difference: queued traffic lands on
-      // the overlap account, none of it on the blocking account.
-      EXPECT_EQ(queued.stats.blockedCalls, 0u) << label;
-      EXPECT_EQ(queued.stats.asyncCalls, queued.stats.calls) << label;
-    }
-  }
-}
-
-TEST(ChaosCampaign, CompletionQueuePathSurvivesProviderRestart) {
-  // Session recovery composes with the completion-queue path: the recovery
-  // probe and replay also ride the queue, and the outcome still matches the
-  // undisturbed gold run.
-  const ChaosOutcome gold = runChaosCampaign(net::FaultProfile::none(), 1);
-  const ChaosOutcome run =
-      runChaosCampaign(net::FaultProfile::lossy(), 13, 6, /*restartAfter=*/7,
-                       1, nullptr, true, /*viaQueue=*/true);
-  EXPECT_EQ(run.restarts, 1u);
-  EXPECT_GE(run.recoveries, 1u);
-  EXPECT_EQ(run.result.faultList, gold.result.faultList);
-  EXPECT_EQ(run.result.detected, gold.result.detected);
-  EXPECT_EQ(run.result.detectedAfterPattern, gold.result.detectedAfterPattern);
-  EXPECT_EQ(run.remoteErrors, 0u) << chaosFailureReport(run);
+  // Non-blocking EstimatePower (the paper's overlapped power estimation)
+  // under a lossy transport: serial callAsync().get() traffic must charge
+  // exactly what the same calls through call() charge — same retries, same
+  // bytes, same deterministic networkSec and fees — with every call on the
+  // overlap account and none on the blocking one.
+  constexpr int kCalls = 24;
+  ChaosRig blockingRig(net::FaultProfile::lossy(), 5);
+  ChaosRig asyncRig(net::FaultProfile::lossy(), 5);
+  const PowerTraffic blocking = runPowerTraffic(
+      *blockingRig.provider, blockingRig.mult->instanceId(), kCalls, false);
+  const PowerTraffic async = runPowerTraffic(
+      *asyncRig.provider, asyncRig.mult->instanceId(), kCalls, true);
+  EXPECT_EQ(blocking.failures, 0);
+  EXPECT_EQ(async.failures, 0);
+  EXPECT_GT(blocking.stats.retries, 0u);  // the lossy profile really bit
+  EXPECT_EQ(async.stats.calls, blocking.stats.calls);
+  EXPECT_EQ(async.stats.retries, blocking.stats.retries);
+  EXPECT_EQ(async.stats.timeouts, blocking.stats.timeouts);
+  EXPECT_EQ(async.stats.bytesSent, blocking.stats.bytesSent);
+  EXPECT_EQ(async.stats.bytesReceived, blocking.stats.bytesReceived);
+  EXPECT_EQ(async.stats.networkSec, blocking.stats.networkSec);
+  EXPECT_EQ(async.stats.feesCents, blocking.stats.feesCents);
+  EXPECT_EQ(async.stats.transportFailures, 0u);
+  EXPECT_EQ(async.stats.asyncCalls, static_cast<std::uint64_t>(kCalls));
+  EXPECT_EQ(async.stats.blockedCalls, 0u);
+  EXPECT_GT(async.stats.nonblockingWallSec, 0.0);
+  EXPECT_EQ(async.stats.blockingWallSec, 0.0);
+  EXPECT_EQ(blocking.stats.asyncCalls, 0u);
+  EXPECT_EQ(blocking.stats.nonblockingWallSec, 0.0);
 }
 
 TEST(ChaosCampaign, ExhaustedRetriesResumeWithSameKeyAndNeverDoubleBill) {

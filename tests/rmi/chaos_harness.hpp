@@ -150,7 +150,7 @@ struct ChaosRig {
   std::vector<Connector*> pos;
 
   explicit ChaosRig(const net::FaultProfile& profile, std::uint64_t seed,
-                    std::uint64_t restartAfter = 0, bool viaQueue = false)
+                    std::uint64_t restartAfter = 0)
       : server("chaos-provider.host", nullptr),
         endpoint(server, restartAfter),
         transport(profile, seed),
@@ -159,12 +159,7 @@ struct ChaosRig {
     registerChaosMultiplier(server);
     // Install before any traffic so even OpenSession rides the faulty path.
     channel.setFaultInjector(&transport);
-    // viaQueue routes every provider call through the channel's completion
-    // queue (submit + wait) instead of the blocking path — same simulated
-    // outcome, asserted bit-for-bit by the campaign invariants.
-    provider = std::make_unique<ip::ProviderHandle>(
-        channel, viaQueue ? ip::ProviderHandle::CallMode::CompletionQueue
-                          : ip::ProviderHandle::CallMode::Blocking);
+    provider = std::make_unique<ip::ProviderHandle>(channel);
     auto& a = circuit.makeWord(kW, "a");
     auto& b = circuit.makeWord(kW, "b");
     auto& o = circuit.makeWord(2 * kW, "o");
@@ -237,14 +232,14 @@ inline ChaosOutcome runChaosWith(const ChaosCampaign& campaign,
                                  std::uint64_t seed, int patternCount = 6,
                                  std::uint64_t restartAfter = 0,
                                  const rmi::RetryPolicy* policy = nullptr,
-                                 bool traced = true, bool viaQueue = false) {
+                                 bool traced = true) {
   obs::Tracer& tracer = obs::Tracer::global();
   const bool wasEnabled = tracer.enabled();
   if (traced) {
     tracer.clear();
     tracer.setEnabled(true);
   }
-  ChaosRig rig(profile, seed, restartAfter, viaQueue);
+  ChaosRig rig(profile, seed, restartAfter);
   if (policy != nullptr) rig.channel.setRetryPolicy(*policy);
   ChaosOutcome out;
   out.profileName = profile.name;
@@ -267,8 +262,7 @@ inline ChaosOutcome runChaosCampaign(const net::FaultProfile& profile,
                                      std::uint64_t restartAfter = 0,
                                      std::size_t batch = 1,
                                      const rmi::RetryPolicy* policy = nullptr,
-                                     bool traced = true,
-                                     bool viaQueue = false) {
+                                     bool traced = true) {
   return runChaosWith(
       [&](ChaosRig& rig, const std::vector<std::vector<Word>>& patterns) {
         fault::VirtualFaultSimulator sim(rig.circuit, rig.components(),
@@ -276,7 +270,51 @@ inline ChaosOutcome runChaosCampaign(const net::FaultProfile& profile,
         sim.setTableBatch(batch);
         return sim.run(patterns);
       },
-      profile, seed, patternCount, restartAfter, policy, traced, viaQueue);
+      profile, seed, patternCount, restartAfter, policy, traced);
+}
+
+/// What serial EstimatePower traffic leaves on its channel.
+struct PowerTraffic {
+  rmi::ChannelStats stats;  // the traffic alone: the ledger is reset first
+  int failures = 0;         // calls that did not come back Ok
+};
+
+/// Sends `calls` EstimatePower batches (four chaos patterns each) to the
+/// multiplier `instance`, one at a time: through ProviderHandle::call, or,
+/// when `nonblocking`, as ProviderHandle::callAsync(...).get() on the
+/// channel's completion queue. Serial traffic stamps the same idempotency
+/// keys and draws the same fault plans in the same order on either path, so
+/// only the blocked/async split of the ledger may differ.
+inline PowerTraffic runPowerTraffic(ip::ProviderHandle& provider,
+                                    rmi::InstanceId instance, int calls,
+                                    bool nonblocking) {
+  constexpr int kBatch = 4;
+  const std::vector<std::vector<Word>> patterns =
+      chaosPatterns(kBatch * calls);
+  provider.channel().resetStats();
+  PowerTraffic out;
+  for (int i = 0; i < calls; ++i) {
+    std::vector<Word> batch;
+    for (int k = 0; k < kBatch; ++k) {
+      const std::vector<Word>& p = patterns[kBatch * i + k];
+      Word w(2 * ChaosRig::kW);
+      w.insert(0, p[0]);
+      w.insert(ChaosRig::kW, p[1]);
+      batch.push_back(w);
+    }
+    rmi::Args args;
+    args.addWordVector(batch);
+    const rmi::Response resp =
+        nonblocking ? provider
+                          .callAsync(rmi::MethodId::EstimatePower, instance,
+                                     std::move(args))
+                          .get()
+                    : provider.call(rmi::MethodId::EstimatePower, instance,
+                                    std::move(args));
+    if (!resp.ok()) ++out.failures;
+  }
+  out.stats = provider.channel().stats();
+  return out;
 }
 
 }  // namespace vcad::chaos

@@ -121,8 +121,7 @@ ChaosOutcome runTenantCampaign(const std::string& path, ip::TenantId tenant,
   channel.setTenant(tenant);
   channel.setFaultInjector(&injector);
   if (policy != nullptr) channel.setRetryPolicy(*policy);
-  ip::ProviderHandle provider(channel,
-                              ip::ProviderHandle::CallMode::Blocking);
+  ip::ProviderHandle provider(channel);
   Circuit circuit("chaosFault");
   auto& a = circuit.makeWord(ChaosRig::kW, "a");
   auto& b = circuit.makeWord(ChaosRig::kW, "b");

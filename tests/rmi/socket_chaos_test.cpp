@@ -4,7 +4,8 @@
 // (MultiTenantProviderServer, tenant 0) behind a Unix-domain socket must
 // produce bit-identical coverage, fees, and deterministic networkSec to the
 // in-process loopback run for every shipped fault profile × seed, including
-// a mid-run provider restart and the completion-queue call path.
+// a mid-run provider restart, and serial non-blocking EstimatePower traffic
+// must charge exactly what the same blocking calls charge.
 #include <netinet/in.h>
 #include <spawn.h>
 #include <sys/socket.h>
@@ -361,7 +362,7 @@ std::string uniqueSocketPath() {
 /// ChaosRig, sharing its seeds, profile machinery, and pattern set.
 ChaosOutcome runSocketChaosCampaign(const net::FaultProfile& profile,
                                     std::uint64_t seed, int patternCount,
-                                    std::uint64_t restartAfter, bool viaQueue,
+                                    std::uint64_t restartAfter,
                                     std::string* providerTraceJson = nullptr) {
   const std::string path = uniqueSocketPath();
   std::vector<std::string> argv = {"./chaos_provider_server", path};
@@ -388,9 +389,7 @@ ChaosOutcome runSocketChaosCampaign(const net::FaultProfile& profile,
     rmi::RmiChannel channel(std::move(transport), net::NetworkProfile::wan(),
                             nullptr, ChaosRig::kChannelSeed);
     channel.setFaultInjector(&injector);
-    ip::ProviderHandle provider(
-        channel, viaQueue ? ip::ProviderHandle::CallMode::CompletionQueue
-                          : ip::ProviderHandle::CallMode::Blocking);
+    ip::ProviderHandle provider(channel);
     Circuit circuit("chaosFault");
     auto& a = circuit.makeWord(ChaosRig::kW, "a");
     auto& b = circuit.makeWord(ChaosRig::kW, "b");
@@ -431,10 +430,8 @@ ChaosOutcome runSocketChaosCampaign(const net::FaultProfile& profile,
 /// The bit-identity contract between two chaos runs: everything the
 /// simulation decided and everything deterministically charged must match
 /// exactly. Measured wall/CPU seconds are excluded by design (they are real
-/// time); the blocked/async call split is compared only when both runs use
-/// the same call mode.
-void expectBitIdentical(const ChaosOutcome& base, const ChaosOutcome& got,
-                        bool compareCallSplit) {
+/// time).
+void expectBitIdentical(const ChaosOutcome& base, const ChaosOutcome& got) {
   SCOPED_TRACE("profile=" + base.profileName +
                " seed=" + std::to_string(base.seed));
   EXPECT_EQ(base.result.faultList, got.result.faultList);
@@ -444,10 +441,8 @@ void expectBitIdentical(const ChaosOutcome& base, const ChaosOutcome& got,
             got.result.detectionTablesRequested);
   EXPECT_EQ(base.result.tableFetchRoundTrips, got.result.tableFetchRoundTrips);
   EXPECT_EQ(base.stats.calls, got.stats.calls);
-  if (compareCallSplit) {
-    EXPECT_EQ(base.stats.blockedCalls, got.stats.blockedCalls);
-    EXPECT_EQ(base.stats.asyncCalls, got.stats.asyncCalls);
-  }
+  EXPECT_EQ(base.stats.blockedCalls, got.stats.blockedCalls);
+  EXPECT_EQ(base.stats.asyncCalls, got.stats.asyncCalls);
   EXPECT_EQ(base.stats.securityRejections, got.stats.securityRejections);
   EXPECT_EQ(base.stats.bytesSent, got.stats.bytesSent);
   EXPECT_EQ(base.stats.bytesReceived, got.stats.bytesReceived);
@@ -486,9 +481,8 @@ TEST_P(TwoProcessChaos, BitIdenticalToInProcessRun) {
     ChaosOutcome base = chaos::runChaosCampaign(profile, seed, 6, 0, kBatch);
     ChaosOutcome socket = runSocketChaosCampaign(profile, seed,
                                                  /*patternCount=*/6,
-                                                 /*restartAfter=*/0,
-                                                 /*viaQueue=*/false);
-    expectBitIdentical(base, socket, /*compareCallSplit=*/true);
+                                                 /*restartAfter=*/0);
+    expectBitIdentical(base, socket);
     EXPECT_FALSE(socket.result.detected.empty())
         << chaos::chaosFailureReport(socket);
   }
@@ -508,28 +502,75 @@ TEST(TwoProcessChaosRestart, SurvivesMidRunProviderRestart) {
   ChaosOutcome base = chaos::runChaosCampaign(profile, kSeed, 6, kRestartAfter,
                                               kBatch);
   ASSERT_EQ(base.restarts, 1u);  // the crash point actually fired
-  ChaosOutcome socket = runSocketChaosCampaign(profile, kSeed, 6,
-                                               kRestartAfter,
-                                               /*viaQueue=*/false);
-  expectBitIdentical(base, socket, /*compareCallSplit=*/true);
+  ChaosOutcome socket =
+      runSocketChaosCampaign(profile, kSeed, 6, kRestartAfter);
+  expectBitIdentical(base, socket);
   EXPECT_GE(socket.recoveries, 1u) << chaos::chaosFailureReport(socket);
   EXPECT_EQ(socket.remoteErrors, 0u);
 }
 
-TEST(TwoProcessChaosQueue, CompletionQueueOverSocketStaysBitIdentical) {
-  // Hardest combination: completion-queue call path over the socket
-  // backend, compared against the blocking in-process run. Serial
-  // submit+wait traffic keeps the RNG consumption order identical, so
-  // everything but the blocked/async call split must match exactly.
-  const net::FaultProfile profile = net::FaultProfile::lossy();
-  for (std::uint64_t seed : {1ULL, 4ULL}) {
-    ChaosOutcome base = chaos::runChaosCampaign(profile, seed, 6, 0, kBatch);
-    ChaosOutcome socket = runSocketChaosCampaign(profile, seed, 6, 0,
-                                                 /*viaQueue=*/true);
-    expectBitIdentical(base, socket, /*compareCallSplit=*/false);
-    EXPECT_EQ(socket.stats.blockedCalls, 0u);
-    EXPECT_EQ(socket.stats.asyncCalls, socket.stats.calls);
+/// Serial EstimatePower traffic against a spawned provider process (see
+/// chaos::runPowerTraffic), on a fresh instance of the chaos multiplier.
+chaos::PowerTraffic runSocketPowerTraffic(const net::FaultProfile& profile,
+                                          std::uint64_t seed, int calls,
+                                          bool nonblocking) {
+  const std::string path = uniqueSocketPath();
+  ProviderProcess process;
+  EXPECT_TRUE(process.start({"./chaos_provider_server", path}))
+      << "failed to spawn chaos_provider_server";
+  chaos::PowerTraffic out;
+  {
+    net::FaultyTransport injector(profile, seed);
+    auto transport = net::SocketTransport::connectUnix(path);
+    EXPECT_NE(transport, nullptr);
+    if (transport == nullptr) return out;
+    rmi::RmiChannel channel(std::move(transport), net::NetworkProfile::wan(),
+                            nullptr, ChaosRig::kChannelSeed);
+    channel.setFaultInjector(&injector);
+    ip::ProviderHandle provider(channel);
+    rmi::Args width;
+    width.addU64(ChaosRig::kW);
+    rmi::Response inst = provider.call(rmi::MethodId::Instantiate, 0,
+                                       std::move(width), "MultFastLowPower");
+    EXPECT_TRUE(inst.ok()) << inst.error;
+    if (inst.ok()) {
+      out = chaos::runPowerTraffic(provider, inst.payload.readU64(), calls,
+                                   nonblocking);
+    }
   }
+  const int status = process.stop();
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "provider exit status " << status;
+  return out;
+}
+
+TEST(TwoProcessChaosQueue, CompletionQueueOverSocketStaysBitIdentical) {
+  // Non-blocking EstimatePower over the socket backend under a lossy
+  // transport: serial callAsync().get() traffic charges exactly what the
+  // same calls through call() charge, all of it on the overlap account.
+  constexpr int kCalls = 24;
+  const net::FaultProfile profile = net::FaultProfile::lossy();
+  const chaos::PowerTraffic blocking =
+      runSocketPowerTraffic(profile, 5, kCalls, false);
+  const chaos::PowerTraffic async =
+      runSocketPowerTraffic(profile, 5, kCalls, true);
+  EXPECT_EQ(blocking.failures, 0);
+  EXPECT_EQ(async.failures, 0);
+  EXPECT_GT(blocking.stats.retries, 0u);  // the lossy profile really bit
+  EXPECT_EQ(async.stats.calls, blocking.stats.calls);
+  EXPECT_EQ(async.stats.retries, blocking.stats.retries);
+  EXPECT_EQ(async.stats.timeouts, blocking.stats.timeouts);
+  EXPECT_EQ(async.stats.bytesSent, blocking.stats.bytesSent);
+  EXPECT_EQ(async.stats.bytesReceived, blocking.stats.bytesReceived);
+  EXPECT_EQ(async.stats.networkSec, blocking.stats.networkSec);
+  EXPECT_EQ(async.stats.feesCents, blocking.stats.feesCents);
+  EXPECT_EQ(async.stats.transportFailures, 0u);
+  EXPECT_EQ(async.stats.asyncCalls, static_cast<std::uint64_t>(kCalls));
+  EXPECT_EQ(async.stats.blockedCalls, 0u);
+  EXPECT_GT(async.stats.nonblockingWallSec, 0.0);
+  EXPECT_EQ(async.stats.blockingWallSec, 0.0);
+  EXPECT_EQ(blocking.stats.asyncCalls, 0u);
+  EXPECT_EQ(blocking.stats.nonblockingWallSec, 0.0);
 }
 
 TEST(TwoProcessChaosTrace, FlowIdsStitchAcrossTheProcessBoundary) {
@@ -546,7 +587,7 @@ TEST(TwoProcessChaosTrace, FlowIdsStitchAcrossTheProcessBoundary) {
   std::string providerJson;
   ChaosOutcome socket =
       runSocketChaosCampaign(net::FaultProfile::none(), 1, 4, 0,
-                             /*viaQueue=*/false, &providerJson);
+                             &providerJson);
   std::vector<obs::TraceEvent> clientEvents = tracer.collect();
   tracer.setEnabled(wasEnabled);
   ASSERT_FALSE(providerJson.empty());
