@@ -4,8 +4,9 @@
 //
 // One ResultStore is shared by every cache site — the provider's
 // detection-table path, the campaign engines' table caches,
-// FaultDictionary::build, and all tenants of a MultiTenantProviderServer
-// (separated by the namespace half of the key). Sharing is the point:
+// FaultDictionary::build, and every tenant shard a MultiTenantProviderServer's
+// endpoint factory attaches it to (separated by the namespace half of the
+// key). Sharing is the point:
 // work one site paid for is a warm hit everywhere else.
 //
 // The protocol is fetch, compute on a miss, insert. Every value is a pure

@@ -88,9 +88,10 @@ class ProviderServer : public rmi::ServerEndpoint, public PublicPartSource {
 
   /// Attaches the content-addressed result store consulted by the
   /// detection-table methods before executing. `ns` is the tenant
-  /// namespace mixed into every key (0 for a single-tenant provider); a
-  /// MultiTenantProviderServer shares one store across shards with each
-  /// tenant's id here. The store deliberately survives restart(): its keys
+  /// namespace mixed into every key (0 for a single-tenant provider). To
+  /// share one store across the shards of a MultiTenantProviderServer,
+  /// the endpoint factory attaches it to each shard with that tenant's id
+  /// here. The store deliberately survives restart(): its keys
   /// carry the netlist-version digest, so a restart with an unchanged
   /// netlist keeps hitting while a changed netlist makes every old entry
   /// unreachable.

@@ -13,9 +13,6 @@
 
 namespace vcad::net {
 
-namespace {
-
-/// Reads exactly n bytes; false on EOF/error. Retries EINTR.
 bool readFully(int fd, std::uint8_t* buf, std::size_t n) {
   std::size_t got = 0;
   while (got < n) {
@@ -30,7 +27,6 @@ bool readFully(int fd, std::uint8_t* buf, std::size_t n) {
   return true;
 }
 
-/// Writes exactly n bytes; false on error. Retries EINTR and short writes.
 bool writeFully(int fd, const std::uint8_t* buf, std::size_t n) {
   std::size_t put = 0;
   while (put < n) {
@@ -44,8 +40,6 @@ bool writeFully(int fd, const std::uint8_t* buf, std::size_t n) {
   }
   return true;
 }
-
-}  // namespace
 
 SocketTransport::SocketTransport(int fd, std::string peerName)
     : fd_(fd), peer_(std::move(peerName)) {

@@ -41,6 +41,12 @@ struct SocketTransportStats {
                                              // stream desync, wire killed
 };
 
+/// Reads exactly n bytes from a stream socket; false on EOF/error. Retries
+/// EINTR. Shared by both ends of the wire.
+bool readFully(int fd, std::uint8_t* buf, std::size_t n);
+/// Writes exactly n bytes; false on error. Retries EINTR and short writes.
+bool writeFully(int fd, const std::uint8_t* buf, std::size_t n);
+
 class SocketTransport final : public Transport {
  public:
   /// Adopts an already-connected stream socket (also how tests drive the

@@ -127,7 +127,7 @@ struct TransportReply {
 };
 
 /// One framed, request-id-matched wire to a provider. Implementations:
-/// rmi::LoopbackTransport (in-process dispatch, zero real latency) and
+/// rmi::LoopbackTransport (an in-process provider core, no socket) and
 /// net::SocketTransport (Unix-domain or TCP stream to a provider process).
 /// All methods are thread-safe; a channel pipelines by sending several
 /// frames before awaiting any reply.
@@ -142,9 +142,10 @@ class Transport {
 
   /// Awaits the next response frame carrying `requestId`.
   /// `realDeadlineSec` bounds the *real-time* wait (the simulated deadline
-  /// lives in RetryPolicy); loopback backends complete immediately and
-  /// ignore it. Not delivered = nothing arrived (dropped, discarded
-  /// server-side, or the wire died).
+  /// lives in RetryPolicy). The loopback ignores it: its core answers
+  /// every frame exactly once, so it waits for that answer, and a frame
+  /// the core discards returns at once. Not delivered = nothing arrived
+  /// (dropped, discarded server-side, or the wire died).
   virtual TransportReply awaitReply(std::uint64_t requestId,
                                     double realDeadlineSec) = 0;
 

@@ -7,7 +7,7 @@
 //      RmiChannel                  ChannelStats      rmi.*
 //      FaultyTransport             TransportStats    transport.*
 //      JobQueue                    JobQueue::Stats   mt.queue.*
-//      MultiTenantProviderServer   its Stats         mt.*
+//      ProviderCore                its Stats         mt.*
 //      ResultStore                 its Stats         cache.*
 //    Each owner holds one Attachment for its lifetime. The attachment's
 //    reporter maps the struct's fields onto metric names, and snapshot()

@@ -209,18 +209,22 @@ void RmiChannel::ensureWorkersLocked() {
   const std::size_t n = maxInFlight_ != 0 ? maxInFlight_ : defaultDepth();
   asyncWorkers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    asyncWorkers_.emplace_back([this] { workerLoop(); });
+    asyncWorkers_.emplace_back(
+        [this, pool = poolGeneration_] { workerLoop(pool); });
   }
 }
 
-void RmiChannel::workerLoop() {
+void RmiChannel::workerLoop(std::uint64_t pool) {
   for (;;) {
     AsyncJob job;
     {
       std::unique_lock<std::mutex> lock(asyncMutex_);
+      const auto retired = [&] {
+        return asyncStop_ || pool != poolGeneration_;
+      };
       asyncWorkCv_.wait(lock,
-                        [this] { return asyncStop_ || !asyncQueue_.empty(); });
-      if (asyncStop_) return;
+                        [&] { return retired() || !asyncQueue_.empty(); });
+      if (retired()) return;
       job = std::move(asyncQueue_.front());
       asyncQueue_.pop_front();
       ++runningJobs_;
@@ -236,17 +240,16 @@ void RmiChannel::setMaxInFlight(std::size_t workers) {
   std::vector<std::thread> old;
   {
     std::unique_lock<std::mutex> lock(asyncMutex_);
-    // Drain first: resizing under live jobs would orphan them.
+    // Drain first, so the retired pool is idle. Calls made from here on
+    // queue as usual and start the resized pool.
     asyncDoneCv_.wait(
         lock, [this] { return asyncQueue_.empty() && runningJobs_ == 0; });
-    asyncStop_ = true;
+    ++poolGeneration_;
     asyncWorkCv_.notify_all();
     old.swap(asyncWorkers_);
+    maxInFlight_ = workers;
   }
   for (std::thread& t : old) t.join();
-  std::lock_guard<std::mutex> lock(asyncMutex_);
-  asyncStop_ = false;
-  maxInFlight_ = workers;
 }
 
 std::size_t RmiChannel::maxInFlight() const {

@@ -7,10 +7,11 @@
 // quantities (server CPU seconds) come from real thread timers.
 //
 // The wire underneath is a pluggable net::Transport: the default loopback
-// backend dispatches in-process, while net::SocketTransport carries the
-// same framed exchanges to a provider in another process, served by
-// ip::MultiTenantProviderServer (a single-tenant client is tenant 0, the
-// default). Everything that
+// backend hands frames to an in-process ProviderCore, while
+// net::SocketTransport carries the same framed exchanges to a provider in
+// another process, served by ip::MultiTenantProviderServer over its own
+// ProviderCore (a single-tenant client is tenant 0, the default). Either
+// way the server side runs one request path. Everything that
 // decides the *simulated* outcome — fault plans, time charges, retries,
 // backoff — runs client-side in the channel, so the two backends produce
 // bit-identical coverage, fees, and networkSec for the same seeds.
@@ -27,13 +28,13 @@
 //
 // Thread safety: call() and callAsync() may be used concurrently from any
 // number of threads (the channel's own completion-queue workers run
-// non-blocking calls while caller threads issue blocking ones). Stats/model updates are guarded by one mutex, and
-// the loopback transport serializes endpoint dispatch, so a ServerEndpoint
-// behind *this channel's loopback* only ever sees one in-flight request.
-// Servers reached by many channels or over a socket, where the provider
-// front end's job-queue workers dispatch concurrently (ProviderServer),
-// must be internally thread-safe — see the dispatch-concurrency section in
-// DESIGN.md.
+// non-blocking calls while caller threads issue blocking ones).
+// Stats/model updates are guarded by one mutex. The loopback's core has a
+// single job-queue worker, so a ServerEndpoint behind *this channel's
+// loopback* only ever sees one in-flight request. Servers reached by many
+// channels, or over a socket where the provider front end's workers
+// dispatch concurrently (ProviderServer), must be internally thread-safe —
+// see the dispatch-concurrency section in DESIGN.md.
 #pragma once
 
 #include <atomic>
@@ -172,8 +173,9 @@ class RmiChannel {
   std::future<Response> callAsync(Request request);
 
   /// Resizes the worker pool (the in-flight depth). Blocks until currently
-  /// queued work drains, then takes effect for subsequent calls.
-  /// 0 restores the default depth.
+  /// queued work drains, then takes effect for subsequent calls; a call
+  /// made while it runs is queued for the resized pool. 0 restores the
+  /// default depth.
   void setMaxInFlight(std::size_t workers);
   std::size_t maxInFlight() const;
 
@@ -197,7 +199,8 @@ class RmiChannel {
 
   /// Real-time cap on waiting for one response frame from the transport
   /// (distinct from RetryPolicy::timeoutSec, which is simulated time). Only
-  /// socket backends ever wait for real; loopback completes immediately.
+  /// socket backends honour it; a loopback waits for its frame's answer,
+  /// which always comes.
   void setRealAwaitSec(double sec) { realAwaitSec_ = sec; }
 
   /// Tenant id stamped into every request frame header, identifying whose
@@ -266,7 +269,8 @@ class RmiChannel {
   /// Reports stats_ to the registry under the stats mutex.
   obs::Registry::Reporter reportLocked();
   void ensureWorkersLocked();
-  void workerLoop();
+  /// Serves the queue until the channel stops or `pool` is retired.
+  void workerLoop(std::uint64_t pool);
 
   ServerEndpoint* endpoint_;  // non-null only for loopback channels
   std::unique_ptr<net::Transport> ownedTransport_;
@@ -301,7 +305,8 @@ class RmiChannel {
   std::deque<AsyncJob> asyncQueue_;
   std::size_t runningJobs_ = 0;
   std::size_t maxInFlight_ = 0;  // 0 = default pool size
-  bool asyncStop_ = false;
+  std::uint64_t poolGeneration_ = 0;  // bumped by setMaxInFlight
+  bool asyncStop_ = false;  // set once, by the destructor
   std::vector<std::thread> asyncWorkers_;
 };
 

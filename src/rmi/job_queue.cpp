@@ -1,11 +1,11 @@
-#include "ip/job_queue.hpp"
+#include "rmi/job_queue.hpp"
 
 #include <algorithm>
 #include <string>
 
 #include "obs/metrics.hpp"
 
-namespace vcad::ip {
+namespace vcad::rmi {
 
 namespace {
 
@@ -137,4 +137,4 @@ std::size_t JobQueue::depth() const {
   return depth_;
 }
 
-}  // namespace vcad::ip
+}  // namespace vcad::rmi

@@ -1,15 +1,16 @@
 // JobQueue: a prioritized, bounded job queue with a fixed worker pool —
-// the layer between a multi-tenant server's socket front end and
-// ProviderServer dispatch (the rippled JobQueue idiom: per-method job
-// types map to priority lanes, each lane has a depth bound, and admission
-// is a typed verdict rather than unbounded queueing).
+// the admission and dispatch stage of ProviderCore, between a frame's
+// arrival (socket reader thread or loopback send) and endpoint dispatch
+// (the rippled JobQueue idiom: per-method job types map to priority
+// lanes, each lane has a depth bound, and admission is a typed verdict
+// rather than unbounded queueing).
 //
 // Semantics:
 //   - Four lanes (net::JobPriority). Workers always drain the most urgent
 //     non-empty lane first, FIFO within a lane. Session control therefore
 //     gets through even when bulk work has the queue saturated.
 //   - add() is the admission decision, made synchronously on the caller's
-//     (connection reader) thread: Overloaded when the total queued depth
+//     (frame-submitting) thread: Overloaded when the total queued depth
 //     is at the global bound, TooManyPending when the request's own lane
 //     is at its per-lane bound, Stopped after stop(). The caller surfaces
 //     the verdict to the client as the matching FrameStatus — the job
@@ -33,7 +34,7 @@
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 
-namespace vcad::ip {
+namespace vcad::rmi {
 
 class JobQueue {
  public:
@@ -84,7 +85,6 @@ class JobQueue {
 
   Stats stats() const;
   std::size_t depth() const;
-  std::size_t workers() const { return config_.workers; }
 
  private:
   void workerLoop();
@@ -104,4 +104,4 @@ class JobQueue {
 
 std::string toString(JobQueue::Admit verdict);
 
-}  // namespace vcad::ip
+}  // namespace vcad::rmi

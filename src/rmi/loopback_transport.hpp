@@ -1,19 +1,19 @@
-// LoopbackTransport: the in-process net::Transport backend.
+// LoopbackTransport: the in-process net::Transport backend, a reply
+// mailbox over a ProviderCore it owns. send() hands the frame to the core
+// — the request path a provider process runs — and awaitReply() waits for
+// that request id's answer. The core is fixed: one shard (the borrowed
+// endpoint, for every tenant id), the default unlimited quota, and a job
+// queue with one worker and no depth bound. So a loopback never sheds, and
+// an endpoint behind one sees one request at a time, the guarantee
+// endpoint implementations rely on.
 //
-// Wraps a ServerEndpoint behind the same framed send/awaitReply surface the
-// socket backend exposes: send() performs the server-side receive (checksum
-// verification, bounds-checked unmarshal, serialized dispatch) immediately
-// on the caller's thread and queues the sealed response under the request
-// id; awaitReply() pops it with zero real latency. Damaged frames are
-// silently discarded exactly like a real server would — the client learns
-// nothing until its (simulated) deadline fires.
-//
-// Dispatch is serialized by an internal mutex, so a ServerEndpoint behind a
-// loopback never sees concurrent requests even when many channel workers
-// pipeline through it — the guarantee endpoint implementations rely on.
+// The core answers every frame exactly once, so awaitReply() ignores the
+// real-time deadline (an outcome never depends on host speed). A damaged
+// frame's "no reply" comes back not delivered at once, as from a server
+// that discards it: the client's simulated deadline owns the outcome.
 #pragma once
 
-#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -22,6 +22,7 @@
 
 #include "net/transport.hpp"
 #include "rmi/channel.hpp"
+#include "rmi/provider_core.hpp"
 
 namespace vcad::rmi {
 
@@ -36,27 +37,21 @@ class LoopbackTransport final : public net::Transport {
   void discard(std::uint64_t requestId) override;
   std::string peerName() const override;
 
-  ServerEndpoint& endpoint() { return *endpoint_; }
-
-  /// Test-only admission cap: a request arriving while `cap` dispatches are
-  /// already executing is answered with a typed FrameStatus::TooManyPending
-  /// frame instead of queueing behind the dispatch mutex. Default 0 =
-  /// unlimited. Gives the in-process backend the shed surface the provider
-  /// front end's job queue has over a socket, so channel-level shed
-  /// accounting can be proven uniform across both.
-  void setMaxConcurrentDispatches(std::size_t cap);
-
-  /// TooManyPending replies produced by the admission cap.
-  std::uint64_t shedRequests() const;
+  const ProviderCore& core() const { return core_; }
 
  private:
+  /// One request id's frames: sent and not yet answered, and answers not
+  /// yet awaited (a duplicated request has two of each).
+  struct Slot {
+    std::size_t pending = 0;
+    std::deque<net::TransportReply> arrived;
+  };
+
   ServerEndpoint* endpoint_;
-  std::mutex dispatchMutex_;  // one in-flight request per endpoint
-  std::atomic<std::size_t> dispatching_{0};
-  std::atomic<std::size_t> maxConcurrentDispatches_{0};  // 0 = unlimited
-  std::atomic<std::uint64_t> shedRequests_{0};
-  std::mutex mutex_;          // reply queues
-  std::map<std::uint64_t, std::deque<net::TransportReply>> arrived_;
+  std::mutex mutex_;
+  std::condition_variable replyCv_;
+  std::map<std::uint64_t, Slot> slots_;
+  ProviderCore core_;  // last: its worker stops before the mailbox goes
 };
 
 }  // namespace vcad::rmi

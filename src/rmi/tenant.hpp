@@ -1,5 +1,5 @@
-// Tenant identity, quota, and usage accounting for the multi-tenant
-// provider front end.
+// Tenant identity, quota, and usage accounting for the provider's request
+// path (ProviderCore).
 //
 // A tenant is whoever a request frame's tenantId says it is (the channel
 // stamps it; 0 is the anonymous default). Each tenant gets its own
@@ -10,22 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-namespace vcad::ip {
+namespace vcad::rmi {
 
 using TenantId = std::uint64_t;
-
-/// Admission budget for one tenant. A request is admitted while the
-/// tenant's executed usage is strictly below every configured bound;
-/// crossing a bound makes every subsequent request a deterministic
-/// FrameStatus::QuotaExceeded rejection.
-struct TenantQuota {
-  double maxFeeCents = -1.0;         // < 0: unlimited
-  std::uint64_t maxBilledCalls = 0;  // 0: unlimited
-
-  bool unlimited() const { return maxFeeCents < 0.0 && maxBilledCalls == 0; }
-};
 
 /// One tenant's executed history and admission outcomes.
 struct TenantUsage {
@@ -38,10 +26,20 @@ struct TenantUsage {
                                     // hardening: per-tenant connection cap)
 };
 
-/// The deterministic admission predicate: true while `usage` is within
-/// `quota`. Depends only on this tenant's executed history.
-bool withinQuota(const TenantQuota& quota, const TenantUsage& usage);
+/// Admission budget for one tenant. A request is admitted while the
+/// tenant's executed usage is strictly below every configured bound;
+/// crossing a bound makes every subsequent request a deterministic
+/// FrameStatus::QuotaExceeded rejection.
+struct TenantQuota {
+  double maxFeeCents = -1.0;         // < 0: unlimited
+  std::uint64_t maxBilledCalls = 0;  // 0: unlimited
 
-std::string describe(const TenantQuota& quota);
+  /// The deterministic admission predicate: true while `usage` is within
+  /// every bound. Depends only on this tenant's executed history.
+  bool admits(const TenantUsage& usage) const {
+    return (maxFeeCents < 0.0 || usage.feesCents < maxFeeCents) &&
+           (maxBilledCalls == 0 || usage.billedCalls < maxBilledCalls);
+  }
+};
 
-}  // namespace vcad::ip
+}  // namespace vcad::rmi

@@ -292,12 +292,12 @@ TEST(WarmCampaign, LoopbackAndSocketBackendsCountCachesIdentically) {
   // tenant 0 of the provider front end. The public part comes from a local
   // source, as for any provider in another process.
   ip::MultiTenantProviderServer::Config cfg;
-  cfg.resultStore = cache::ResultStore::inMemory();
   ip::MultiTenantProviderServer front(
-      [](ip::TenantId) {
+      [store = cache::ResultStore::inMemory()](ip::TenantId tenant) {
         auto server =
             std::make_unique<ip::ProviderServer>("provider.host", nullptr);
         registerMultiplier(*server);
+        server->setResultStore(store, tenant);
         return server;
       },
       cfg);

@@ -423,8 +423,9 @@ TEST(WireMethod, BatchOneShipsSingleTablesAndBatchesGroupTwoOrMoreMisses) {
 TEST(ParallelCampaign, ConcurrentCampaignWithAsyncChannelNoise) {
   // Stress for the thread-safety contract: a campaign shares its channel
   // with a burst of callAsync traffic from another thread. The
-  // channel serializes dispatch, so the run must be clean (TSan-verified
-  // under -DVCAD_SANITIZE=thread) and every request must succeed.
+  // loopback's one-worker core serializes dispatch, so the run must be
+  // clean (TSan-verified under -DVCAD_SANITIZE=thread) and every request
+  // must succeed.
   RemoteRig rig(net::NetworkProfile::ideal());
   const auto patterns = remotePatterns(6, 7);
 

@@ -498,11 +498,11 @@ TEST(ConcurrentDispatch, OverlappingBatchesOverSharedStoreMatchSerial) {
   auto store = cache::ResultStore::inMemory();
   MultiTenantProviderServer::Config cfg;
   cfg.queue.workers = 2;
-  cfg.resultStore = store;
   MultiTenantProviderServer server(
-      [](TenantId) {
+      [&store](TenantId tenant) {
         auto ep = std::make_unique<ProviderServer>("provider.host");
         registerMultiplier(*ep);
+        ep->setResultStore(store, tenant);
         return std::unique_ptr<rmi::ServerEndpoint>(std::move(ep));
       },
       cfg);

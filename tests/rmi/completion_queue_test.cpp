@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "ip/multi_tenant_server.hpp"
+#include "net/faulty_transport.hpp"
+#include "net/socket_transport.hpp"
 #include "obs/metrics.hpp"
 #include "rmi/loopback_transport.hpp"
 
@@ -20,17 +23,11 @@
 namespace vcad::rmi {
 namespace {
 
-/// Echo endpoint that records which OS threads dispatched it — a bounded
-/// pool shows up as a bounded set of thread ids no matter how many calls
-/// are pushed through.
-class ThreadTrackingServer : public ServerEndpoint {
+/// Echo endpoint counting its dispatches.
+class EchoServer : public ServerEndpoint {
  public:
   Response dispatch(const Request& request) override {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      threadIds_.insert(std::this_thread::get_id());
-      ++dispatched_;
-    }
+    ++dispatched_;
     Response r;
     Args args = request.args;
     r.payload.writeWord(args.takeWord());
@@ -38,20 +35,43 @@ class ThreadTrackingServer : public ServerEndpoint {
     return r;
   }
   std::string hostName() const override { return "queue.host"; }
+  int dispatched() const { return dispatched_.load(); }
 
-  std::size_t distinctThreads() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return threadIds_.size();
+ private:
+  std::atomic<int> dispatched_{0};
+};
+
+/// Loopback wire that records which OS threads send on it. The loopback
+/// dispatches on its own single worker whatever the channel does, so the
+/// channel's pool shows up here: a bounded pool is a bounded set of
+/// sender thread ids, however many calls are pushed through.
+class SenderTrackingWire final : public net::Transport {
+ public:
+  explicit SenderTrackingWire(ServerEndpoint& server) : inner_(server) {}
+  void send(const net::RequestFrameHeader& header,
+            const std::vector<std::uint8_t>& sealedPayload) override {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      senders_.insert(std::this_thread::get_id());
+    }
+    inner_.send(header, sealedPayload);
   }
-  int dispatched() const {
+  net::TransportReply awaitReply(std::uint64_t requestId,
+                                 double realDeadlineSec) override {
+    return inner_.awaitReply(requestId, realDeadlineSec);
+  }
+  void discard(std::uint64_t requestId) override { inner_.discard(requestId); }
+  std::string peerName() const override { return inner_.peerName(); }
+
+  std::size_t distinctSenders() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return dispatched_;
+    return senders_.size();
   }
 
  private:
+  LoopbackTransport inner_;
   mutable std::mutex mutex_;
-  std::set<std::thread::id> threadIds_;
-  int dispatched_ = 0;
+  std::set<std::thread::id> senders_;
 };
 
 /// Endpoint whose dispatch blocks until released — for observing calls
@@ -94,36 +114,133 @@ Request echoRequest(std::uint64_t value) {
   return r;
 }
 
+/// A provider front end over TCP that sheds on demand: one queue worker,
+/// a Compute-lane bound of 1, and a GatedServer shard. Once a gated call
+/// holds the worker, fillLane() queues one raw frame in the Compute lane;
+/// from then on every Compute-lane call (an EvalFunction) is answered with
+/// a typed TooManyPending until release().
+class GatedProvider {
+ public:
+  GatedProvider() : server_(factory(), config()) {
+    port_ = server_.listenTcp(0);
+    server_.start();
+  }
+
+  /// A channel over a fresh connection to the provider.
+  std::unique_ptr<net::Transport> connect() const {
+    return net::SocketTransport::connectTcp("127.0.0.1", port_);
+  }
+
+  GatedServer& gate() {
+    while (shard_.load(std::memory_order_acquire) == nullptr) {
+      std::this_thread::yield();
+    }
+    return *shard_.load(std::memory_order_acquire);
+  }
+
+  void fillLane() {
+    filler_ = net::SocketTransport::connectTcp("127.0.0.1", port_);
+    ASSERT_NE(filler_, nullptr);
+    std::vector<std::uint8_t> payload = echoRequest(0xAB).marshal().bytes();
+    net::sealFrame(payload);
+    net::RequestFrameHeader h;
+    h.methodId = static_cast<std::uint32_t>(MethodId::EvalFunction);
+    h.requestId = 1;
+    h.priority = net::JobPriority::Compute;
+    filler_->send(h, payload);
+    while (server_.queueStats().enqueued < 2) std::this_thread::yield();
+  }
+
+  /// Opens the gate; the lane's queued frame is then served.
+  void release() {
+    gate().release();
+    EXPECT_EQ(filler_->awaitReply(1, 5.0).status, net::FrameStatus::Ok);
+  }
+
+ private:
+  ip::MultiTenantProviderServer::EndpointFactory factory() {
+    return [this](ip::TenantId) {
+      auto shard = std::make_unique<GatedServer>();
+      shard_.store(shard.get(), std::memory_order_release);
+      return std::unique_ptr<ServerEndpoint>(std::move(shard));
+    };
+  }
+  static ip::MultiTenantProviderServer::Config config() {
+    ip::MultiTenantProviderServer::Config cfg;
+    cfg.queue.workers = 1;
+    cfg.queue.perPriorityDepth[static_cast<std::size_t>(
+        net::JobPriority::Compute)] = 1;
+    return cfg;
+  }
+
+  std::atomic<GatedServer*> shard_{nullptr};
+  ip::MultiTenantProviderServer server_;
+  std::uint16_t port_ = 0;
+  std::unique_ptr<net::SocketTransport> filler_;
+};
+
 // Regression (bugfix sweep): callAsync used to spawn one std::async thread
 // per call — a campaign of thousands of estimation calls was a thread bomb.
 // Now every path runs on the bounded pool: the endpoint must never see more
 // distinct dispatching threads than the pool depth, however many calls fly.
 TEST(CompletionQueue, CallAsyncRunsOnBoundedPoolNotThreadPerCall) {
-  ThreadTrackingServer server;
-  RmiChannel ch(server, net::NetworkProfile::ideal());
+  EchoServer server;
+  RmiChannel ch(std::make_unique<SenderTrackingWire>(server),
+                net::NetworkProfile::ideal());
+  auto& wire = dynamic_cast<SenderTrackingWire&>(ch.wire());
   constexpr int kCalls = 200;
   std::vector<std::future<Response>> futures;
   futures.reserve(kCalls);
   for (int i = 0; i < kCalls; ++i) futures.push_back(ch.callAsync(echoRequest(i)));
   for (auto& f : futures) ASSERT_TRUE(f.get().ok());
   EXPECT_EQ(server.dispatched(), kCalls);
-  EXPECT_LE(server.distinctThreads(), ch.maxInFlight());
+  EXPECT_LE(wire.distinctSenders(), ch.maxInFlight());
   EXPECT_EQ(ch.stats().asyncCalls, static_cast<std::uint64_t>(kCalls));
 }
 
 TEST(CompletionQueue, SetMaxInFlightResizesThePool) {
-  ThreadTrackingServer server;
-  RmiChannel ch(server, net::NetworkProfile::ideal());
+  EchoServer server;
+  RmiChannel ch(std::make_unique<SenderTrackingWire>(server),
+                net::NetworkProfile::ideal());
+  auto& wire = dynamic_cast<SenderTrackingWire&>(ch.wire());
   ch.setMaxInFlight(2);
   EXPECT_EQ(ch.maxInFlight(), 2u);
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 50; ++i) futures.push_back(ch.callAsync(echoRequest(i)));
   for (auto& f : futures) ASSERT_TRUE(f.get().ok());
-  EXPECT_LE(server.distinctThreads(), 2u);
+  EXPECT_LE(wire.distinctSenders(), 2u);
   // Resize drains in-flight work first, so it is safe mid-session.
   ch.setMaxInFlight(0);
   EXPECT_GE(ch.maxInFlight(), 2u);  // back to the default depth
   ASSERT_TRUE(ch.callAsync(echoRequest(99)).get().ok());
+}
+
+// Only destruction fails a call: a callAsync that races a resize is queued
+// for the resized pool, never answered "channel shutting down".
+TEST(CompletionQueue, CallAsyncRacingSetMaxInFlightIsQueued) {
+  EchoServer server;
+  RmiChannel ch(server, net::NetworkProfile::ideal());
+  std::atomic<bool> done{false};
+  std::thread resizer([&] {
+    for (std::size_t n = 1; !done.load(std::memory_order_acquire);
+         n = n % 4 + 1) {
+      ch.setMaxInFlight(n);
+    }
+  });
+  constexpr int kCalls = 300;
+  std::vector<std::future<Response>> futures;
+  futures.reserve(kCalls);
+  for (int i = 0; i < kCalls; ++i) {
+    futures.push_back(ch.callAsync(echoRequest(i)));
+    std::this_thread::yield();
+  }
+  for (auto& f : futures) {
+    const Response resp = f.get();
+    EXPECT_TRUE(resp.ok()) << resp.error;
+  }
+  done.store(true, std::memory_order_release);
+  resizer.join();
+  EXPECT_EQ(ch.stats().asyncCalls, static_cast<std::uint64_t>(kCalls));
 }
 
 TEST(CompletionQueue, InFlightCounterTracksLiveCalls) {
@@ -142,7 +259,7 @@ TEST(CompletionQueue, InFlightCounterTracksLiveCalls) {
 }
 
 TEST(CompletionQueue, PipelinedSubmissionsOverlapOnTheWireAccount) {
-  ThreadTrackingServer server;
+  EchoServer server;
   RmiChannel ch(server, net::NetworkProfile::wan());
   constexpr int kCalls = 8;
   std::vector<std::future<Response>> futures;
@@ -168,7 +285,7 @@ TEST(CompletionQueue, ResetStatsMidCampaignIsRaceFree) {
   // backwards.
   obs::Registry& reg = obs::Registry::global();
   const std::uint64_t callsBefore = reg.snapshot().counterOr("rmi.calls");
-  ThreadTrackingServer server;
+  EchoServer server;
   RmiChannel ch(server, net::NetworkProfile::lan());
   constexpr int kThreads = 4;
   constexpr int kCallsPerThread = 60;
@@ -214,12 +331,11 @@ TEST(CompletionQueue, ResetStatsMidCampaignIsRaceFree) {
 TEST(CompletionQueue, ShedRetriesPauseInRealTime) {
   // A shed call retries after a real-time pause, never in a tight loop, so
   // shed clients leave the overloaded server's workers the CPU.
-  GatedServer server;
-  RmiChannel ch(server, net::NetworkProfile::ideal());
-  auto& loopback = dynamic_cast<LoopbackTransport&>(ch.wire());
-  loopback.setMaxConcurrentDispatches(1);
+  GatedProvider provider;
+  RmiChannel ch(provider.connect(), net::NetworkProfile::ideal());
   std::future<Response> gated = ch.callAsync(echoRequest(0xAA));
-  server.awaitEntered(1);
+  provider.gate().awaitEntered(1);
+  provider.fillLane();
 
   const auto start = std::chrono::steady_clock::now();
   const Response shed = ch.call(echoRequest(1));
@@ -227,26 +343,26 @@ TEST(CompletionQueue, ShedRetriesPauseInRealTime) {
   EXPECT_EQ(shed.status, Status::TransportFailure);
   EXPECT_GE(elapsed, kShedRetryPause * (ch.retryPolicy().maxAttempts - 1));
 
-  server.release();
+  provider.release();
   ASSERT_TRUE(gated.get().ok());
 }
 
-// callAsync under fire: concurrent callers over a capped loopback, so
-// completions are a mix of successes and typed admission sheds that burned
-// their attempt budget. Under TSan this is the completion-queue concurrency
-// gate; everywhere else it still proves every future settles once and the
-// accounting loses nothing.
+// callAsync under fire: concurrent callers against a provider whose queue
+// admits one Compute-lane frame at a time, so completions are a mix of
+// successes and typed admission sheds that burned their attempt budget.
+// Under TSan this is the completion-queue concurrency gate; everywhere else
+// it still proves every future settles once and the accounting loses
+// nothing.
 TEST(CompletionQueue, CallAsyncStressMixesShedsAndSuccesses) {
-  GatedServer server;
-  RmiChannel ch(server, net::NetworkProfile::ideal());
-  auto& loopback = dynamic_cast<LoopbackTransport&>(ch.wire());
-  loopback.setMaxConcurrentDispatches(1);
+  GatedProvider provider;
+  RmiChannel ch(provider.connect(), net::NetworkProfile::ideal());
 
-  // Phase 1 — deterministic sheds: one call occupies the only dispatch
-  // slot; every later call's every attempt sees the slot taken, sheds
-  // with a typed TooManyPending, and fails after its whole budget.
+  // Phase 1 — deterministic sheds: one call occupies the only worker and a
+  // raw frame fills the Compute lane; every later call's every attempt
+  // sheds with a typed TooManyPending and fails after its whole budget.
   std::future<Response> gated = ch.callAsync(echoRequest(0xAA));
-  server.awaitEntered(1);
+  provider.gate().awaitEntered(1);
+  provider.fillLane();
   constexpr int kShedCalls = 19;
   std::vector<std::future<Response>> shed;
   for (int i = 0; i < kShedCalls; ++i) shed.push_back(ch.callAsync(echoRequest(i)));
@@ -256,11 +372,11 @@ TEST(CompletionQueue, CallAsyncStressMixesShedsAndSuccesses) {
             static_cast<std::uint64_t>(kShedCalls * budget));
   EXPECT_EQ(ch.stats().transportFailures,
             static_cast<std::uint64_t>(kShedCalls));
-  server.release();
+  provider.release();
   ASSERT_TRUE(gated.get().ok());
 
   // Phase 2 — the race: callers submit and collect concurrently against the
-  // still-capped transport. Outcomes are timing-dependent (collisions shed
+  // still one-deep lane. Outcomes are timing-dependent (collisions shed
   // and may exhaust the budget), but every future must settle and the
   // ok/fail split must add up.
   constexpr int kThreads = 4;
@@ -290,7 +406,7 @@ TEST(CompletionQueue, CallAsyncStressMixesShedsAndSuccesses) {
   }
   for (auto& t : callers) t.join();
   EXPECT_EQ(okCount.load() + failCount.load(), kTotal);
-  EXPECT_GE(okCount.load(), 1);  // the cap sheds, it does not starve
+  EXPECT_GE(okCount.load(), 1);  // the lane sheds, it does not starve
   EXPECT_EQ(ch.stats().asyncCalls,
             static_cast<std::uint64_t>(1 + kShedCalls + kTotal));
   EXPECT_EQ(ch.stats().transportFailures,

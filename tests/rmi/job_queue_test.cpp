@@ -1,7 +1,7 @@
 // JobQueue tests: priority-lane ordering, typed admission verdicts
 // (TooManyPending / Overloaded / Stopped), bounded depths, graceful stop,
 // and the stats counters the multi-tenant front end surfaces.
-#include "ip/job_queue.hpp"
+#include "rmi/job_queue.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 
 #include "rmi/protocol.hpp"
 
-namespace vcad::ip {
+namespace vcad::rmi {
 namespace {
 
 /// Blocks the single worker until released, so tests can stack up a known
@@ -162,4 +162,4 @@ TEST(JobQueue, MethodsMapToTheExpectedLanes) {
 }
 
 }  // namespace
-}  // namespace vcad::ip
+}  // namespace vcad::rmi
