@@ -45,15 +45,12 @@ inline void writeObsArtifacts(const std::string& prefix) {
 }
 
 inline ip::PublicPart multiplierPublicPart(std::uint64_t w) {
-  ip::PublicPart pub;
-  pub.functional = [w](const Word& in, const rmi::Sandbox&) {
+  return ip::PublicPart::perPattern([w](const Word& in, const rmi::Sandbox&) {
     const int width = static_cast<int>(w);
     const Word a = in.slice(0, width);
     const Word b = in.slice(width, width);
-    if (!a.isFullyKnown() || !b.isFullyKnown()) return Word::allX(2 * width);
     return Word::fromUint(2 * width, a.toUint() * b.toUint());
-  };
-  return pub;
+  });
 }
 
 /// Registers the paper's multiplier on a provider with full dynamic models.

@@ -39,17 +39,13 @@ int main() {
               gate::makeArrayMultiplier(static_cast<int>(w)));
         },
         [](std::uint64_t w) {
-          ip::PublicPart pub;
-          pub.functional = [w](const Word& in, const rmi::Sandbox&) {
-            const int wd = static_cast<int>(w);
-            const Word a = in.slice(0, wd);
-            const Word b = in.slice(wd, wd);
-            if (!a.isFullyKnown() || !b.isFullyKnown()) {
-              return Word::allX(2 * wd);
-            }
-            return Word::fromUint(2 * wd, a.toUint() * b.toUint());
-          };
-          return pub;
+          return ip::PublicPart::perPattern(
+              [w](const Word& in, const rmi::Sandbox&) {
+                const int wd = static_cast<int>(w);
+                const Word a = in.slice(0, wd);
+                const Word b = in.slice(wd, wd);
+                return Word::fromUint(2 * wd, a.toUint() * b.toUint());
+              });
         });
   }
   rmi::RmiChannel channel(server, net::NetworkProfile::lan(), &log);

@@ -42,17 +42,13 @@ void setUpProvider(ip::ProviderServer& server) {
       [](std::uint64_t w) {
         // The public part: an accurate *behavioral* model the user may run
         // locally — functionality without structure.
-        ip::PublicPart pub;
-        pub.functional = [w](const Word& in, const rmi::Sandbox&) {
-          const int width = static_cast<int>(w);
-          const Word a = in.slice(0, width);
-          const Word b = in.slice(width, width);
-          if (!a.isFullyKnown() || !b.isFullyKnown()) {
-            return Word::allX(2 * width);
-          }
-          return Word::fromUint(2 * width, a.toUint() * b.toUint());
-        };
-        return pub;
+        return ip::PublicPart::perPattern(
+            [w](const Word& in, const rmi::Sandbox&) {
+              const int width = static_cast<int>(w);
+              const Word a = in.slice(0, width);
+              const Word b = in.slice(width, width);
+              return Word::fromUint(2 * width, a.toUint() * b.toUint());
+            });
       });
 }
 

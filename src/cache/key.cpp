@@ -44,7 +44,7 @@ std::uint64_t netlistDigest(const gate::Netlist& nl) {
 
 CacheKey resultKey(std::uint64_t netlistDigest, std::uint64_t tenantNamespace,
                    std::uint32_t method,
-                   const std::vector<std::uint8_t>& argBytes) {
+                   std::span<const std::uint8_t> argBytes) {
   CacheKey key;
   key.hi = netlistDigest;
   KeyBuilder kb;

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace vcad::gate {
@@ -46,7 +47,7 @@ class KeyBuilder {
   KeyBuilder& mixU32(std::uint32_t v);
   KeyBuilder& mixU64(std::uint64_t v);
   KeyBuilder& mixBytes(const std::uint8_t* data, std::size_t n);
-  KeyBuilder& mixBytes(const std::vector<std::uint8_t>& bytes) {
+  KeyBuilder& mixBytes(std::span<const std::uint8_t> bytes) {
     return mixBytes(bytes.data(), bytes.size());
   }
   std::uint64_t digest() const { return h_; }
@@ -63,6 +64,6 @@ std::uint64_t netlistDigest(const gate::Netlist& nl);
 /// Assembles the full content address for one request.
 CacheKey resultKey(std::uint64_t netlistDigest, std::uint64_t tenantNamespace,
                    std::uint32_t method,
-                   const std::vector<std::uint8_t>& argBytes);
+                   std::span<const std::uint8_t> argBytes);
 
 }  // namespace vcad::cache

@@ -95,27 +95,43 @@ std::optional<LevelizedPass> LevelizedPass::plan(
   return pass;
 }
 
-void LevelizedPass::settle(const Scheduler& scheduler,
-                           const std::vector<Word>& pattern) {
-  if (pattern.size() != pis_.size()) {
-    throw std::invalid_argument("pattern arity does not match primary inputs");
+void LevelizedPass::settle(std::span<const Scheduler* const> runs,
+                           std::span<const std::vector<Word>> patterns) {
+  if (runs.size() != patterns.size()) {
+    throw std::invalid_argument("settle needs one scheduler per pattern");
   }
-  const std::uint32_t slot = scheduler.slot();
-  const std::uint32_t generation = scheduler.slotGeneration();
-  for (std::size_t i = 0; i < pis_.size(); ++i) {
-    pis_[i]->setValue(slot, generation, pattern[i]);
+  for (const std::vector<Word>& pattern : patterns) {
+    if (pattern.size() != pis_.size()) {
+      throw std::invalid_argument(
+          "pattern arity does not match primary inputs");
+    }
+  }
+  const std::size_t n = runs.size();
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t i = 0; i < pis_.size(); ++i) {
+      pis_[i]->setValue(runs[r]->slot(), runs[r]->slotGeneration(),
+                        patterns[r][i]);
+    }
   }
   for (const Step& step : steps_) {
+    const std::size_t nOut = step.outputs.size();
     in_.clear();
-    for (const Port* p : step.inputs) {
-      const Connector* c = p->connector();
-      in_.push_back(c != nullptr ? c->value(slot, generation)
-                                 : Word::allX(p->width()));
+    for (const Scheduler* run : runs) {
+      const std::uint32_t slot = run->slot();
+      const std::uint32_t generation = run->slotGeneration();
+      for (const Port* p : step.inputs) {
+        const Connector* c = p->connector();
+        in_.push_back(c != nullptr ? c->value(slot, generation)
+                                   : Word::allX(p->width()));
+      }
     }
-    out_.assign(step.outputs.size(), Word());
-    step.module->evaluate(in_, out_);
-    for (std::size_t k = 0; k < step.outputs.size(); ++k) {
-      step.outputs[k]->setValue(slot, generation, out_[k]);
+    out_.assign(n * nOut, Word());
+    step.module->evaluate(n, in_, out_);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t k = 0; k < nOut; ++k) {
+        step.outputs[k]->setValue(runs[r]->slot(), runs[r]->slotGeneration(),
+                                  out_[r * nOut + k]);
+      }
     }
   }
 }

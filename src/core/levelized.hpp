@@ -7,10 +7,16 @@
 // event-driven run leaves on each connector after its primary inputs are
 // driven at t=0 depends on the primary-input words alone: every activated
 // module's last evaluation sees its final inputs. The pass computes those
-// values directly. It writes the primary-input words into the run's slot,
+// values directly. It writes the primary-input words into each run's slot,
 // then evaluates the activated leaves in topological order (Kahn over
 // connector drivers), reading each one's input connectors and writing its
 // output connectors. No token, delta cycle or module state is involved.
+//
+// The pass settles a batch of runs at once (a campaign's table batch of
+// fault-free runs): per leaf it gathers every run's input words and makes
+// one batched Module::evaluate call, so a leaf whose function has a fixed
+// per-call cost (a remote component's public part, a packed netlist
+// evaluator) pays it once per batch instead of once per pattern.
 //
 // "Activated" follows the event path exactly: a leaf is evaluated only when
 // some input port of it would receive an event, either as the port a
@@ -26,6 +32,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/circuit.hpp"
@@ -42,12 +49,18 @@ class LevelizedPass {
   static std::optional<LevelizedPass> plan(
       Circuit& design, std::vector<Connector*> primaryInputs);
 
-  /// Settles `pattern` (one word per primary input, in order) on
-  /// `scheduler`'s slot at its current generation, as
-  /// SimulationController::inject + start() would on a fresh or reset()
-  /// controller. Throws std::invalid_argument on an arity or width
+  /// Settles a batch: patterns[r] (one word per primary input, in order)
+  /// on runs[r]'s slot at its current generation, for every r, as
+  /// SimulationController::inject + start() would on fresh or reset()
+  /// controllers. Each activated leaf is evaluated once for the whole
+  /// batch: its input words are gathered from every run, one
+  /// Module::evaluate call computes them pattern-major, and each run's
+  /// outputs are scattered back to its slot. A single run passes one
+  /// scheduler. Throws std::invalid_argument when the spans differ in
+  /// length, on an arity mismatch (before anything is written) or a width
   /// mismatch.
-  void settle(const Scheduler& scheduler, const std::vector<Word>& pattern);
+  void settle(std::span<const Scheduler* const> runs,
+              std::span<const std::vector<Word>> patterns);
 
  private:
   struct Step {
@@ -58,7 +71,7 @@ class LevelizedPass {
 
   std::vector<Connector*> pis_;
   std::vector<Step> steps_;  // topological order
-  std::vector<Word> in_;     // scratch, reused across steps
+  std::vector<Word> in_;     // scratch, pattern-major, reused across steps
   std::vector<Word> out_;
 };
 

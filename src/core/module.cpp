@@ -67,7 +67,7 @@ std::vector<Port*> Module::outputPorts() const {
 
 // --- levelized evaluation ---------------------------------------------------
 
-void Module::evaluate(std::span<const Word> /*in*/,
+void Module::evaluate(std::size_t /*patterns*/, std::span<const Word> /*in*/,
                       std::span<Word> /*out*/) const {
   throw std::logic_error("Module '" + name_ + "' is not combinational");
 }

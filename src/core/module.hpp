@@ -104,11 +104,17 @@ class Module {
   /// connector. Subclasses that change event handling must re-decide.
   virtual bool combinational() const { return false; }
 
-  /// The combinational function: output-port words from input-port words,
-  /// in inputPorts() / outputPorts() order. `out` holds one entry per
-  /// output port; each is assigned a word of its port's width. Only called
-  /// when combinational() is true; the default throws std::logic_error.
-  virtual void evaluate(std::span<const Word> in, std::span<Word> out) const;
+  /// The combinational function over a batch of `patterns` independent
+  /// runs, pattern-major: pattern p's input-port words are
+  /// in[p*nIn, (p+1)*nIn) in inputPorts() order, and its output-port words
+  /// go to out[p*nOut, (p+1)*nOut) in outputPorts() order, each a word of
+  /// its port's width. Pattern p's outputs depend on pattern p's inputs
+  /// alone, exactly as one activation of the event path would compute
+  /// them. LevelizedPass is the one caller, one call per activated leaf
+  /// and batch. Only called when combinational() is true; the default
+  /// throws std::logic_error.
+  virtual void evaluate(std::size_t patterns, std::span<const Word> in,
+                        std::span<Word> out) const;
 
   /// Estimation request: evaluates the parameter with the estimator bound
   /// by the context's setup (or the null estimator) and deposits the result

@@ -1,5 +1,6 @@
 #include "core/wiring.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/connector.hpp"
@@ -20,8 +21,9 @@ void Buffer::processInputEvent(const SignalToken& token, SimContext& ctx) {
   emit(ctx, *out_, token.value());
 }
 
-void Buffer::evaluate(std::span<const Word> in, std::span<Word> out) const {
-  out[0] = in[0];
+void Buffer::evaluate(std::size_t patterns, std::span<const Word> in,
+                      std::span<Word> out) const {
+  std::copy_n(in.begin(), patterns, out.begin());
 }
 
 Fanout::Fanout(std::string name, Connector& in, std::vector<Branch> branches)
@@ -58,8 +60,12 @@ bool Fanout::combinational() const {
   return true;
 }
 
-void Fanout::evaluate(std::span<const Word> in, std::span<Word> out) const {
-  for (Word& w : out) w = in[0];
+void Fanout::evaluate(std::size_t patterns, std::span<const Word> in,
+                      std::span<Word> out) const {
+  const std::size_t n = branchPorts_.size();
+  for (std::size_t p = 0; p < patterns; ++p) {
+    std::fill_n(out.begin() + static_cast<std::ptrdiff_t>(p * n), n, in[p]);
+  }
 }
 
 Delay::Delay(std::string name, Connector& in, Connector& out, SimTime delay)

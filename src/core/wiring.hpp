@@ -20,7 +20,8 @@ class Buffer final : public Module {
   void processInputEvent(const SignalToken& token, SimContext& ctx) override;
 
   bool combinational() const override { return true; }
-  void evaluate(std::span<const Word> in, std::span<Word> out) const override;
+  void evaluate(std::size_t patterns, std::span<const Word> in,
+                std::span<Word> out) const override;
 
  private:
   Port* in_;
@@ -40,7 +41,8 @@ class Fanout final : public Module {
 
   /// Only a fanout whose every branch has delay 0 is zero-delay.
   bool combinational() const override;
-  void evaluate(std::span<const Word> in, std::span<Word> out) const override;
+  void evaluate(std::size_t patterns, std::span<const Word> in,
+                std::span<Word> out) const override;
 
   std::size_t branchCount() const { return branchPorts_.size(); }
 

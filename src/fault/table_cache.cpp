@@ -9,11 +9,14 @@ namespace vcad::fault {
 
 cache::CacheKey detectionTableKey(std::uint64_t digest, std::uint64_t ns,
                                   const Word& inputs) {
-  rmi::Args args;
-  args.addWord(inputs);
+  // The argument bytes Args::addWord marshals: the Word tag, then the
+  // word's encoding, written to the stack.
+  std::uint8_t arg[1 + net::ByteBuffer::kMaxWordSize];
+  arg[0] = static_cast<std::uint8_t>(rmi::ArgTag::Word);
+  const std::size_t n = 1 + net::ByteBuffer::encodeWord(inputs, arg + 1);
   return cache::resultKey(
       digest, ns, static_cast<std::uint32_t>(rmi::MethodId::GetDetectionTable),
-      args.buffer().bytes());
+      {arg, n});
 }
 
 std::vector<cache::Value> fetchOrBuildTables(cache::ResultStore* store,

@@ -146,31 +146,40 @@ CampaignResult VirtualFaultSimulator::run(
 
     // --- Fault-free runs, one per batch position: golden responses and
     // observed component inputs are snapshotted, and the runs stay live as
-    // the injections' read-through bases. --------------------------------
-    std::vector<PatternRun> runs(nBatch);
+    // the injections' read-through bases. A levelized design settles the
+    // whole batch in one pass, one evaluate() call per leaf. --------------
+    obs::SpanScope goldenSpan("campaign.golden", "campaign");
+    std::vector<const Scheduler*> goldenRuns(nBatch);
     for (std::size_t i = 0; i < nBatch; ++i) {
       SimulationController& sim = *faultFree[i];
       if (base != 0) {
         sim.reset();
         ++res.schedulerResets;
       }
-      if (levelized) {
-        levelized->settle(sim.scheduler(), patterns[base + i]);
-      } else {
-        applyPattern(sim, patterns[base + i]);
+      goldenRuns[i] = &sim.scheduler();
+    }
+    if (levelized) {
+      levelized->settle(goldenRuns, std::span(patterns).subspan(base, nBatch));
+    } else {
+      for (std::size_t i = 0; i < nBatch; ++i) {
+        applyPattern(*faultFree[i], patterns[base + i]);
       }
+    }
+    std::vector<PatternRun> runs(nBatch);
+    for (std::size_t i = 0; i < nBatch; ++i) {
+      Scheduler& run = faultFree[i]->scheduler();
       PatternRun& pr = runs[i];
-      const SimContext ctx{sim.scheduler(), nullptr};
+      const SimContext ctx{run, nullptr};
       pr.golden.reserve(pos_.size());
       for (Connector* po : pos_) {
-        pr.golden.push_back(po->value(sim.scheduler().slot(),
-                                      sim.scheduler().slotGeneration()));
+        pr.golden.push_back(po->value(run.slot(), run.slotGeneration()));
       }
       pr.compInputs.reserve(components_.size());
       for (FaultClient* comp : components_) {
         pr.compInputs.push_back(comp->observedInputs(ctx));
       }
     }
+    goldenSpan.end();
 
     // --- Table fetch, in component order: per component, the batch's
     // configurations that are neither pinned nor in the store go out in

@@ -16,13 +16,17 @@
 // Golden runs are levelized when the design allows it: if every leaf
 // module is combinational() and the leaves form an acyclic graph, the
 // campaign orders them once (LevelizedPass::plan, Kahn over connector
-// drivers) and settles each pattern's fault-free run in one topological
-// pass of Module::evaluate() calls on the pinned controller's slot, with
-// no event dispatched. Any other design (RTL, behavioral, delayed or
+// drivers) and settles a whole table batch's fault-free runs in one
+// topological pass on the batch's pinned controllers: one batched
+// Module::evaluate() call per activated leaf, so a remote block's public
+// part sees the batch's fully-known configurations in one call, with no
+// event dispatched. Any other design (RTL, behavioral, delayed or
 // side-effecting modules: power collection, fully-remote components)
-// settles golden runs through events as before. Both leave the same value
-// on every connector, so observed inputs, golden outputs, tables and
-// injections are unchanged; only the scheduler's event count drops.
+// settles golden runs through events, one pattern at a time. Both leave
+// the same value on every connector, so observed inputs, golden outputs,
+// tables and injections are unchanged; only the scheduler's event count
+// drops. Each batch's golden runs and snapshots are traced as one
+// campaign.golden span inside its campaign.batch span.
 //
 // Injection is read-through (SimulationController::runInjection): the
 // injection run takes the pattern's finished fault-free run as its base,

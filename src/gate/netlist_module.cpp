@@ -68,15 +68,20 @@ Word NetlistModule::currentInputs(const SimContext& ctx) const {
   return inputs;
 }
 
-void NetlistModule::evaluate(std::span<const Word> in,
+void NetlistModule::evaluate(std::size_t patterns, std::span<const Word> in,
                              std::span<Word> out) const {
-  Word inputs(netlist_->inputCount());
-  for (size_t gi = 0; gi < inGroups_.size(); ++gi) {
-    inputs.insert(inGroups_[gi].firstPin, in[gi]);
-  }
-  const Word outs = evaluator_.evalOutputs(inputs);
-  for (size_t gi = 0; gi < outGroups_.size(); ++gi) {
-    out[gi] = outs.slice(outGroups_[gi].firstPin, outGroups_[gi].width);
+  const std::size_t nIn = inGroups_.size();
+  const std::size_t nOut = outGroups_.size();
+  for (std::size_t p = 0; p < patterns; ++p) {
+    Word inputs(netlist_->inputCount());
+    for (size_t gi = 0; gi < nIn; ++gi) {
+      inputs.insert(inGroups_[gi].firstPin, in[p * nIn + gi]);
+    }
+    const Word outs = evaluator_.evalOutputs(inputs);
+    for (size_t gi = 0; gi < nOut; ++gi) {
+      out[p * nOut + gi] =
+          outs.slice(outGroups_[gi].firstPin, outGroups_[gi].width);
+    }
   }
 }
 

@@ -72,7 +72,8 @@ class NetlistModule : public Module {
   bool combinational() const override {
     return !recordPatterns_ && evalMode_ == EvalMode::FullPass;
   }
-  void evaluate(std::span<const Word> in, std::span<Word> out) const override;
+  void evaluate(std::size_t patterns, std::span<const Word> in,
+                std::span<Word> out) const override;
 
   /// Current full input word (one bit per netlist PI) as seen by `ctx`.
   Word currentInputs(const SimContext& ctx) const;

@@ -31,7 +31,7 @@ PackedEvaluator::PackedEvaluator(const Netlist& nl) : nl_(&nl) {
 }
 
 PackedEvaluator::InputBlock PackedEvaluator::pack(
-    const std::vector<Word>& patterns, std::size_t begin,
+    std::span<const Word> patterns, std::size_t begin,
     std::size_t lanes) const {
   if (lanes > static_cast<std::size_t>(kLanes)) {
     throw std::invalid_argument("PackedEvaluator::pack: more than 64 lanes");

@@ -66,7 +66,7 @@ class PackedEvaluator {
 
   /// Transposes patterns[begin, begin+lanes) (each one primary-input word)
   /// into an InputBlock. Throws when lanes > kLanes or widths mismatch.
-  InputBlock pack(const std::vector<Word>& patterns, std::size_t begin,
+  InputBlock pack(std::span<const Word> patterns, std::size_t begin,
                   std::size_t lanes) const;
 
   /// Stuck-at forces on one net: the lanes in `lanes` are forced, to 1 where

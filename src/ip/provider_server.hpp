@@ -39,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,13 +55,35 @@ namespace vcad::ip {
 
 /// The public part of a component: the "loadable bytecode" the user
 /// downloads and runs locally. `functional` implements the component's
-/// abstract behaviour (empty when the provider releases no local functional
-/// model); it receives the sandbox so privileged operations are policed.
+/// abstract behaviour over a batch (empty when the provider releases no
+/// local functional model): outputs[i] gets the output word for
+/// inputs[i], the two spans have equal length, and every input word is
+/// fully known. RemoteComponent hands it only fully-known words, compacted,
+/// and answers every other pattern with all-X itself, so a public part
+/// never sees an X or Z bit. A golden-run batch arrives in one call; the
+/// event path (injections, event-driven golden runs) calls it with one
+/// word. It receives the sandbox so privileged operations are policed.
 struct PublicPart {
-  std::function<Word(const Word& inputs, const rmi::Sandbox& sandbox)>
+  std::function<void(std::span<const Word> inputs, std::span<Word> outputs,
+                     const rmi::Sandbox& sandbox)>
       functional;
 
   bool hasFunctional() const { return static_cast<bool>(functional); }
+
+  /// A public part from a per-word model `f(input, sandbox) -> output`,
+  /// called once per word of the batch.
+  template <typename F>
+  static PublicPart perPattern(F f) {
+    PublicPart pub;
+    pub.functional = [f = std::move(f)](std::span<const Word> inputs,
+                                        std::span<Word> outputs,
+                                        const rmi::Sandbox& sandbox) {
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        outputs[i] = f(inputs[i], sandbox);
+      }
+    };
+    return pub;
+  }
 };
 
 /// Where clients obtain a component's public part (the "loadable bytecode").

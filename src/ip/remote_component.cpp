@@ -1,5 +1,6 @@
 #include "ip/remote_component.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/connector.hpp"
@@ -52,41 +53,61 @@ rmi::InstanceId ProviderHandle::currentInstance(rmi::InstanceId instance) const 
 
 Response ProviderHandle::call(MethodId method, rmi::InstanceId instance,
                               Args args, const std::string& component) {
-  // One idempotency key for the whole logical call: every re-issue below is
-  // a retransmission the provider's replay cache recognizes, so a call that
-  // executed — and billed — before its channel was declared dead is answered
-  // from the cache, never run twice.
+  // One idempotency key for the whole logical call: every re-issue is a
+  // retransmission the provider's replay cache recognizes, so a call that
+  // executed — and billed — before its channel was declared dead is
+  // answered from the cache, never run twice.
   const std::uint64_t key = channel_->makeKey();
+  Response first = callRaw(method, session(), currentInstance(instance), args,
+                           component, key);
+  return recoverCall(method, instance, args, component, key, std::move(first));
+}
+
+Response ProviderHandle::recoverCall(MethodId method, rmi::InstanceId instance,
+                                     const Args& args,
+                                     const std::string& component,
+                                     std::uint64_t key, Response resp) {
   constexpr int kRecoveryRounds = 4;
   for (int round = 0;; ++round) {
-    Response resp = callRaw(method, session(), currentInstance(instance),
-                            args, component, key);
     if (!autoRecover_ || round >= kRecoveryRounds) return resp;
     if (resp.status == rmi::Status::TransportFailure) {
       // Retries exhausted. Re-issue with the same key; the channel resumes
       // the key's attempt numbering, so the deterministic fault schedule
       // advances instead of replaying the attempts that just failed.
-      continue;
-    }
-    if (resp.status == rmi::Status::UnknownSession) {
+    } else if (resp.status == rmi::Status::UnknownSession) {
       // Provider restarted underneath us: reopen a session, replay the
       // manifest, then retry this call against the recovered state.
       if (!recover()) return resp;
-      continue;
+    } else {
+      return resp;
     }
-    return resp;
+    resp = callRaw(method, session(), currentInstance(instance), args,
+                   component, key);
   }
 }
 
 std::future<Response> ProviderHandle::callAsync(MethodId method,
                                                 rmi::InstanceId instance,
                                                 Args args) {
+  // The first attempt runs on the channel's completion-queue pool. The
+  // future's get() then finishes the call as call() does, with the same
+  // key: a lost session or exhausted retries are recovered there, on the
+  // caller's thread, so a provider restart while the call was in flight
+  // costs a re-issue, not the answer.
+  const std::uint64_t key = channel_->makeKey();
   Request req;
   req.session = session();
   req.instance = currentInstance(instance);
   req.method = method;
-  req.args = std::move(args);
-  return channel_->callAsync(std::move(req));
+  req.args = args;
+  req.idempotencyKey = key;
+  std::future<Response> first = channel_->callAsync(std::move(req));
+  return std::async(std::launch::deferred,
+                    [this, method, instance, args = std::move(args), key,
+                     first = std::move(first)]() mutable {
+                      return recoverCall(method, instance, args, "", key,
+                                         first.get());
+                    });
 }
 
 ProviderHandle::RecoveryToken ProviderHandle::recordInstantiation(
@@ -245,9 +266,35 @@ Word RemoteComponent::gatherInputs(const SimContext& ctx) const {
   return w;
 }
 
+void RemoteComponent::publicOutputs(std::span<const Word> inputs,
+                                    std::span<Word> outputs) const {
+  const auto fullyKnown = [](const Word& w) { return w.isFullyKnown(); };
+  if (std::all_of(inputs.begin(), inputs.end(), fullyKnown)) {
+    if (!inputs.empty()) publicPart_.functional(inputs, outputs, *sandbox_);
+    return;
+  }
+  std::vector<Word> known;
+  std::vector<std::size_t> knownAt;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    if (fullyKnown(inputs[i])) {
+      known.push_back(inputs[i]);
+      knownAt.push_back(i);
+    } else {
+      outputs[i] = Word::allX(outWidth_);
+    }
+  }
+  if (known.empty()) return;
+  std::vector<Word> results(known.size());
+  publicPart_.functional(known, results, *sandbox_);
+  for (std::size_t j = 0; j < knownAt.size(); ++j) {
+    outputs[knownAt[j]] = std::move(results[j]);
+  }
+}
+
 Word RemoteComponent::localFunction(const Word& inputs) const {
-  if (!inputs.isFullyKnown()) return Word::allX(outWidth_);
-  return publicPart_.functional(inputs, *sandbox_);
+  Word outputs;
+  publicOutputs({&inputs, 1}, {&outputs, 1});
+  return outputs;
 }
 
 void RemoteComponent::emitOutputs(SimContext& ctx, const Word& outs) {
@@ -258,19 +305,26 @@ void RemoteComponent::emitOutputs(SimContext& ctx, const Word& outs) {
   }
 }
 
-void RemoteComponent::evaluate(std::span<const Word> in,
+void RemoteComponent::evaluate(std::size_t patterns, std::span<const Word> in,
                                std::span<Word> out) const {
-  Word inputs(inWidth_);
-  int bit = 0;
-  for (std::size_t k = 0; k < inPorts_.size(); ++k) {
-    inputs.insert(bit, in[k]);
-    bit += inPorts_[k]->width();
+  const std::size_t nIn = inPorts_.size();
+  const std::size_t nOut = outPorts_.size();
+  std::vector<Word> inputs(patterns, Word(inWidth_));
+  for (std::size_t p = 0; p < patterns; ++p) {
+    int bit = 0;
+    for (std::size_t k = 0; k < nIn; ++k) {
+      inputs[p].insert(bit, in[p * nIn + k]);
+      bit += inPorts_[k]->width();
+    }
   }
-  const Word outs = localFunction(inputs);
-  bit = 0;
-  for (std::size_t k = 0; k < outPorts_.size(); ++k) {
-    out[k] = outs.slice(bit, outPorts_[k]->width());
-    bit += outPorts_[k]->width();
+  std::vector<Word> outs(patterns);
+  publicOutputs(inputs, outs);
+  for (std::size_t p = 0; p < patterns; ++p) {
+    int bit = 0;
+    for (std::size_t k = 0; k < nOut; ++k) {
+      out[p * nOut + k] = outs[p].slice(bit, outPorts_[k]->width());
+      bit += outPorts_[k]->width();
+    }
   }
 }
 

@@ -65,6 +65,11 @@ class ProviderHandle {
 
   rmi::Response call(rmi::MethodId method, rmi::InstanceId instance,
                      rmi::Args args, const std::string& component = "");
+  /// Non-blocking call: the request goes out on the channel's
+  /// completion-queue pool at once, and the future's get() recovers it
+  /// exactly as call() would (same idempotency key, same session-recovery
+  /// loop), on the thread that calls get(). The handle must outlive that
+  /// get(); a future dropped unread costs nothing more.
   std::future<rmi::Response> callAsync(rmi::MethodId method,
                                        rmi::InstanceId instance,
                                        rmi::Args args);
@@ -74,8 +79,8 @@ class ProviderHandle {
 
   // --- session recovery ---------------------------------------------------
 
-  /// Blocking calls transparently recover from UnknownSession /
-  /// TransportFailure (default on). Async calls never auto-recover.
+  /// Calls transparently recover from UnknownSession / TransportFailure
+  /// (default on), blocking and non-blocking alike.
   void setAutoRecover(bool on) { autoRecover_ = on; }
 
   /// Registers a live instantiation in the session manifest. `rebind` is
@@ -114,6 +119,13 @@ class ProviderHandle {
   rmi::Response callRaw(rmi::MethodId method, rmi::SessionId session,
                         rmi::InstanceId instance, rmi::Args args,
                         const std::string& component, std::uint64_t key);
+  /// The recovery loop shared by call() and callAsync(): given the answer
+  /// to the first attempt under `key`, re-issues the call with that key
+  /// after exhausted retries or a recovered session.
+  rmi::Response recoverCall(rmi::MethodId method, rmi::InstanceId instance,
+                            const rmi::Args& args,
+                            const std::string& component, std::uint64_t key,
+                            rmi::Response first);
   rmi::InstanceId currentInstance(rmi::InstanceId instance) const;
 
   rmi::RmiChannel* channel_;
@@ -169,7 +181,10 @@ class RemoteComponent : public Module {
     return config_.mode == RemoteMode::EstimatorRemote &&
            publicPart_.hasFunctional() && !config_.collectPower;
   }
-  void evaluate(std::span<const Word> in, std::span<Word> out) const override;
+  /// Gathers each pattern's input word, hands every fully-known one to the
+  /// public part in one call and gives the rest all-X outputs.
+  void evaluate(std::size_t patterns, std::span<const Word> in,
+                std::span<Word> out) const override;
 
   /// Flushes the pending pattern buffer and harvests outstanding
   /// non-blocking estimates; returns the weighted-average remote power
@@ -197,7 +212,12 @@ class RemoteComponent : public Module {
   };
 
   Word gatherInputs(const SimContext& ctx) const;
-  /// The public part's response: all-X unless every input bit is known.
+  /// The public part over a batch: outputs[i] is all-X unless every bit of
+  /// inputs[i] is known; the fully-known words go to the public part in
+  /// one call, compacted.
+  void publicOutputs(std::span<const Word> inputs,
+                     std::span<Word> outputs) const;
+  /// publicOutputs for one word: the event path's evaluation.
   Word localFunction(const Word& inputs) const;
   void emitOutputs(SimContext& ctx, const Word& outs);
   void recordPattern(State& st, const Word& inputs);

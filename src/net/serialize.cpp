@@ -46,24 +46,48 @@ void ByteBuffer::writeBytes(const std::vector<std::uint8_t>& bytes) {
   data_.insert(data_.end(), bytes.begin(), bytes.end());
 }
 
-void ByteBuffer::writeWord(const Word& w) {
+namespace {
+
+/// Spreads the low 32 bits of `x` to the even bit positions of the result.
+std::uint64_t spreadEven(std::uint64_t x) {
+  x &= 0xFFFFFFFFULL;
+  x = (x | (x << 16)) & 0x0000FFFF0000FFFFULL;
+  x = (x | (x << 8)) & 0x00FF00FF00FF00FFULL;
+  x = (x | (x << 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  x = (x | (x << 2)) & 0x3333333333333333ULL;
+  x = (x | (x << 1)) & 0x5555555555555555ULL;
+  return x;
+}
+
+}  // namespace
+
+std::size_t ByteBuffer::encodeWord(const Word& w, std::uint8_t* out) {
   // Two bits per position, four positions per byte, low bits first: the
-  // Logic code (0, 1, X = 2, Z = 3) read straight off the planes.
-  writeU8(static_cast<std::uint8_t>(w.width()));
-  const std::uint64_t value = w.valuePlane();
+  // Logic code (0, 1, X = 2, Z = 3). Its low bit is the value where known
+  // and the Z flag elsewhere, its high bit "not known"; interleaving the
+  // two planes lays the codes out as one 128-bit little-endian number.
+  const int width = w.width();
+  const std::uint64_t mask =
+      width >= Word::kMaxWidth ? ~0ULL : (1ULL << width) - 1;
   const std::uint64_t known = w.knownPlane();
-  const std::uint64_t z = w.zPlane();
-  for (int i = 0; i < w.width(); i += 4) {
-    std::uint8_t acc = 0;
-    for (int k = 0; k < 4 && i + k < w.width(); ++k) {
-      const int b = i + k;
-      const unsigned code = ((known >> b) & 1U) != 0
-                                ? static_cast<unsigned>((value >> b) & 1U)
-                                : 2U | static_cast<unsigned>((z >> b) & 1U);
-      acc = static_cast<std::uint8_t>(acc | (code << (2 * k)));
-    }
-    writeU8(acc);
+  const std::uint64_t lo =
+      ((known & w.valuePlane()) | (~known & w.zPlane())) & mask;
+  const std::uint64_t hi = ~known & mask;
+  const std::uint64_t codes[2] = {
+      spreadEven(lo) | (spreadEven(hi) << 1),
+      spreadEven(lo >> 32) | (spreadEven(hi >> 32) << 1)};
+  out[0] = static_cast<std::uint8_t>(width);
+  const std::size_t n = wordSize(width);
+  for (std::size_t j = 1; j < n; ++j) {
+    const std::size_t k = j - 1;  // payload byte: codes 4k .. 4k+3
+    out[j] = static_cast<std::uint8_t>(codes[k / 8] >> (8 * (k % 8)));
   }
+  return n;
+}
+
+void ByteBuffer::writeWord(const Word& w) {
+  std::uint8_t bytes[kMaxWordSize];
+  data_.insert(data_.end(), bytes, bytes + encodeWord(w, bytes));
 }
 
 void ByteBuffer::writeWordVector(const std::vector<Word>& words) {

@@ -104,6 +104,13 @@ class ByteBuffer {
   static constexpr std::size_t wordSize(int width) {
     return 1 + static_cast<std::size_t>(width + 3) / 4;
   }
+  /// wordSize() of the widest word.
+  static constexpr std::size_t kMaxWordSize = 1 + (Word::kMaxWidth + 3) / 4;
+  /// Writes writeWord()'s bytes for `w` to `out`, which must hold
+  /// wordSize(w.width()) bytes, and returns that count. The one encoder:
+  /// writeWord appends its output, and hashers that key on a marshalled
+  /// word (fault::detectionTableKey) encode it onto the stack.
+  static std::size_t encodeWord(const Word& w, std::uint8_t* out);
   void writeWordVector(const std::vector<Word>& words);
 
   // --- readers (throw std::out_of_range on underflow) -----------------------

@@ -15,10 +15,12 @@
 #include <vector>
 
 #include "cache/key.hpp"
+#include "core/rng.hpp"
 #include "fault/table_cache.hpp"
 #include "gate/generators.hpp"
 #include "net/faulty_transport.hpp"
 #include "obs/metrics.hpp"
+#include "rmi/protocol.hpp"
 
 namespace vcad::cache {
 namespace {
@@ -70,6 +72,47 @@ TEST(CacheKey, ResultKeySeparatesEveryAddressComponent) {
   EXPECT_NE(resultKey(111, 0, 7, bytesOf({10, 20, 31})).lo,
             base.lo);                                     // other args
   EXPECT_EQ(resultKey(111, 0, 7, args), base);            // deterministic
+}
+
+// The detection-table key hashes the configuration's encoding straight
+// from the stack. File-backed stores hold these keys, so they must equal
+// the address the marshalled GetDetectionTable argument gave: checked
+// against the Args derivation and against the argument bytes spelled out
+// per bit (the Word tag, the width byte, then each position's Logic code
+// in two bits, four to a byte, low bits first).
+TEST(CacheKey, DetectionTableKeyEqualsTheMarshalledArgumentKey) {
+  Rng rng(0x7AB1E);
+  constexpr auto kMethod =
+      static_cast<std::uint32_t>(rmi::MethodId::GetDetectionTable);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int width = 1 + static_cast<int>(rng.below(64));
+    Word w(width);
+    const bool unknowns = trial % 2 == 1;
+    for (int i = 0; i < width; ++i) {
+      w.setBit(i, static_cast<Logic>(rng.below(unknowns ? 4 : 2)));
+    }
+    const std::uint64_t digest = rng.next();
+    const std::uint64_t ns = trial % 3 == 0 ? 0 : rng.next();
+
+    rmi::Args args;
+    args.addWord(w);
+    const CacheKey viaArgs =
+        resultKey(digest, ns, kMethod, args.buffer().bytes());
+
+    std::vector<std::uint8_t> perBit{
+        static_cast<std::uint8_t>(rmi::ArgTag::Word),
+        static_cast<std::uint8_t>(width)};
+    for (int i = 0; i < width; ++i) {
+      if (i % 4 == 0) perBit.push_back(0);
+      perBit.back() = static_cast<std::uint8_t>(
+          perBit.back() | (static_cast<unsigned>(w.bit(i)) << (2 * (i % 4))));
+    }
+    const CacheKey spelled = resultKey(digest, ns, kMethod, perBit);
+
+    const CacheKey key = fault::detectionTableKey(digest, ns, w);
+    ASSERT_EQ(key, viaArgs) << w;
+    ASSERT_EQ(key, spelled) << w;
+  }
 }
 
 // ---------------------------------------------------------------------------

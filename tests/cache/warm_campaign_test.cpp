@@ -49,17 +49,12 @@ ip::IpComponentSpec multiplierSpec() {
 }
 
 ip::PublicPart multiplierPublicPart(std::uint64_t w) {
-  ip::PublicPart pub;
-  pub.functional = [w](const Word& in, const rmi::Sandbox&) {
+  return ip::PublicPart::perPattern([w](const Word& in, const rmi::Sandbox&) {
     const int width = static_cast<int>(w);
     const Word a = in.slice(0, width);
     const Word b = in.slice(width, width);
-    if (!a.isFullyKnown() || !b.isFullyKnown()) {
-      return Word::allX(2 * width);
-    }
     return Word::fromUint(2 * width, a.toUint() * b.toUint());
-  };
-  return pub;
+  });
 }
 
 /// Client-side public part for a multiplier served from another process.

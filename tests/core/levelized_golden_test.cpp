@@ -3,13 +3,17 @@
 // the run SimulationController::start() settled and in the run
 // LevelizedPass::settle() computed. Covered: every combinational matrix
 // generator family at small scale, realized with local NetlistModules and
-// with remote IP components, on random patterns with X and Z inputs; a
-// module with no input port, modules with only undriven inputs, and the
-// designs that must keep the event path (a delayed fanout branch, a
-// non-combinational module, a loop, a recording netlist module).
+// with remote IP components, on random patterns with X and Z inputs,
+// settled in batches of 1, 7, 32 and 80 live runs; a module with no input
+// port, modules with only undriven inputs, and the designs that must keep
+// the event path (a delayed fanout branch, a non-combinational module, a
+// loop, a recording netlist module). The matrix's packed block public part
+// is held to the scalar evaluator over batches around the 64-lane pass.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,8 +46,9 @@ class Tie final : public Module {
     emit(ctx, *out_, value_);
   }
   bool combinational() const override { return true; }
-  void evaluate(std::span<const Word>, std::span<Word> out) const override {
-    out[0] = value_;
+  void evaluate(std::size_t patterns, std::span<const Word>,
+                std::span<Word> out) const override {
+    std::fill_n(out.begin(), patterns, value_);
   }
 
  private:
@@ -68,37 +73,87 @@ std::vector<Word> randomPattern(Rng& rng, const std::vector<Connector*>& pis,
   return pattern;
 }
 
-/// Settles `pattern` through events and through `pass` on two controllers
-/// and expects every connector of `design` to read the same in both.
-/// Returns how many connectors carry a fully known value.
-int expectSameConnectors(Circuit& design, const std::vector<Connector*>& pis,
-                         LevelizedPass& pass, const std::vector<Word>& pattern,
-                         const std::string& label) {
-  SimulationController events(design);
-  for (std::size_t i = 0; i < pis.size(); ++i) {
-    events.inject(*pis[i], pattern[i]);
-  }
-  events.start();
-  SimulationController levelized(design);
-  pass.settle(levelized.scheduler(), pattern);
-  EXPECT_EQ(levelized.scheduler().dispatched(), 0u) << label;
+/// Settles one pattern on one run through `pass`.
+void settleOne(LevelizedPass& pass, const Scheduler& run,
+               const std::vector<Word>& pattern) {
+  const Scheduler* runs[] = {&run};
+  pass.settle(runs, {&pattern, 1});
+}
 
-  const Scheduler& e = events.scheduler();
-  const Scheduler& l = levelized.scheduler();
-  int known = 0;
-  for (const auto& conn : design.connectors()) {
-    const Word want = conn->value(e.slot(), e.slotGeneration());
-    EXPECT_EQ(conn->value(l.slot(), l.slotGeneration()), want)
-        << label << " connector " << conn->name();
-    known += want.isFullyKnown() ? 1 : 0;
+/// Every connector's value after each pattern settles through events, one
+/// reference run per pattern: reference[p][k] is design.connectors()[k].
+std::vector<std::vector<Word>> eventReference(
+    Circuit& design, const std::vector<Connector*>& pis,
+    const std::vector<std::vector<Word>>& patterns) {
+  std::vector<std::vector<Word>> reference;
+  SimulationController events(design);
+  for (const std::vector<Word>& pattern : patterns) {
+    events.reset();
+    for (std::size_t i = 0; i < pis.size(); ++i) {
+      events.inject(*pis[i], pattern[i]);
+    }
+    events.start();
+    const Scheduler& e = events.scheduler();
+    std::vector<Word>& values = reference.emplace_back();
+    for (const auto& conn : design.connectors()) {
+      values.push_back(conn->value(e.slot(), e.slotGeneration()));
+    }
   }
-  design.clearSchedulerState(e.slot());
-  design.clearSchedulerState(l.slot());
+  design.clearSchedulerState(events.scheduler().slot());
+  return reference;
+}
+
+/// Settles `patterns` through `pass` in batches of `batch` live
+/// controllers and expects every connector of every run to read what the
+/// event-driven run of its pattern left. Returns how many connector values
+/// of the reference are fully known.
+int expectSameConnectors(Circuit& design, const std::vector<Connector*>& pis,
+                         LevelizedPass& pass,
+                         const std::vector<std::vector<Word>>& patterns,
+                         std::size_t batch, const std::string& label) {
+  const std::vector<std::vector<Word>> reference =
+      eventReference(design, pis, patterns);
+  std::vector<std::unique_ptr<SimulationController>> runs(
+      std::min(batch, patterns.size()));
+  for (auto& run : runs) run = std::make_unique<SimulationController>(design);
+  int known = 0;
+  for (std::size_t base = 0; base < patterns.size(); base += batch) {
+    const std::size_t n = std::min(batch, patterns.size() - base);
+    std::vector<const Scheduler*> schedulers;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (base != 0) runs[i]->reset();
+      schedulers.push_back(&runs[i]->scheduler());
+    }
+    pass.settle(schedulers, std::span(patterns).subspan(base, n));
+    for (std::size_t i = 0; i < n; ++i) {
+      const Scheduler& l = runs[i]->scheduler();
+      const std::string at = label + " batch " + std::to_string(batch) +
+                             " pattern " + std::to_string(base + i);
+      EXPECT_EQ(l.dispatched(), 0u) << at;
+      const std::vector<Word>& want = reference[base + i];
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        const Connector& conn = *design.connectors()[k];
+        EXPECT_EQ(conn.value(l.slot(), l.slotGeneration()), want[k])
+            << at << " connector " << conn.name();
+        known += want[k].isFullyKnown() ? 1 : 0;
+      }
+    }
+  }
+  for (const auto& run : runs) {
+    design.clearSchedulerState(run->scheduler().slot());
+  }
   return known;
 }
 
-/// Runs expectSameConnectors over 32 random patterns: the first eight fully
-/// known, the rest with X and Z bits.
+/// The golden-run batch sizes the differential covers: one run, an odd
+/// batch, the engine's default and one past 64 that is no multiple of it.
+/// 80 live runs stay within the arena (the event reference run is
+/// released before they are leased).
+constexpr std::size_t kSettleBatches[] = {1, 7, 32, 80};
+
+/// Runs expectSameConnectors over 80 random patterns, settled in every
+/// batch of kSettleBatches: the first eight fully known, the rest with X
+/// and Z bits.
 void expectDifferentialOverPatterns(Circuit& design,
                                     const std::vector<Connector*>& pis,
                                     std::uint64_t seed,
@@ -106,14 +161,16 @@ void expectDifferentialOverPatterns(Circuit& design,
   std::optional<LevelizedPass> pass = LevelizedPass::plan(design, pis);
   ASSERT_TRUE(pass.has_value()) << label;
   Rng rng(seed);
-  int known = 0;
-  for (int p = 0; p < 32; ++p) {
-    const double unknown = p < 8 ? 0.0 : (p < 20 ? 0.1 : 0.4);
-    known += expectSameConnectors(design, pis, *pass,
-                                  randomPattern(rng, pis, unknown),
-                                  label + " pattern " + std::to_string(p));
+  std::vector<std::vector<Word>> patterns;
+  for (int p = 0; p < 80; ++p) {
+    const double unknown = p < 8 ? 0.0 : (p % 3 == 0 ? 0.1 : 0.4);
+    patterns.push_back(randomPattern(rng, pis, unknown));
   }
-  EXPECT_GT(known, 0) << label << ": no connector ever carried a known value";
+  for (const std::size_t batch : kSettleBatches) {
+    const int known =
+        expectSameConnectors(design, pis, *pass, patterns, batch, label);
+    EXPECT_GT(known, 0) << label << ": no connector ever carried a known value";
+  }
 }
 
 struct FamilyCase {
@@ -175,6 +232,39 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.scale);
     });
 
+// The scenario matrix's block public part evaluates a batch on the packed
+// engine, 64 patterns per pass: batches below, at and past one pass and
+// past two must equal the scalar evaluator word for word.
+TEST(MatrixPublicPart, PackedBatchesEqualTheScalarEvaluator) {
+  for (const FamilyCase fc : {FamilyCase{gate::CircuitFamily::Cone, 1},
+                              FamilyCase{gate::CircuitFamily::Datapath, 1}}) {
+    const matrix::MatrixDesign d =
+        matrix::makeMatrixDesign({fc.family, fc.scale, 0x9A7});
+    const matrix::MatrixPublicPartSource source(d);
+    Rng rng(0x5CA1A);
+    for (std::size_t b = 0; b < d.blocks.size(); ++b) {
+      const gate::Netlist& nl = *d.blocks[b];
+      const gate::NetlistEvaluator scalar(nl);
+      const ip::PublicPart pub =
+          source.downloadPublicPart("BLK" + std::to_string(b), 1);
+      ASSERT_TRUE(pub.hasFunctional());
+      for (const std::size_t n : {1u, 63u, 64u, 65u, 130u}) {
+        std::vector<Word> in;
+        for (std::size_t i = 0; i < n; ++i) {
+          in.push_back(Word::fromUint(nl.inputCount(), rng.next()));
+        }
+        std::vector<Word> out(n);
+        pub.functional(in, out, rmi::Sandbox{});
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(out[i], scalar.evalOutputs(in[i]))
+              << gate::familyName(fc.family) << " block " << b << " batch "
+              << n << " word " << i;
+        }
+      }
+    }
+  }
+}
+
 std::shared_ptr<const gate::Netlist> andGate() {
   auto nl = std::make_shared<gate::Netlist>();
   const gate::NetId a = nl->addInput("a");
@@ -207,9 +297,9 @@ TEST(LevelizedPass, ModulesNoEventReachesKeepAllXOutputs) {
 
   for (const Logic v : {Logic::L0, Logic::L1, Logic::X, Logic::Z}) {
     const std::vector<Word> pattern{Word::fromLogic(v)};
-    expectSameConnectors(c, {&a}, *pass, pattern, pattern[0].toString());
+    expectSameConnectors(c, {&a}, *pass, {pattern}, 1, pattern[0].toString());
     SimulationController sim(c);
-    pass->settle(sim.scheduler(), pattern);
+    settleOne(*pass, sim.scheduler(), pattern);
     const auto read = [&](const Connector& conn) {
       return conn.value(sim.scheduler().slot(),
                         sim.scheduler().slotGeneration());
@@ -233,11 +323,17 @@ TEST(LevelizedPass, BuffersChainThroughAndOpenEndedOutputsLatch) {
   c.make<Buffer>("b1", a, m);
   std::optional<LevelizedPass> pass = LevelizedPass::plan(c, {&a});
   ASSERT_TRUE(pass.has_value());
-  expectSameConnectors(c, {&a}, *pass, {Word::fromString("1XZ01")}, "chain");
+  expectSameConnectors(c, {&a}, *pass, {{Word::fromString("1XZ01")}}, 1,
+                       "chain");
   SimulationController sim(c);
-  EXPECT_THROW(pass->settle(sim.scheduler(), {}), std::invalid_argument);
-  EXPECT_THROW(pass->settle(sim.scheduler(), {Word(4)}),
+  EXPECT_THROW(settleOne(*pass, sim.scheduler(), {}), std::invalid_argument);
+  EXPECT_THROW(settleOne(*pass, sim.scheduler(), {Word(4)}),
                std::invalid_argument);
+  // One scheduler per pattern.
+  const Scheduler* one[] = {&sim.scheduler()};
+  const std::vector<std::vector<Word>> two{{Word(5)}, {Word(5)}};
+  EXPECT_THROW(pass->settle(one, two), std::invalid_argument);
+  c.clearSchedulerState(sim.scheduler().slot());
 }
 
 TEST(LevelizedPass, DesignsThatMustKeepTheEventPathAreRejected) {

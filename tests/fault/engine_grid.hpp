@@ -15,7 +15,7 @@
 
 namespace vcad::fault::grid {
 
-inline constexpr std::size_t kBatches[] = {1, 4, 64};
+inline constexpr std::size_t kBatches[] = {1, 4, 64, 80};
 
 /// The engine at one grid setting.
 inline CampaignResult runEngine(

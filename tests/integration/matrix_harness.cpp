@@ -1,5 +1,6 @@
 #include "integration/matrix_harness.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -7,6 +8,7 @@
 #include "cache/result_store.hpp"
 #include "core/rng.hpp"
 #include "gate/generators.hpp"
+#include "gate/packed_eval.hpp"
 #include "ip/remote_component.hpp"
 #include "net/serialize.hpp"
 #include "net/socket_transport.hpp"
@@ -138,13 +140,23 @@ MatrixDesign makeDatapathDesign(const FamilySpec& spec) {
   return d;
 }
 
+/// A block's public part: its netlist on the packed engine, up to 64
+/// patterns per pass. The compiled evaluator is shared and read-only; each
+/// call owns its plane buffer, so concurrent campaigns may call it at once.
 ip::PublicPart blockPublicPart(std::shared_ptr<const Netlist> nl) {
   ip::PublicPart pub;
-  // Shared stateful evaluator: fine for the serial campaign engines this
-  // harness drives (one functional evaluation at a time per process).
-  auto ev = std::make_shared<gate::NetlistEvaluator>(*nl);
-  pub.functional = [nl, ev](const Word& in, const rmi::Sandbox&) {
-    return ev->evalOutputs(in);
+  auto packed = std::make_shared<const gate::PackedEvaluator>(*nl);
+  pub.functional = [nl, packed](std::span<const Word> in, std::span<Word> out,
+                                const rmi::Sandbox&) {
+    std::vector<gate::LanePlanes> planes;
+    constexpr std::size_t kLanes = gate::PackedEvaluator::kLanes;
+    for (std::size_t base = 0; base < in.size(); base += kLanes) {
+      const std::size_t lanes = std::min(kLanes, in.size() - base);
+      packed->evaluate(packed->pack(in, base, lanes), planes);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        out[base + l] = packed->outputsOf(planes, static_cast<int>(l));
+      }
+    }
   };
   return pub;
 }

@@ -54,14 +54,12 @@ TEST(Privacy, ProviderSeesOnlyComponentPortWidths) {
         return std::make_shared<const gate::Netlist>(gate::makeIp1HalfAdder());
       },
       [](std::uint64_t) {
-        PublicPart pub;
-        pub.functional = [](const Word& in, const rmi::Sandbox&) {
+        return PublicPart::perPattern([](const Word& in, const rmi::Sandbox&) {
           Word out(2);
           out.setBit(0, logicXor(in.bit(0), in.bit(1)));
           out.setBit(1, logicAnd(in.bit(0), in.bit(1)));
           return out;
-        };
-        return pub;
+        });
       });
   Spy spy(server);
   rmi::RmiChannel channel(spy, net::NetworkProfile::ideal(), &log);

@@ -33,17 +33,12 @@ void registerMultiplier(ProviderServer& server, ModelLevel power,
             gate::makeArrayMultiplier(static_cast<int>(w)));
       },
       [](std::uint64_t w) {
-        PublicPart pub;
-        pub.functional = [w](const Word& in, const rmi::Sandbox&) {
+        return PublicPart::perPattern([w](const Word& in, const rmi::Sandbox&) {
           const int width = static_cast<int>(w);
           const Word a = in.slice(0, width);
           const Word b = in.slice(width, width);
-          if (!a.isFullyKnown() || !b.isFullyKnown()) {
-            return Word::allX(2 * width);
-          }
           return Word::fromUint(2 * width, a.toUint() * b.toUint());
-        };
-        return pub;
+        });
       });
 }
 
@@ -260,7 +255,9 @@ TEST(ProviderServer, EvalMatchesPublicPartFunctionalModel) {
     ASSERT_TRUE(evResp.ok());
     // Private (gate-level) and public (behavioral) models must agree: the
     // provider's abstract model is faithful.
-    EXPECT_EQ(evResp.payload.readWord(), pub.functional(in, sandbox));
+    Word local;
+    pub.functional({&in, 1}, {&local, 1}, sandbox);
+    EXPECT_EQ(evResp.payload.readWord(), local);
   }
 }
 

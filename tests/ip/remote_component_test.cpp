@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <future>
+#include <memory>
+#include <optional>
+#include <span>
+
+#include "core/levelized.hpp"
 #include "core/rng.hpp"
 #include "core/sim_controller.hpp"
 #include "fault/serial_sim.hpp"
@@ -33,19 +40,49 @@ void registerMultiplier(ProviderServer& server) {
             gate::makeArrayMultiplier(static_cast<int>(w)));
       },
       [](std::uint64_t w) {
-        PublicPart pub;
-        pub.functional = [w](const Word& in, const rmi::Sandbox&) {
+        return PublicPart::perPattern([w](const Word& in, const rmi::Sandbox&) {
           const int width = static_cast<int>(w);
           const Word a = in.slice(0, width);
           const Word b = in.slice(width, width);
-          if (!a.isFullyKnown() || !b.isFullyKnown()) {
-            return Word::allX(2 * width);
-          }
           return Word::fromUint(2 * width, a.toUint() * b.toUint());
-        };
-        return pub;
+        });
       });
 }
+
+/// Forwards to a provider and, once armed, restarts it right before it
+/// dispatches the next request of one method: a restart while that call is
+/// in flight.
+class RestartingProvider final : public rmi::ServerEndpoint,
+                                 public PublicPartSource {
+ public:
+  explicit RestartingProvider(ProviderServer& server) : server_(server) {}
+
+  /// Arms the restart; call before the traffic it should interrupt.
+  void restartBefore(rmi::MethodId method) {
+    method_ = method;
+    armed_.store(true);
+  }
+  std::uint64_t restarts() const { return restarts_.load(); }
+
+  rmi::Response dispatch(const rmi::Request& request) override {
+    if (request.method == method_ && armed_.exchange(false)) {
+      server_.restart();
+      restarts_.fetch_add(1);
+    }
+    return server_.dispatch(request);
+  }
+  std::string hostName() const override { return server_.hostName(); }
+  PublicPart downloadPublicPart(const std::string& component,
+                                std::uint64_t param) const override {
+    return server_.downloadPublicPart(component, param);
+  }
+
+ private:
+  ProviderServer& server_;
+  rmi::MethodId method_ = rmi::MethodId::GetCatalog;
+  std::atomic<bool> armed_{false};
+  std::atomic<std::uint64_t> restarts_{0};
+};
 
 /// The Figure 2 circuit: random inputs -> registers -> MULT -> output.
 struct Figure2 {
@@ -53,7 +90,8 @@ struct Figure2 {
 
   LogSink log;
   ProviderServer server{"provider.host.name", &log};
-  rmi::RmiChannel channel{server, net::NetworkProfile::ideal(), &log};
+  RestartingProvider endpoint{server};
+  rmi::RmiChannel channel{endpoint, net::NetworkProfile::ideal(), &log};
   ProviderHandle provider{channel};
 
   Circuit c{"example"};
@@ -152,6 +190,43 @@ TEST(RemoteComponent, NonblockingEstimationLandsOnOverlapAccount) {
   const auto power = f.mult->finishPowerEstimation(ctx);
   ASSERT_TRUE(power.has_value());
   EXPECT_GT(f.channel.stats().asyncCalls, 0u);
+}
+
+// A non-blocking EstimatePower whose provider restarts while it is in
+// flight: the first attempt comes back UnknownSession, and get() recovers
+// the session and re-issues the call, as a blocking call would.
+TEST(ProviderHandle, NonblockingCallRecoversAProviderRestart) {
+  Figure2 f(RemoteConfig{});
+  rmi::Args args;
+  args.addWordVector({Word::fromUint(16, 0x1234), Word::fromUint(16, 0xBEEF),
+                      Word::fromUint(16, 0x0F0F)});
+  f.endpoint.restartBefore(rmi::MethodId::EstimatePower);
+  std::future<rmi::Response> pending = f.provider.callAsync(
+      rmi::MethodId::EstimatePower, f.mult->instanceId(), std::move(args));
+  const rmi::Response resp = pending.get();
+  EXPECT_TRUE(resp.ok()) << resp.error;
+  EXPECT_EQ(f.endpoint.restarts(), 1u);
+  EXPECT_EQ(f.provider.recoveries(), 1u);
+}
+
+// The same restart under a component's non-blocking power estimation: every
+// batch it shipped is still harvested, none counts as a remote error.
+TEST(RemoteComponent, NonblockingEstimationSurvivesAProviderRestart) {
+  RemoteConfig cfg;
+  cfg.mode = RemoteMode::EstimatorRemote;
+  cfg.patternBufferCapacity = 5;
+  cfg.nonblockingEstimation = true;
+  Figure2 f(cfg, 30);
+  f.endpoint.restartBefore(rmi::MethodId::EstimatePower);
+  SimulationController sim(f.c);
+  sim.start();
+  SimContext ctx{sim.scheduler(), nullptr};
+  const auto power = f.mult->finishPowerEstimation(ctx);
+  ASSERT_TRUE(power.has_value());
+  EXPECT_GT(*power, 0.0);
+  EXPECT_EQ(f.endpoint.restarts(), 1u);
+  EXPECT_GE(f.provider.recoveries(), 1u);
+  EXPECT_EQ(f.mult->remoteErrors(), 0u);
 }
 
 TEST(RemoteComponent, MrModePowerUsesRemoteHistory) {
@@ -268,14 +343,12 @@ TEST(RemoteFaultClient, MatchesLocalFaultAnalysis) {
         return std::make_shared<const gate::Netlist>(gate::makeIp1HalfAdder());
       },
       [](std::uint64_t) {
-        PublicPart pub;
-        pub.functional = [](const Word& in, const rmi::Sandbox&) {
+        return PublicPart::perPattern([](const Word& in, const rmi::Sandbox&) {
           Word out(2);
           out.setBit(0, logicXor(in.bit(0), in.bit(1)));
           out.setBit(1, logicAnd(in.bit(0), in.bit(1)));
           return out;
-        };
-        return pub;
+        });
       });
   rmi::RmiChannel channel(server, net::NetworkProfile::ideal());
   ProviderHandle provider(channel);
@@ -308,6 +381,101 @@ TEST(RemoteFaultClient, MatchesLocalFaultAnalysis) {
                 localTable.rows()[r].faultyOutput);
       EXPECT_EQ(remoteTable.rows()[r].faults, localTable.rows()[r].faults);
     }
+  }
+}
+
+// What one levelized golden batch hands a remote block's public part: one
+// call with every fully-known pattern, compacted; a pattern with an X or Z
+// input bit never reaches it and settles all-X.
+TEST(RemoteComponent, GoldenBatchIsOnePublicPartCallOverItsKnownPatterns) {
+  struct Counter {
+    int calls = 0;
+    std::size_t words = 0;
+    bool sawUnknown = false;
+  };
+  auto counter = std::make_shared<Counter>();
+  constexpr int kW = 4;
+  ProviderServer server("provider.host.name", nullptr);
+  IpComponentSpec spec;
+  spec.name = "CountedMult";
+  spec.minWidth = kW;
+  spec.maxWidth = kW;
+  spec.functional = ModelLevel::Static;
+  server.registerComponent(
+      std::move(spec),
+      [](std::uint64_t) {
+        return std::make_shared<const gate::Netlist>(
+            gate::makeArrayMultiplier(kW));
+      },
+      [counter](std::uint64_t) {
+        PublicPart pub;
+        pub.functional = [counter](std::span<const Word> in,
+                                   std::span<Word> out, const rmi::Sandbox&) {
+          ++counter->calls;
+          counter->words += in.size();
+          for (std::size_t i = 0; i < in.size(); ++i) {
+            counter->sawUnknown |= !in[i].isFullyKnown();
+            out[i] = Word::fromUint(2 * kW, in[i].slice(0, kW).toUint() *
+                                                in[i].slice(kW, kW).toUint());
+          }
+        };
+        return pub;
+      });
+  rmi::RmiChannel channel(server, net::NetworkProfile::ideal());
+  ProviderHandle provider(channel);
+
+  Circuit c("counted");
+  Connector& a = c.makeWord(kW, "a");
+  Connector& b = c.makeWord(kW, "b");
+  Connector& o = c.makeWord(2 * kW, "o");
+  RemoteConfig cfg;
+  cfg.collectPower = false;
+  c.make<RemoteComponent>(
+      "MULT", provider, "CountedMult", kW,
+      std::vector<std::pair<std::string, Connector*>>{{"a", &a}, {"b", &b}},
+      std::vector<std::pair<std::string, Connector*>>{{"o", &o}}, cfg);
+  std::optional<LevelizedPass> pass = LevelizedPass::plan(c, {&a, &b});
+  ASSERT_TRUE(pass.has_value());
+
+  Rng rng(0xC0C0);
+  // (batch size, whether two in three patterns carry an X or Z bit)
+  const std::pair<std::size_t, bool> batches[] = {
+      {1, false}, {65, false}, {9, true}, {70, true}};
+  for (const auto& [n, mixed] : batches) {
+    std::vector<std::vector<Word>> patterns;
+    std::size_t known = 0;
+    for (std::size_t p = 0; p < n; ++p) {
+      Word wa = Word::fromUint(kW, rng.below(16));
+      Word wb = Word::fromUint(kW, rng.below(16));
+      if (mixed && p % 3 == 1) wa.setBit(1, Logic::X);
+      if (mixed && p % 3 == 2) wb.setBit(2, Logic::Z);
+      known += wa.isFullyKnown() && wb.isFullyKnown() ? 1 : 0;
+      patterns.push_back({wa, wb});
+    }
+    std::vector<std::unique_ptr<SimulationController>> runs;
+    std::vector<const Scheduler*> schedulers;
+    for (std::size_t p = 0; p < n; ++p) {
+      runs.push_back(std::make_unique<SimulationController>(c));
+      schedulers.push_back(&runs.back()->scheduler());
+    }
+    *counter = Counter{};
+    pass->settle(schedulers, patterns);
+    EXPECT_EQ(counter->calls, 1) << n;
+    EXPECT_EQ(counter->words, known) << n;
+    EXPECT_FALSE(counter->sawUnknown) << n;
+    for (std::size_t p = 0; p < n; ++p) {
+      const Scheduler& run = *schedulers[p];
+      const Word got = o.value(run.slot(), run.slotGeneration());
+      const Word& wa = patterns[p][0];
+      const Word& wb = patterns[p][1];
+      if (wa.isFullyKnown() && wb.isFullyKnown()) {
+        EXPECT_EQ(got, Word::fromUint(2 * kW, wa.toUint() * wb.toUint()))
+            << n << " pattern " << p;
+      } else {
+        EXPECT_EQ(got, Word::allX(2 * kW)) << n << " pattern " << p;
+      }
+    }
+    for (const auto& run : runs) c.clearSchedulerState(run->scheduler().slot());
   }
 }
 

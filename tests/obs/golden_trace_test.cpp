@@ -385,6 +385,38 @@ TEST(GoldenTrace, TimestampsAreMonotonicPerThreadAndSpansNestProperly) {
   EXPECT_GT(spansWithPrefix(events, "provider.dispatch").size(), 0u);
 }
 
+// Golden runs have a span of their own: one campaign.golden per table
+// batch, inside that batch's campaign.batch span and before its table
+// fetch, so golden evaluation reads directly instead of as a remainder.
+TEST(GoldenTrace, EveryTableBatchRecordsOneGoldenSpan) {
+  if constexpr (!kObsCompiledIn) GTEST_SKIP() << "observability compiled out";
+  constexpr int kPatterns = 10;
+  constexpr std::size_t kBatch = 4;  // batches of 4, 4 and 2 patterns
+  (void)runChaosCampaign(net::FaultProfile::none(), 1, kPatterns, 0, kBatch);
+  const std::vector<TraceEvent> events = Tracer::global().collect();
+  ASSERT_EQ(Tracer::global().droppedEvents(), 0u);
+  const auto batches = spansWithPrefix(events, "campaign.batch");
+  const auto golden = spansWithPrefix(events, "campaign.golden");
+  const auto fetches = spansWithPrefix(events, "campaign.tableFetch");
+  ASSERT_EQ(batches.size(), 3u);
+  ASSERT_EQ(golden.size(), batches.size());
+  ASSERT_EQ(fetches.size(), batches.size());
+  const auto byStart = [](const TraceEvent& a, const TraceEvent& b) {
+    return a.tsNs < b.tsNs;
+  };
+  auto sortedBatches = batches, sortedGolden = golden, sortedFetches = fetches;
+  std::sort(sortedBatches.begin(), sortedBatches.end(), byStart);
+  std::sort(sortedGolden.begin(), sortedGolden.end(), byStart);
+  std::sort(sortedFetches.begin(), sortedFetches.end(), byStart);
+  for (std::size_t b = 0; b < sortedBatches.size(); ++b) {
+    EXPECT_TRUE(contains(sortedBatches[b], sortedGolden[b]))
+        << "golden span " << b << " escapes its batch";
+    EXPECT_LE(sortedGolden[b].tsNs + sortedGolden[b].durNs,
+              sortedFetches[b].tsNs)
+        << "golden span " << b << " overlaps its table fetch";
+  }
+}
+
 TEST(GoldenTrace, ClientAndProviderSpansStitchIntoOneFlow) {
   if constexpr (!kObsCompiledIn) GTEST_SKIP() << "observability compiled out";
   (void)runTracedIdealCampaign();

@@ -65,17 +65,12 @@ class RestartingEndpoint : public rmi::ServerEndpoint,
 /// registration and the client-side source a socket rig needs (the provider
 /// then lives in another process, unreachable by loopback discovery).
 inline ip::PublicPart chaosMultiplierPublicPart(std::uint64_t w) {
-  ip::PublicPart pub;
-  pub.functional = [w](const Word& in, const rmi::Sandbox&) {
+  return ip::PublicPart::perPattern([w](const Word& in, const rmi::Sandbox&) {
     const int width = static_cast<int>(w);
     const Word a = in.slice(0, width);
     const Word b = in.slice(width, width);
-    if (!a.isFullyKnown() || !b.isFullyKnown()) {
-      return Word::allX(2 * width);
-    }
     return Word::fromUint(2 * width, a.toUint() * b.toUint());
-  };
-  return pub;
+  });
 }
 
 struct ChaosPublicPartSource : ip::PublicPartSource {
