@@ -1,15 +1,19 @@
-// Ablation bench for the test-generation and fast-simulation extensions:
+// Ablation bench for the test-generation extensions:
 //
 //   1. ATPG: compact test-set size vs. coverage target on the paper's
 //      multiplier — how little pattern IP the user must develop (and can
 //      keep private under the virtual protocol).
 //   2. Compaction effectiveness: raw vs compacted pattern counts.
-//   3. Selective-trace vs full-pass gate evaluation: work per input change.
+//
+// Google-benchmark cases time ATPG and one full pass per single-bit input
+// change: the scalar oracle evaluator (tests/oracles) against one lane of
+// the packed engine, the library's only evaluator.
 #include <benchmark/benchmark.h>
 
 #include "common.hpp"
 #include "fault/atpg.hpp"
-#include "gate/incremental.hpp"
+#include "gate/packed_eval.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::bench {
 namespace {
@@ -59,31 +63,10 @@ void compactionAblation() {
   }
 }
 
-void selectiveTrace() {
-  std::printf("\n[3] selective trace vs full pass: gate evaluations per "
-              "single-bit input change (12-bit multiplier, 500 changes)\n");
-  const gate::Netlist nl = gate::makeArrayMultiplier(12);
-  gate::IncrementalEvaluator inc(nl);
-  Rng rng(9);
-  inc.setInputs(Word::fromUint(24, rng.next()));
-  const std::uint64_t before = inc.gateEvals();
-  const int changes = 500;
-  for (int i = 0; i < changes; ++i) {
-    inc.setInput(static_cast<int>(rng.below(24)),
-                 rng.chance(0.5) ? Logic::L1 : Logic::L0);
-  }
-  const double perChange =
-      static_cast<double>(inc.gateEvals() - before) / changes;
-  std::printf("    selective trace: %6.1f gate evals/change;  full pass: "
-              "%d;  speedup: %.1fx\n",
-              perChange, nl.gateCount(),
-              static_cast<double>(nl.gateCount()) / perChange);
-}
-
 void BM_FullPass(benchmark::State& state) {
   const gate::Netlist nl =
       gate::makeArrayMultiplier(static_cast<int>(state.range(0)));
-  gate::NetlistEvaluator eval(nl);
+  oracles::ScalarEvaluator eval(nl);
   Rng rng(1);
   Word in = Word::fromUint(nl.inputCount(), rng.next());
   for (auto _ : state) {
@@ -94,19 +77,23 @@ void BM_FullPass(benchmark::State& state) {
 }
 BENCHMARK(BM_FullPass)->Arg(8)->Arg(16)->Unit(benchmark::kMicrosecond);
 
-void BM_SelectiveTrace(benchmark::State& state) {
+void BM_PackedOneLane(benchmark::State& state) {
   const gate::Netlist nl =
       gate::makeArrayMultiplier(static_cast<int>(state.range(0)));
-  gate::IncrementalEvaluator inc(nl);
+  const gate::PackedEvaluator packed(nl);
+  std::vector<gate::LanePlanes> planes;
   Rng rng(1);
-  inc.setInputs(Word::fromUint(nl.inputCount(), rng.next()));
+  Word in = Word::fromUint(nl.inputCount(), rng.next());
+  Word out;
   for (auto _ : state) {
-    inc.setInput(static_cast<int>(rng.below(static_cast<std::uint64_t>(nl.inputCount()))),
-                 rng.chance(0.5) ? Logic::L1 : Logic::L0);
-    benchmark::DoNotOptimize(inc.outputs());
+    in.setBit(static_cast<int>(rng.below(static_cast<std::uint64_t>(nl.inputCount()))),
+              rng.chance(0.5) ? Logic::L1 : Logic::L0);
+    packed.evalOutputs(std::span<const Word>(&in, 1), std::span<Word>(&out, 1),
+                       planes);
+    benchmark::DoNotOptimize(out);
   }
 }
-BENCHMARK(BM_SelectiveTrace)->Arg(8)->Arg(16)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PackedOneLane)->Arg(8)->Arg(16)->Unit(benchmark::kMicrosecond);
 
 void BM_Atpg(benchmark::State& state) {
   const gate::Netlist nl =
@@ -126,7 +113,6 @@ int main(int argc, char** argv) {
   std::printf("\nATPG and fast-simulation ablations\n");
   vcad::bench::atpgCurve();
   vcad::bench::compactionAblation();
-  vcad::bench::selectiveTrace();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

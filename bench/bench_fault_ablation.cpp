@@ -144,7 +144,7 @@ void collapsingAblation() {
     const auto eq = fault::collapseEquivalent(nl, universe);
     const auto dom = fault::collapseDominance(nl, eq);
     // Average detection-table row count over all input configurations.
-    gate::NetlistEvaluator ev(nl);
+    oracles::ScalarEvaluator ev(nl);
     double rows = 0;
     const int configs = 1 << nl.inputCount();
     for (int v = 0; v < configs; ++v) {
@@ -564,7 +564,7 @@ int cacheSweep(int argc, char** argv) {
 
 void BM_DetectionTable(benchmark::State& state) {
   const auto nl = gate::makeArrayMultiplier(static_cast<int>(state.range(0)));
-  gate::NetlistEvaluator ev(nl);
+  oracles::ScalarEvaluator ev(nl);
   const auto collapsed = fault::collapseAll(nl, true, false, false);
   Rng rng(3);
   for (auto _ : state) {

@@ -1,8 +1,9 @@
 // Packed-vs-scalar evaluation bench: measures the bit-parallel engine's
-// throughput (patterns/sec) against the scalar NetlistEvaluator on the
-// paper's circuits, the end-to-end serial fault-campaign speedup, and the
-// provider's detection-table traffic shape (one configuration per table,
-// reported in the same columns as tables/sec).
+// throughput (patterns/sec) against the scalar oracle evaluator
+// (oracles::ScalarEvaluator, tests/oracles) on the paper's circuits, the
+// end-to-end serial fault-campaign speedup, and the provider's
+// detection-table traffic shape (one configuration per table, reported in
+// the same columns as tables/sec).
 //
 // Usage:
 //   bench_packed_eval [--quick] [--json PATH]
@@ -74,7 +75,7 @@ Measurement evalThroughput(const std::string& name, const gate::Netlist& nl,
   m.patterns = nPatterns;
   const auto patterns = randomPatterns(nl.inputCount(), nPatterns, 0xbe1c4);
 
-  const gate::NetlistEvaluator eval(nl);
+  const oracles::ScalarEvaluator eval(nl);
   std::vector<Logic> scratch;
   int sinkAcc = 0;
   volatile int sink = 0;
@@ -144,7 +145,7 @@ Measurement tableThroughput(const std::string& name, const gate::Netlist& nl,
   const auto configs = randomPatterns(nl.inputCount(), nTables, 0xbe1c6);
   const fault::CollapsedFaults collapsed = fault::collapseAll(nl);
 
-  const gate::NetlistEvaluator eval(nl);
+  const oracles::ScalarEvaluator eval(nl);
   std::vector<fault::DetectionTable> scalar;
   std::vector<cache::Value> packedTables;
   const double scalarSec = secondsOf([&] {

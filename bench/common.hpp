@@ -135,10 +135,13 @@ class Figure2Run {
   /// `serverWorkFactor` calibrates per-call provider compute to the
   /// paper's heavyweight (JVM + Verilog-XL) server, so the compute/
   /// communication ratio is era-faithful even though our netlist evaluator
-  /// is orders of magnitude faster.
+  /// is orders of magnitude faster. It is 300 one-lane packed passes of the
+  /// 16-bit multiplier, the server time 150 scalar passes took (the packed
+  /// pass is about 2x faster); with less server time the shared-host MR
+  /// row stops being slower than the LAN one.
   Figure2Run(Scenario scenario, net::NetworkProfile profile,
              std::size_t nPatterns, std::size_t bufferCapacity,
-             bool stubPowerCompute = true, int serverWorkFactor = 150)
+             bool stubPowerCompute = true, int serverWorkFactor = 300)
       : scenario_(scenario) {
     server_ = std::make_unique<ip::ProviderServer>("provider.host", nullptr);
     server_->setComputeScale(serverWorkFactor);

@@ -41,7 +41,8 @@ LinearPowerModel fitLinearPowerModel(const gate::Netlist& netlist,
   // Per-transition samples: x = input toggles, y = power of that transition.
   // Energies come from the packed bit-parallel engine, 64 patterns per pass.
   const std::vector<double> energiesPj =
-      gate::transitionEnergiesPj(netlist, trainingPatterns, tech);
+      gate::transitionEnergiesPj(gate::PackedEvaluator(netlist),
+                                 trainingPatterns, tech);
   double sx = 0, sy = 0, sxx = 0, sxy = 0;
   std::size_t n = 0;
   for (std::size_t i = 1; i < trainingPatterns.size(); ++i) {
@@ -71,7 +72,8 @@ LinearPowerModel fitLinearPowerModel(const gate::Netlist& netlist,
 double characterizeAveragePowerMw(const gate::Netlist& netlist,
                                   const std::vector<Word>& trainingPatterns,
                                   const gate::TechParams& tech) {
-  return gate::gateLevelPower(netlist, trainingPatterns, tech).avgPowerMw;
+  const gate::PackedEvaluator packed(netlist);
+  return gate::gateLevelPower(packed, trainingPatterns, tech).avgPowerMw;
 }
 
 double predictLinearPowerMw(const LinearPowerModel& model,
@@ -106,6 +108,7 @@ GateLevelPowerEstimator::GateLevelPowerEstimator(
     : Estimator(EstimatorInfo{"gate-level-toggle", 10.0, costPerPatternCents,
                               1e-4, remote, remote}),
       netlist_(std::move(netlist)),
+      packed_(*netlist_),
       tech_(tech) {}
 
 std::unique_ptr<ParamValue> GateLevelPowerEstimator::estimate(
@@ -114,7 +117,7 @@ std::unique_ptr<ParamValue> GateLevelPowerEstimator::estimate(
   if (history == nullptr || history->size() < 2) {
     return std::make_unique<NullValue>();
   }
-  const gate::PowerResult res = gate::gateLevelPower(*netlist_, *history, tech_);
+  const gate::PowerResult res = gate::gateLevelPower(packed_, *history, tech_);
   return std::make_unique<ScalarValue>(res.avgPowerMw, "mW");
 }
 
@@ -126,6 +129,7 @@ GateLevelPeakPowerEstimator::GateLevelPeakPowerEstimator(
     : Estimator(EstimatorInfo{"gate-level-peak", 10.0, 0.1, 1e-4, remote,
                               remote}),
       netlist_(std::move(netlist)),
+      packed_(*netlist_),
       tech_(tech) {}
 
 std::unique_ptr<ParamValue> GateLevelPeakPowerEstimator::estimate(
@@ -134,7 +138,7 @@ std::unique_ptr<ParamValue> GateLevelPeakPowerEstimator::estimate(
   if (history == nullptr || history->size() < 2) {
     return std::make_unique<NullValue>();
   }
-  const gate::PowerResult res = gate::gateLevelPower(*netlist_, *history, tech_);
+  const gate::PowerResult res = gate::gateLevelPower(packed_, *history, tech_);
   return std::make_unique<ScalarValue>(res.peakPowerMw, "mW");
 }
 

@@ -90,6 +90,7 @@ class GateLevelPowerEstimator final : public Estimator {
 
  private:
   std::shared_ptr<const gate::Netlist> netlist_;
+  gate::PackedEvaluator packed_;  // compiled once, swept per estimate
   gate::TechParams tech_;
 };
 
@@ -103,6 +104,7 @@ class GateLevelPeakPowerEstimator final : public Estimator {
 
  private:
   std::shared_ptr<const gate::Netlist> netlist_;
+  gate::PackedEvaluator packed_;  // compiled once, swept per estimate
   gate::TechParams tech_;
 };
 

@@ -10,7 +10,8 @@ LocalSeqFaultBlock::LocalSeqFaultBlock(const gate::SeqNetlist& seq,
       collapsed_(collapseAll(seq.comb(), dominance,
                              /*includePrimaryInputs=*/false,
                              /*includePrimaryOutputNets=*/false)),
-      good_(seq) {
+      engine_(std::make_shared<const gate::PackedEvaluator>(seq.comb())),
+      good_(seq, engine_) {
   for (const StuckFault& f : collapsed_.representatives) {
     faultOf_[symbolOf(seq.comb(), f)] = f;
   }
@@ -33,7 +34,9 @@ gate::SeqEvaluator& LocalSeqFaultBlock::shadowFor(const std::string& symbol) {
     if (fit == faultOf_.end()) {
       throw std::invalid_argument("unknown fault symbol: " + symbol);
     }
-    it = shadows_.emplace(symbol, gate::SeqEvaluator(seq_, fit->second)).first;
+    it = shadows_
+             .emplace(symbol, gate::SeqEvaluator(seq_, engine_, fit->second))
+             .first;
   }
   return it->second;
 }

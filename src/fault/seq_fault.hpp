@@ -13,6 +13,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,8 @@ class LocalSeqFaultBlock final : public SeqFaultClient {
   const gate::SeqNetlist& seq_;
   CollapsedFaults collapsed_;
   std::map<std::string, StuckFault> faultOf_;
+  // One engine compiled from seq_'s core, shared by every machine below.
+  std::shared_ptr<const gate::PackedEvaluator> engine_;
   gate::SeqEvaluator good_;
   std::map<std::string, gate::SeqEvaluator> shadows_;
 };

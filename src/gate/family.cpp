@@ -215,7 +215,7 @@ SeqNetlist makeController(std::uint64_t seed, int stateBits, int inputBits,
 namespace {
 /// Per-scale shapes. Each +1 in scale roughly quadruples the gate count;
 /// primary-input counts stay <= 64 so every family point remains evaluable
-/// through the Word-based scalar/packed engines.
+/// through the Word-based packed engine (and the scalar test oracle).
 struct ConeShape {
   int inputs, gates, outputs;
 };

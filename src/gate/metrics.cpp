@@ -4,8 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "gate/packed_eval.hpp"
-
 namespace vcad::gate {
 
 double areaOf(const Netlist& nl, const TechParams& tech) {
@@ -82,10 +80,10 @@ namespace {
 /// derived powers match the scalar path bit for bit. `onTransition` receives
 /// (energy in fF*V^2, toggled-net count) per transition, in pattern order.
 template <typename Fn>
-void packedTransitionSweep(const Netlist& nl,
+void packedTransitionSweep(const PackedEvaluator& packed,
                            const std::vector<Word>& patterns,
                            const TechParams& tech, Fn onTransition) {
-  PackedEvaluator packed(nl);
+  const Netlist& nl = packed.netlist();
   const int nets = nl.netCount();
   std::vector<double> capfF(static_cast<size_t>(nets));
   for (NetId n = 0; n < nets; ++n) {
@@ -127,12 +125,13 @@ void packedTransitionSweep(const Netlist& nl,
 
 }  // namespace
 
-PowerResult gateLevelPower(const Netlist& nl, const std::vector<Word>& patterns,
+PowerResult gateLevelPower(const PackedEvaluator& packed,
+                           const std::vector<Word>& patterns,
                            const TechParams& tech) {
   PowerResult res;
   if (patterns.size() < 2) return res;
   packedTransitionSweep(
-      nl, patterns, tech,
+      packed, patterns, tech,
       [&](double energyfFV2, std::uint64_t togglesHere) {
         const double ePj = 0.5 * energyfFV2 * tech.vdd * tech.vdd * 1e-3;
         const double pMw = ePj * 1e-12 * tech.clockHz * 1e3;
@@ -145,13 +144,13 @@ PowerResult gateLevelPower(const Netlist& nl, const std::vector<Word>& patterns,
   return res;
 }
 
-std::vector<double> transitionEnergiesPj(const Netlist& nl,
+std::vector<double> transitionEnergiesPj(const PackedEvaluator& packed,
                                          const std::vector<Word>& patterns,
                                          const TechParams& tech) {
   std::vector<double> out;
   if (patterns.size() < 2) return out;
   out.reserve(patterns.size() - 1);
-  packedTransitionSweep(nl, patterns, tech,
+  packedTransitionSweep(packed, patterns, tech,
                         [&](double energyfFV2, std::uint64_t) {
                           out.push_back(0.5 * energyfFV2 * tech.vdd *
                                         tech.vdd * 1e-3);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "gate/netlist.hpp"
+#include "gate/packed_eval.hpp"
 
 namespace vcad::gate {
 
@@ -54,24 +55,26 @@ double transitionEnergyPj(const Netlist& nl, const std::vector<Logic>& prev,
 /// `patterns` are primary-input words; evaluation starts from patterns[0]
 /// (no energy charged for the first pattern).
 ///
-/// Evaluated on the packed bit-parallel engine, 64 patterns per pass; the
-/// per-net toggle counts come from popcounts over XOR-ed lane planes. The
-/// result is bit-identical (including floating point) to walking the scalar
-/// evaluator one pattern at a time and summing transitionEnergyPj.
+/// Evaluated on the caller's compiled packed engine (so repeated sweeps do
+/// not recompile the netlist), 64 patterns per pass; the per-net toggle
+/// counts come from XOR-ed lane planes. The result is bit-identical
+/// (including floating point) to walking a scalar evaluator one pattern at
+/// a time and summing transitionEnergyPj.
 struct PowerResult {
   double avgPowerMw = 0.0;
   double peakPowerMw = 0.0;      // max per-transition power
   std::uint64_t totalToggles = 0;
   std::uint64_t transitions = 0;
 };
-PowerResult gateLevelPower(const Netlist& nl, const std::vector<Word>& patterns,
+PowerResult gateLevelPower(const PackedEvaluator& packed,
+                           const std::vector<Word>& patterns,
                            const TechParams& tech = {});
 
 /// Per-transition switching energies (pJ) of a pattern sequence on the
-/// packed engine: energies[t] covers patterns[t] -> patterns[t+1].
+/// caller's packed engine: energies[t] covers patterns[t] -> patterns[t+1].
 /// Bit-identical to calling transitionEnergyPj on consecutive scalar
 /// snapshots.
-std::vector<double> transitionEnergiesPj(const Netlist& nl,
+std::vector<double> transitionEnergiesPj(const PackedEvaluator& packed,
                                          const std::vector<Word>& patterns,
                                          const TechParams& tech = {});
 

@@ -136,37 +136,4 @@ class Netlist {
   std::vector<NetId> outputs_;
 };
 
-/// Evaluates complete input-to-output passes over a netlist, optionally with
-/// one injected stuck-at fault. The evaluator precomputes the topological
-/// order once and is immutable afterwards, so it can be shared by threads.
-class NetlistEvaluator {
- public:
-  explicit NetlistEvaluator(const Netlist& nl);
-
-  const Netlist& netlist() const { return *nl_; }
-
-  /// Full evaluation. `inputs` bit i corresponds to primaryInputs()[i].
-  /// Returns the value of every net.
-  std::vector<Logic> evaluate(const Word& inputs,
-                              std::optional<StuckFault> fault = {}) const;
-
-  /// Allocation-friendly variant: writes every net value into `values`
-  /// (resized to netCount()). Reusing `values` across calls keeps steady-
-  /// state evaluation free of heap traffic — the path RMI-served single
-  /// evaluations take.
-  void evaluateInto(const Word& inputs, std::vector<Logic>& values,
-                    std::optional<StuckFault> fault = {}) const;
-
-  /// Extracts the primary-output word from a net-value vector.
-  Word outputsOf(const std::vector<Logic>& netValues) const;
-
-  /// Convenience: evaluate and return only the outputs.
-  Word evalOutputs(const Word& inputs,
-                   std::optional<StuckFault> fault = {}) const;
-
- private:
-  const Netlist* nl_;
-  std::vector<int> topo_;
-};
-
 }  // namespace vcad::gate

@@ -12,7 +12,7 @@ NetlistModule::NetlistModule(std::string name,
                              std::vector<PortGroup> outputs, TechParams tech)
     : Module(std::move(name)),
       netlist_(std::move(netlist)),
-      evaluator_(*netlist_),
+      packed_(*netlist_),
       tech_(tech),
       inGroups_(std::move(inputs)),
       outGroups_(std::move(outputs)) {
@@ -72,15 +72,23 @@ void NetlistModule::evaluate(std::size_t patterns, std::span<const Word> in,
                              std::span<Word> out) const {
   const std::size_t nIn = inGroups_.size();
   const std::size_t nOut = outGroups_.size();
+  // Per-thread scratch: const evaluate() may run on several schedulers'
+  // threads at once.
+  thread_local std::vector<Word> inputs;
+  thread_local std::vector<Word> outputs;
+  thread_local std::vector<LanePlanes> planes;
+  inputs.assign(patterns, Word(netlist_->inputCount()));
+  outputs.resize(patterns);
   for (std::size_t p = 0; p < patterns; ++p) {
-    Word inputs(netlist_->inputCount());
     for (size_t gi = 0; gi < nIn; ++gi) {
-      inputs.insert(inGroups_[gi].firstPin, in[p * nIn + gi]);
+      inputs[p].insert(inGroups_[gi].firstPin, in[p * nIn + gi]);
     }
-    const Word outs = evaluator_.evalOutputs(inputs);
+  }
+  packed_.evalOutputs(inputs, outputs, planes);
+  for (std::size_t p = 0; p < patterns; ++p) {
     for (size_t gi = 0; gi < nOut; ++gi) {
       out[p * nOut + gi] =
-          outs.slice(outGroups_[gi].firstPin, outGroups_[gi].width);
+          outputs[p].slice(outGroups_[gi].firstPin, outGroups_[gi].width);
     }
   }
 }
@@ -99,23 +107,23 @@ void NetlistModule::processSelfEvent(const SelfToken&, SimContext& ctx) {
   ++st.evaluations;
   if (recordPatterns_) st.history.push_back(inputs);
 
+  // One lane of the packed engine. The activity counters read every net
+  // from lane 0 into a one-byte-per-net snapshot; the previous snapshot's
+  // buffer becomes the next decode target.
+  thread_local std::vector<LanePlanes> planes;
+  thread_local std::vector<Logic> nets;
   Word outs;
-  if (evalMode_ == EvalMode::SelectiveTrace) {
-    // Event-driven fast path: no activity accounting.
-    if (!st.incremental) {
-      st.incremental = std::make_unique<IncrementalEvaluator>(*netlist_);
-    }
-    st.incremental->setInputs(inputs);
-    outs = st.incremental->outputs();
-  } else {
-    std::vector<Logic> nets = evaluator_.evaluate(inputs);
-    outs = evaluator_.outputsOf(nets);
-    if (st.hasPrev) {
-      st.toggles += toggles(st.prevNets, nets);
-      st.energyPj += transitionEnergyPj(*netlist_, st.prevNets, nets, tech_);
-    }
-    st.prevNets = std::move(nets);
+  packed_.evalOutputs(std::span<const Word>(&inputs, 1),
+                      std::span<Word>(&outs, 1), planes);
+  nets.resize(static_cast<std::size_t>(netlist_->netCount()));
+  for (NetId n = 0; n < netlist_->netCount(); ++n) {
+    nets[static_cast<std::size_t>(n)] = packed_.netValue(planes, n, 0);
   }
+  if (st.hasPrev) {
+    st.toggles += toggles(st.prevNets, nets);
+    st.energyPj += transitionEnergyPj(*netlist_, st.prevNets, nets, tech_);
+  }
+  st.prevNets.swap(nets);
   const bool changed = !st.hasPrev || outs != st.lastOutputs;
   st.lastOutputs = outs;
   st.hasPrev = true;

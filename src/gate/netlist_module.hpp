@@ -9,10 +9,12 @@
 // port per operand).
 //
 // On every input event the module re-evaluates the netlist with the current
-// input configuration and emits only the output groups whose value changed
-// (event-driven suppression). Per-scheduler state tracks the previous net
-// snapshot, toggle counts, switching energy, and (optionally) the input
-// pattern history used by dynamic power estimators.
+// input configuration on the packed engine (one lane) and emits only the
+// output groups whose value changed (event-driven suppression). Per-scheduler
+// state tracks the previous net snapshot (one byte per net, decoded from
+// lane 0), toggle counts, switching energy, and (optionally) the input
+// pattern history used by dynamic power estimators. Batched evaluate() runs
+// the same engine, up to 64 patterns per pass.
 #pragma once
 
 #include <memory>
@@ -20,22 +22,14 @@
 #include <vector>
 
 #include "core/module.hpp"
-#include "gate/incremental.hpp"
 #include "gate/metrics.hpp"
 #include "gate/netlist.hpp"
+#include "gate/packed_eval.hpp"
 
 namespace vcad::gate {
 
 class NetlistModule : public Module {
  public:
-  /// Evaluation strategy per activation:
-  ///  - FullPass: levelized full evaluation with exact activity accounting
-  ///    (toggle counts, switching energy) — the default, required when the
-  ///    module feeds power estimation.
-  ///  - SelectiveTrace: event-driven incremental evaluation; much less work
-  ///    per input change, but activity counters stay at zero (functional
-  ///    simulation mode).
-  enum class EvalMode { FullPass, SelectiveTrace };
   struct PortGroup {
     std::string name;
     Connector* conn = nullptr;
@@ -48,17 +42,11 @@ class NetlistModule : public Module {
                 TechParams tech = {});
 
   const Netlist& netlist() const { return *netlist_; }
-  const NetlistEvaluator& evaluator() const { return evaluator_; }
   const TechParams& tech() const { return tech_; }
 
   /// When enabled, each evaluated input configuration is appended to the
   /// per-scheduler pattern history (consumed by dynamic power estimators).
   void setRecordPatterns(bool on) { recordPatterns_ = on; }
-
-  /// Selects the evaluation strategy (see EvalMode). Affects schedulers
-  /// whose state is created after the call; set before simulating.
-  void setEvalMode(EvalMode mode) { evalMode_ = mode; }
-  EvalMode evalMode() const { return evalMode_; }
 
   /// Input events within one simulation instant are coalesced with a
   /// zero-delay self token, so simultaneous pin updates cause exactly one
@@ -66,12 +54,10 @@ class NetlistModule : public Module {
   void processInputEvent(const SignalToken& token, SimContext& ctx) override;
   void processSelfEvent(const SelfToken& token, SimContext& ctx) override;
 
-  /// Combinational while no pattern history is recorded and evaluation is
-  /// the stateless FullPass; evaluate() then runs the full evaluator, so
-  /// the levelized pass leaves the activity counters untouched.
-  bool combinational() const override {
-    return !recordPatterns_ && evalMode_ == EvalMode::FullPass;
-  }
+  /// Combinational while no pattern history is recorded; evaluate() then
+  /// runs the packed engine over the batch, so the levelized pass leaves
+  /// the activity counters untouched.
+  bool combinational() const override { return !recordPatterns_; }
   void evaluate(std::size_t patterns, std::span<const Word> in,
                 std::span<Word> out) const override;
 
@@ -95,16 +81,14 @@ class NetlistModule : public Module {
     std::uint64_t toggles = 0;
     double energyPj = 0.0;
     std::vector<Word> history;
-    std::unique_ptr<IncrementalEvaluator> incremental;
   };
 
   State& stateOf(const SimContext& ctx) { return state<State>(ctx); }
 
   std::shared_ptr<const Netlist> netlist_;
-  NetlistEvaluator evaluator_;
+  PackedEvaluator packed_;
   TechParams tech_;
   bool recordPatterns_ = false;
-  EvalMode evalMode_ = EvalMode::FullPass;
   std::vector<PortGroup> inGroups_;
   std::vector<PortGroup> outGroups_;
   std::vector<Port*> inPorts_;   // parallel to inGroups_

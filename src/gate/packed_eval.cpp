@@ -30,6 +30,44 @@ PackedEvaluator::PackedEvaluator(const Netlist& nl) : nl_(&nl) {
   }
 }
 
+namespace {
+
+/// Transposes `words` (word l = lane l) into one LanePlanes per primary
+/// input: bit i of word l lands in lane l of slot(i).
+template <typename Slot>
+void transpose(std::span<const Word> words, int nPi, Slot slot) {
+  for (std::size_t l = 0; l < words.size(); ++l) {
+    const Word& w = words[l];
+    if (w.width() != nPi) {
+      throw std::invalid_argument("PackedEvaluator: pattern width " +
+                                  std::to_string(w.width()) + " != PI count " +
+                                  std::to_string(nPi));
+    }
+    const std::uint64_t v = w.valuePlane();
+    const std::uint64_t k = w.knownPlane();
+    const std::uint64_t z = w.zPlane();
+    for (int i = 0; i < nPi; ++i) {
+      LanePlanes& p = slot(i);
+      p.val |= ((v >> i) & 1u) << l;
+      p.known |= ((k >> i) & 1u) << l;
+      p.z |= ((z >> i) & 1u) << l;
+    }
+  }
+}
+
+inline void force(LanePlanes& p, const PackedEvaluator::LaneForce& f) {
+  p.known |= f.lanes;
+  p.val = (p.val & ~f.lanes) | (f.ones & f.lanes);
+  p.z &= ~f.lanes;
+}
+
+/// One stuck-at fault on every lane.
+PackedEvaluator::LaneForce allLanes(const StuckFault& fault) {
+  return {fault.net, ~0ULL, fault.stuck == Logic::L1 ? ~0ULL : 0ULL};
+}
+
+}  // namespace
+
 PackedEvaluator::InputBlock PackedEvaluator::pack(
     std::span<const Word> patterns, std::size_t begin,
     std::size_t lanes) const {
@@ -39,39 +77,46 @@ PackedEvaluator::InputBlock PackedEvaluator::pack(
   if (begin + lanes > patterns.size()) {
     throw std::out_of_range("PackedEvaluator::pack: pattern range");
   }
-  const int nPi = nl_->inputCount();
   InputBlock block;
-  block.pi.assign(static_cast<std::size_t>(nPi), LanePlanes{});
+  block.pi.assign(static_cast<std::size_t>(nl_->inputCount()), LanePlanes{});
   block.lanes = static_cast<int>(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    const Word& w = patterns[begin + l];
-    if (w.width() != nPi) {
-      throw std::invalid_argument("PackedEvaluator::pack: pattern width " +
-                                  std::to_string(w.width()) + " != PI count " +
-                                  std::to_string(nPi));
-    }
-    const std::uint64_t v = w.valuePlane();
-    const std::uint64_t k = w.knownPlane();
-    const std::uint64_t z = w.zPlane();
-    for (int i = 0; i < nPi; ++i) {
-      LanePlanes& p = block.pi[static_cast<std::size_t>(i)];
-      p.val |= ((v >> i) & 1u) << l;
-      p.known |= ((k >> i) & 1u) << l;
-      p.z |= ((z >> i) & 1u) << l;
-    }
-  }
+  transpose(patterns.subspan(begin, lanes), nl_->inputCount(),
+            [&](int i) -> LanePlanes& {
+              return block.pi[static_cast<std::size_t>(i)];
+            });
   return block;
 }
 
-namespace {
-
-inline void force(LanePlanes& p, const PackedEvaluator::LaneForce& f) {
-  p.known |= f.lanes;
-  p.val = (p.val & ~f.lanes) | (f.ones & f.lanes);
-  p.z &= ~f.lanes;
+void PackedEvaluator::evalOutputs(std::span<const Word> inputs,
+                                  std::span<Word> outputs,
+                                  std::vector<LanePlanes>& planes,
+                                  const StuckFault* fault) const {
+  if (outputs.size() != inputs.size()) {
+    throw std::invalid_argument(
+        "PackedEvaluator::evalOutputs: output count != input count");
+  }
+  LaneForce all;
+  std::span<const LaneForce> forces;
+  if (fault != nullptr) {
+    all = allLanes(*fault);
+    forces = std::span<const LaneForce>(&all, 1);
+  }
+  const auto& pis = nl_->primaryInputs();
+  for (std::size_t base = 0; base < inputs.size(); base += kLanes) {
+    const std::size_t lanes =
+        std::min<std::size_t>(kLanes, inputs.size() - base);
+    planes.assign(static_cast<std::size_t>(nl_->netCount()), LanePlanes{});
+    transpose(inputs.subspan(base, lanes), nl_->inputCount(),
+              [&](int i) -> LanePlanes& {
+                return planes[static_cast<std::size_t>(
+                    pis[static_cast<std::size_t>(i)])];
+              });
+    run(planes, 0, forces);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      outputs[base + l] = outputsOf(planes, static_cast<int>(l));
+    }
+  }
 }
-
-}  // namespace
 
 void PackedEvaluator::evaluate(const InputBlock& in,
                                std::vector<LanePlanes>& planes,
@@ -80,8 +125,7 @@ void PackedEvaluator::evaluate(const InputBlock& in,
     evaluate(in, planes, std::span<const LaneForce>{});
     return;
   }
-  const LaneForce all{fault->net, ~0ULL,
-                      fault->stuck == Logic::L1 ? ~0ULL : 0ULL};
+  const LaneForce all = allLanes(*fault);
   evaluate(in, planes, std::span<const LaneForce>(&all, 1));
 }
 

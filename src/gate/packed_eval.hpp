@@ -16,10 +16,17 @@
 // Stuck-at injection is a per-lane force list: each entry forces a subset of
 // one net's lanes to 0 or 1 right after the net's driver evaluates (or at
 // input load for a primary-input net). A pass whose lane k carries fault k
-// decodes, lane for lane, to the scalar NetlistEvaluator::evaluate with that
-// fault; the single-fault evaluate() is the one-entry, all-lanes case of the
-// same gate loop. reevaluate() starts from a fault-free evaluation and
-// re-runs only the gates from the first one a force can reach.
+// decodes, lane for lane, to the scalar 4-valued evaluation with that fault
+// (the differential tests hold it to oracles::ScalarEvaluator in
+// tests/oracles); the single-fault evaluate() is the one-entry, all-lanes
+// case of the same gate loop. reevaluate() starts from a fault-free
+// evaluation and re-runs only the gates from the first one a force can
+// reach.
+//
+// evalOutputs() is the engine's words-in, output-words-out entry point, and
+// the library's only combinational evaluator: batched golden runs, the
+// event-driven NetlistModule (one lane), the provider's accurate evaluation
+// and the sequential shadow machines all call it.
 //
 // Two-plane forms (per lane; one = known & val, zero = known & ~val):
 //   AND : one = AND over inputs' one;  zero = OR  over inputs' zero
@@ -69,6 +76,17 @@ class PackedEvaluator {
   InputBlock pack(std::span<const Word> patterns, std::size_t begin,
                   std::size_t lanes) const;
 
+  /// Words in, output words out: evaluates inputs[i] (one primary-input
+  /// word each) and writes its primary-output word to outputs[i], up to
+  /// kLanes patterns per pass, with `fault` (when given) on every lane.
+  /// `planes` is the caller's buffer, reused across calls; on return it
+  /// holds every net of the last pass, whose first pattern sits in lane 0
+  /// (a one-word call leaves that word's net values in lane 0). Throws
+  /// std::invalid_argument when the spans' sizes or a word's width differ.
+  void evalOutputs(std::span<const Word> inputs, std::span<Word> outputs,
+                   std::vector<LanePlanes>& planes,
+                   const StuckFault* fault = nullptr) const;
+
   /// Stuck-at forces on one net: the lanes in `lanes` are forced, to 1 where
   /// `ones` is set and to 0 elsewhere.
   struct LaneForce {
@@ -102,8 +120,8 @@ class PackedEvaluator {
     return driverPos_[static_cast<std::size_t>(net)];
   }
 
-  /// Decodes one lane of one net (the packed analogue of the scalar
-  /// evaluator's net-value vector entry).
+  /// Decodes one lane of one net (one entry of that lane's scalar net-value
+  /// vector).
   Logic netValue(const std::vector<LanePlanes>& planes, NetId net,
                  int lane) const;
 

@@ -36,7 +36,21 @@ std::pair<Word, Word> SeqNetlist::splitOutputs(const Word& combOutputs) const {
 
 SeqEvaluator::SeqEvaluator(const SeqNetlist& seq,
                            std::optional<StuckFault> fault)
-    : seq_(&seq), eval_(seq.comb()), fault_(fault), state_(seq.resetState()) {}
+    : SeqEvaluator(seq, std::make_shared<const PackedEvaluator>(seq.comb()),
+                   fault) {}
+
+SeqEvaluator::SeqEvaluator(const SeqNetlist& seq,
+                           std::shared_ptr<const PackedEvaluator> engine,
+                           std::optional<StuckFault> fault)
+    : seq_(&seq),
+      engine_(std::move(engine)),
+      fault_(fault),
+      state_(seq.resetState()) {
+  if (engine_ == nullptr || &engine_->netlist() != &seq.comb()) {
+    throw std::invalid_argument(
+        "SeqEvaluator: engine not compiled from this machine's core");
+  }
+}
 
 void SeqEvaluator::reset() { state_ = seq_->resetState(); }
 
@@ -48,8 +62,12 @@ void SeqEvaluator::setState(Word state) {
 }
 
 Word SeqEvaluator::step(const Word& inputs) {
-  const Word combOut =
-      eval_.evalOutputs(seq_->packInputs(state_, inputs), fault_);
+  thread_local std::vector<LanePlanes> planes;
+  const Word combIn = seq_->packInputs(state_, inputs);
+  Word combOut;
+  engine_->evalOutputs(std::span<const Word>(&combIn, 1),
+                       std::span<Word>(&combOut, 1), planes,
+                       fault_ ? &*fault_ : nullptr);
   auto [nextState, outputs] = seq_->splitOutputs(combOut);
   state_ = std::move(nextState);
   return outputs;

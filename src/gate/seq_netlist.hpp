@@ -9,8 +9,12 @@
 // real inputs and outputs.
 #pragma once
 
+#include <memory>
+#include <optional>
+
 #include "core/rng.hpp"
 #include "gate/netlist.hpp"
+#include "gate/packed_eval.hpp"
 
 namespace vcad::gate {
 
@@ -39,11 +43,21 @@ class SeqNetlist {
 /// Steps a sequential machine, optionally with a persistent stuck-at fault
 /// in the combinational core (the standard sequential fault model: the
 /// fault is present on every cycle and corrupts both outputs and next
-/// state).
+/// state). Each step is one lane of the packed engine compiled from
+/// seq.comb(); `seq` must outlive the evaluator.
 class SeqEvaluator {
  public:
+  /// Compiles its own engine.
   explicit SeqEvaluator(const SeqNetlist& seq,
                         std::optional<StuckFault> fault = {});
+
+  /// Shares `engine`, which must be compiled from this very `seq`'s core
+  /// (throws std::invalid_argument otherwise, so an engine never points
+  /// into a different, possibly shorter-lived, copy of the machine). The
+  /// shadow machines of one fault block share one engine this way.
+  SeqEvaluator(const SeqNetlist& seq,
+               std::shared_ptr<const PackedEvaluator> engine,
+               std::optional<StuckFault> fault = {});
 
   const Word& state() const { return state_; }
   void reset();
@@ -58,7 +72,7 @@ class SeqEvaluator {
 
  private:
   const SeqNetlist* seq_;
-  NetlistEvaluator eval_;
+  std::shared_ptr<const PackedEvaluator> engine_;
   std::optional<StuckFault> fault_;
   Word state_;
 };

@@ -6,7 +6,6 @@ PrivateComponent::PrivateComponent(std::shared_ptr<const gate::Netlist> netlist,
                                    gate::TechParams tech, bool dominance,
                                    int computeScale)
     : netlist_(std::move(netlist)),
-      evaluator_(*netlist_),
       packed_(*netlist_),
       tech_(tech),
       collapsed_(fault::collapseAll(*netlist_, dominance,
@@ -20,13 +19,15 @@ Word PrivateComponent::eval(const Word& inputs) {
     history_.push_back(inputs);
     ++evalCount_;
   }
-  std::vector<Logic> values;  // scratch reused across the calibration loop
-  evaluator_.evaluateInto(inputs, values);
-  Word out = evaluator_.outputsOf(values);
-  for (int i = 1; i < computeScale_; ++i) {
-    // Calibrated extra work standing in for a heavyweight backend.
-    evaluator_.evaluateInto(inputs, values);
-    out = evaluator_.outputsOf(values);
+  // Per-thread scratch, reused across calls and the calibration loop:
+  // provider workers may evaluate concurrently.
+  thread_local std::vector<gate::LanePlanes> planes;
+  Word out;
+  for (int i = 0; i < computeScale_; ++i) {
+    // Repeats past the first are calibrated extra work standing in for a
+    // heavyweight backend.
+    packed_.evalOutputs(std::span<const Word>(&inputs, 1),
+                        std::span<Word>(&out, 1), planes);
   }
   return out;
 }
@@ -35,7 +36,7 @@ double PrivateComponent::powerMw(const std::vector<Word>& patterns,
                                  std::size_t& billedPatterns) {
   if (!patterns.empty()) {
     billedPatterns = patterns.size();
-    return gate::gateLevelPower(*netlist_, patterns, tech_).avgPowerMw;
+    return gate::gateLevelPower(packed_, patterns, tech_).avgPowerMw;
   }
   std::vector<Word> recorded;
   {
@@ -43,7 +44,7 @@ double PrivateComponent::powerMw(const std::vector<Word>& patterns,
     recorded = history_;
   }
   billedPatterns = recorded.size();
-  return gate::gateLevelPower(*netlist_, recorded, tech_).avgPowerMw;
+  return gate::gateLevelPower(packed_, recorded, tech_).avgPowerMw;
 }
 
 double PrivateComponent::timingNs() const {

@@ -28,8 +28,9 @@ class PrivateComponent {
   int inputWidth() const { return netlist_->inputCount(); }
   int outputWidth() const { return netlist_->outputCount(); }
 
-  /// Accurate functional evaluation; records the input in the server-side
-  /// pattern history (the paper's "buffers the patterns remotely" MR case).
+  /// Accurate functional evaluation (one lane of the packed engine); records
+  /// the input in the server-side pattern history (the paper's "buffers the
+  /// patterns remotely" MR case).
   Word eval(const Word& inputs);
 
   /// Gate-level toggle-count average power over `patterns`; with an empty
@@ -55,8 +56,7 @@ class PrivateComponent {
 
  private:
   std::shared_ptr<const gate::Netlist> netlist_;
-  gate::NetlistEvaluator evaluator_;
-  gate::PackedEvaluator packed_;
+  gate::PackedEvaluator packed_;  // every evaluation, power sweep and table
   gate::TechParams tech_;
   fault::CollapsedFaults collapsed_;
   int computeScale_;

@@ -244,7 +244,7 @@ TEST(MatrixPublicPart, PackedBatchesEqualTheScalarEvaluator) {
     Rng rng(0x5CA1A);
     for (std::size_t b = 0; b < d.blocks.size(); ++b) {
       const gate::Netlist& nl = *d.blocks[b];
-      const gate::NetlistEvaluator scalar(nl);
+      const oracles::ScalarEvaluator scalar(nl);
       const ip::PublicPart pub =
           source.downloadPublicPart("BLK" + std::to_string(b), 1);
       ASSERT_TRUE(pub.hasFunctional());

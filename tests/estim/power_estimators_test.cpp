@@ -42,7 +42,8 @@ TEST(LinearModel, PredictionTracksGateLevelWithinAdvertisedError) {
   // of the gate-level value for random stimulus (it is a crude model; the
   // paper quotes 20% average error for its regression estimator).
   const auto test = randomPatterns(16, 200, 77);
-  const double golden = gate::gateLevelPower(nl, test).avgPowerMw;
+  const double golden =
+      gate::gateLevelPower(gate::PackedEvaluator(nl), test).avgPowerMw;
   const double predicted = predictLinearPowerMw(model, test);
   EXPECT_GT(golden, 0.0);
   EXPECT_LT(std::abs(predicted - golden) / golden, 0.35);
@@ -85,7 +86,8 @@ TEST(GateLevelEstimator, MatchesDirectComputation) {
   const auto patterns = randomPatterns(12, 50, 3);
   EstimationContext ctx;
   ctx.patternHistory = &patterns;
-  const double direct = gate::gateLevelPower(*nl, patterns).avgPowerMw;
+  const double direct =
+      gate::gateLevelPower(gate::PackedEvaluator(*nl), patterns).avgPowerMw;
   EXPECT_DOUBLE_EQ(est.estimate(ctx)->asDouble(), direct);
 }
 
@@ -118,7 +120,8 @@ TEST(Table1Ordering, AccuracyRanksGateLevelBestConstantWorst) {
   for (int i = 0; i < 200; ++i) {
     workload.push_back(Word::fromUint(16, rng.chance(0.15) ? rng.next() : 0));
   }
-  const double golden = gate::gateLevelPower(nl, workload).avgPowerMw;
+  const double golden =
+      gate::gateLevelPower(gate::PackedEvaluator(nl), workload).avgPowerMw;
   const double errConstant = std::abs(constant - golden) / golden;
   const double errLinear =
       std::abs(predictLinearPowerMw(lin, workload) - golden) / golden;

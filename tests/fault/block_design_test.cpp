@@ -4,12 +4,13 @@
 
 #include "core/sim_controller.hpp"
 #include "gate/generators.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::fault {
 namespace {
 
 using gate::Netlist;
-using gate::NetlistEvaluator;
+using oracles::ScalarEvaluator;
 
 std::shared_ptr<const Netlist> share(Netlist nl) {
   return std::make_shared<const Netlist>(std::move(nl));
@@ -68,7 +69,7 @@ TEST(BlockDesign, FlattenPreservesBehaviour) {
   const Netlist flat = d.flatten();
   EXPECT_EQ(flat.inputCount(), 3);
   EXPECT_EQ(flat.outputCount(), 3);
-  NetlistEvaluator ev(flat);
+  ScalarEvaluator ev(flat);
   for (unsigned v = 0; v < 8; ++v) {
     const unsigned a = v & 1, b = (v >> 1) & 1, c = (v >> 2) & 1;
     const Word out = ev.evalOutputs(Word::fromUint(3, v));
@@ -90,7 +91,7 @@ TEST(BlockDesign, FlattenPrefixesInternalNetNames) {
 TEST(BlockDesign, InstantiationMatchesFlattenedNetlist) {
   const BlockDesign d = makeTwoBlockDesign();
   const Netlist flat = d.flatten();
-  NetlistEvaluator ev(flat);
+  ScalarEvaluator ev(flat);
   auto inst = d.instantiate();
   ASSERT_EQ(inst.piConns.size(), 3u);
   ASSERT_EQ(inst.poConns.size(), 3u);
@@ -150,7 +151,7 @@ TEST_P(RandomBlockDesigns, FlattenAndInstantiateAgree) {
   d.markPrimaryOutput(0, 0);
 
   const Netlist flat = d.flatten();
-  NetlistEvaluator ev(flat);
+  ScalarEvaluator ev(flat);
   auto inst = d.instantiate();
 
   for (int iter = 0; iter < 10; ++iter) {

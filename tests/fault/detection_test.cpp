@@ -22,7 +22,7 @@ class Ip1Detection : public ::testing::Test {
         collapsed_(collapseAll(nl_, /*dominance=*/true, false, false)) {}
 
   Netlist nl_;
-  gate::NetlistEvaluator eval_;
+  oracles::ScalarEvaluator eval_;
   CollapsedFaults collapsed_;
 };
 
@@ -114,7 +114,7 @@ TEST_F(Ip1Detection, IsAParamValue) {
 
 TEST(DetectionTable, ExcitedFaultCountOnMultiplier) {
   const Netlist nl = gate::makeArrayMultiplier(3);
-  gate::NetlistEvaluator eval(nl);
+  oracles::ScalarEvaluator eval(nl);
   const auto collapsed = collapseAll(nl, true, false, false);
   const DetectionTable t = oracles::buildDetectionTable(
       eval, collapsed, Word::fromUint(6, 0b101011));

@@ -14,7 +14,7 @@ TEST(Dictionary, MatchesDynamicTablesExactly) {
   const gate::Netlist ip1 = gate::makeIp1HalfAdder();
   const auto collapsed = collapseAll(ip1, true, false, false);
   const auto dict = FaultDictionary::build(ip1, collapsed);
-  gate::NetlistEvaluator eval(ip1);
+  oracles::ScalarEvaluator eval(ip1);
   ASSERT_EQ(dict.tableCount(), 4u);
   for (unsigned v = 0; v < 4; ++v) {
     const Word in = Word::fromUint(2, v);

@@ -89,7 +89,7 @@ TEST(PackedDetectionTables, BatchMatchesScalarBuilderPerConfig) {
     Rng gen(rng.next());
     const Netlist nl = gate::makeRandomNetlist(
         gen, 4 + static_cast<int>(rng.below(4)), 25, 2);
-    const gate::NetlistEvaluator eval(nl);
+    const oracles::ScalarEvaluator eval(nl);
     const gate::PackedEvaluator packed(nl);
     const CollapsedFaults collapsed = collapseAll(nl);
     // More than one block, with X/Z-carrying configurations mixed in.
@@ -118,7 +118,7 @@ TEST(PackedDictionary, BuildMatchesScalarTablePerConfiguration) {
   // second one.
   Rng gen(0x5eed04);
   const Netlist nl = gate::makeRandomNetlist(gen, 7, 30, 2);
-  const gate::NetlistEvaluator eval(nl);
+  const oracles::ScalarEvaluator eval(nl);
   const CollapsedFaults collapsed =
       collapseAll(nl, true, /*includePrimaryInputs=*/false,
                   /*includePrimaryOutputNets=*/false);
@@ -140,7 +140,7 @@ TEST(PackedDictionary, BuildMatchesScalarTablePerConfiguration) {
 AtpgResult scalarGenerateTests(const Netlist& netlist,
                                const AtpgOptions& options) {
   const CollapsedFaults collapsed = collapseAll(netlist);
-  gate::NetlistEvaluator eval(netlist);
+  oracles::ScalarEvaluator eval(netlist);
   Rng rng(options.seed);
 
   AtpgResult res;

@@ -53,7 +53,7 @@ std::vector<std::uint8_t> bytesOf(const DetectionTable& t) {
 void expectMatchesScalar(const Netlist& nl, const CollapsedFaults& collapsed,
                          const std::vector<Word>& inputs,
                          const std::string& label) {
-  const gate::NetlistEvaluator eval(nl);
+  const oracles::ScalarEvaluator eval(nl);
   const gate::PackedEvaluator packed(nl);
   const auto bytes = buildSerializedTables(packed, collapsed, inputs);
   const auto tables = buildDetectionTables(packed, collapsed, inputs);
@@ -201,7 +201,7 @@ TEST(FaultParallelTables, LocalFaultBlockBytesAreTheScalarOraclesTables) {
                                                   {"b", &cb, kW, kW}},
       std::vector<gate::NetlistModule::PortGroup>{{"p", &co, 0, 2 * kW}});
   LocalFaultBlock block(mod);
-  const gate::NetlistEvaluator eval(*nl);
+  const oracles::ScalarEvaluator eval(*nl);
   Rng rng(24);
   for (const std::size_t n : {std::size_t{1}, std::size_t{9}}) {
     const std::vector<Word> inputs = randomConfigs(rng, 2 * kW, n, 10);
@@ -253,7 +253,7 @@ TEST(FaultParallelTables, DictionaryOverBlockWithFewFaults) {
   const Netlist nl = gate::makeRandomNetlist(rng, 7, 12, 2);
   const CollapsedFaults collapsed = collapseAll(nl);
   ASSERT_LT(collapsed.size(), 64u);
-  const gate::NetlistEvaluator eval(nl);
+  const oracles::ScalarEvaluator eval(nl);
   const FaultDictionary dict = FaultDictionary::build(nl, collapsed);
   ASSERT_EQ(dict.tableCount(), 128u);
   for (std::uint64_t v = 0; v < 128; ++v) {

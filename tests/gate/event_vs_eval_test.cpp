@@ -1,6 +1,6 @@
 // Cross-validation property: the event-driven backplane realization of a
 // netlist (NetlistModule fed by injected events) must compute exactly the
-// same outputs as the direct levelized evaluator, for random netlists and
+// same outputs as the scalar oracle evaluator, for random netlists and
 // random stimulus — including repeated and partially-overlapping updates.
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include "core/sim_controller.hpp"
 #include "gate/generators.hpp"
 #include "gate/netlist_module.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::gate {
 namespace {
@@ -20,7 +21,7 @@ TEST_P(EventVsEval, RandomNetlistsAgree) {
   const int nOut = 1 + static_cast<int>(rng.below(4));
   const int nGates = 10 + static_cast<int>(rng.below(40));
   auto nl = std::make_shared<Netlist>(makeRandomNetlist(rng, nIn, nGates, nOut));
-  NetlistEvaluator eval(*nl);
+  oracles::ScalarEvaluator eval(*nl);
 
   Circuit top("top");
   std::vector<Connector*> ins, outs;
@@ -50,50 +51,6 @@ TEST_P(EventVsEval, RandomNetlistsAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventVsEval, ::testing::Range(1, 11));
-
-class SelectiveTraceMode : public ::testing::TestWithParam<int> {};
-
-TEST_P(SelectiveTraceMode, MatchesFullPassThroughTheBackplane) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 69621);
-  const int nIn = 3 + static_cast<int>(rng.below(5));
-  const int nOut = 1 + static_cast<int>(rng.below(3));
-  auto nl = std::make_shared<Netlist>(
-      makeRandomNetlist(rng, nIn, 15 + static_cast<int>(rng.below(35)), nOut));
-
-  // Two module instances over the same netlist, one per mode.
-  Circuit top("top");
-  std::vector<Connector*> insA, outsA, insB, outsB;
-  for (int i = 0; i < nIn; ++i) {
-    insA.push_back(&top.makeBit());
-    insB.push_back(&top.makeBit());
-  }
-  for (int i = 0; i < nOut; ++i) {
-    outsA.push_back(&top.makeBit());
-    outsB.push_back(&top.makeBit());
-  }
-  auto& full = static_cast<NetlistModule&>(
-      top.adopt(makeBitLevelModule("full", nl, insA, outsA)));
-  auto& fast = static_cast<NetlistModule&>(
-      top.adopt(makeBitLevelModule("fast", nl, insB, outsB)));
-  fast.setEvalMode(NetlistModule::EvalMode::SelectiveTrace);
-  (void)full;
-
-  SimulationController sim(top);
-  for (int step = 0; step < 30; ++step) {
-    const int bit = static_cast<int>(rng.below(static_cast<std::uint64_t>(nIn)));
-    const Logic v = rng.chance(0.5) ? Logic::L1 : Logic::L0;
-    sim.inject(*insA[static_cast<size_t>(bit)], Word::fromLogic(v));
-    sim.inject(*insB[static_cast<size_t>(bit)], Word::fromLogic(v));
-    sim.start();
-    for (int j = 0; j < nOut; ++j) {
-      EXPECT_EQ(outsA[static_cast<size_t>(j)]->value(sim.scheduler().id()),
-                outsB[static_cast<size_t>(j)]->value(sim.scheduler().id()))
-          << "seed=" << GetParam() << " step=" << step << " out=" << j;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SelectiveTraceMode, ::testing::Range(1, 9));
 
 }  // namespace
 }  // namespace vcad::gate

@@ -8,6 +8,7 @@
 #include "gate/generators.hpp"
 #include "gate/netlist_io.hpp"
 #include "gate/packed_eval.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::gate {
 namespace {
@@ -83,7 +84,7 @@ TEST(Family, BadSpecsRejected) {
 TEST(Family, MacDatapathComputesSumOfProducts) {
   const int width = 4, lanes = 3;
   const Netlist nl = makeMacDatapath(width, lanes);
-  NetlistEvaluator ev(nl);
+  oracles::ScalarEvaluator ev(nl);
   Rng rng(2024);
   for (int iter = 0; iter < 30; ++iter) {
     Word in(2 * width * lanes);
@@ -154,7 +155,7 @@ TEST(Family, ControllerIsDeterministicAndObservable) {
 // assert message alone.
 void expectPackedMatchesScalar(const FamilySpec& spec) {
   const Netlist nl = makeFamilyNetlist(spec);
-  NetlistEvaluator scalar(nl);
+  oracles::ScalarEvaluator scalar(nl);
   PackedEvaluator packed(nl);
   Rng rng(spec.seed ^ 0xD1FFu);
   std::vector<Word> patterns;

@@ -10,6 +10,7 @@
 #include "gate/netlist_io.hpp"
 #include "gate/generators.hpp"
 #include "rtl/modules.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::gate {
 namespace {
@@ -127,7 +128,7 @@ TEST_P(ExpandedEquivalence, SteadyStateMatchesLevelizedEvaluator) {
   const Netlist nl = makeRandomNetlist(
       rng, nIn, 10 + static_cast<int>(rng.below(40)),
       1 + static_cast<int>(rng.below(3)));
-  NetlistEvaluator eval(nl);
+  oracles::ScalarEvaluator eval(nl);
 
   Circuit top("top");
   auto exp = expandNetlist(top, nl, 1 + static_cast<SimTime>(rng.below(3)));
@@ -146,7 +147,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExpandedEquivalence, ::testing::Range(1, 11));
 
 TEST(GateModule, ExpandedC17MatchesTruth) {
   const Netlist c17 = makeC17();
-  NetlistEvaluator eval(c17);
+  oracles::ScalarEvaluator eval(c17);
   Circuit top("top");
   auto exp = expandNetlist(top, c17, 2);
   SimulationController sim(top);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rng.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::gate {
 namespace {
@@ -14,7 +15,7 @@ Word packOperands(int width, std::uint64_t a, std::uint64_t b) {
 
 TEST(Generators, HalfAdderTruthTable) {
   const Netlist nl = makeHalfAdder();
-  NetlistEvaluator ev(nl);
+  oracles::ScalarEvaluator ev(nl);
   for (unsigned v = 0; v < 4; ++v) {
     const Word out = ev.evalOutputs(Word::fromUint(2, v));
     const unsigned a = v & 1, b = (v >> 1) & 1;
@@ -25,7 +26,7 @@ TEST(Generators, HalfAdderTruthTable) {
 
 TEST(Generators, FullAdderTruthTable) {
   const Netlist nl = makeFullAdder();
-  NetlistEvaluator ev(nl);
+  oracles::ScalarEvaluator ev(nl);
   for (unsigned v = 0; v < 8; ++v) {
     const Word out = ev.evalOutputs(Word::fromUint(3, v));
     const unsigned total = (v & 1) + ((v >> 1) & 1) + ((v >> 2) & 1);
@@ -39,7 +40,7 @@ class AdderSweep : public ::testing::TestWithParam<int> {};
 TEST_P(AdderSweep, MatchesIntegerAddition) {
   const int width = GetParam();
   const Netlist nl = makeRippleCarryAdder(width);
-  NetlistEvaluator ev(nl);
+  oracles::ScalarEvaluator ev(nl);
   Rng rng(42 + static_cast<std::uint64_t>(width));
   const std::uint64_t mask = (width >= 64) ? ~0ULL : ((1ULL << width) - 1);
   for (int iter = 0; iter < 50; ++iter) {
@@ -59,7 +60,7 @@ class MultiplierSweep : public ::testing::TestWithParam<int> {};
 TEST_P(MultiplierSweep, MatchesIntegerMultiplication) {
   const int width = GetParam();
   const Netlist nl = makeArrayMultiplier(width);
-  NetlistEvaluator ev(nl);
+  oracles::ScalarEvaluator ev(nl);
   Rng rng(7 + static_cast<std::uint64_t>(width));
   const std::uint64_t mask = (1ULL << width) - 1;
   for (int iter = 0; iter < 40; ++iter) {
@@ -76,7 +77,7 @@ INSTANTIATE_TEST_SUITE_P(Widths, MultiplierSweep,
 
 TEST(Generators, MultiplierExhaustive4x4) {
   const Netlist nl = makeArrayMultiplier(4);
-  NetlistEvaluator ev(nl);
+  oracles::ScalarEvaluator ev(nl);
   for (std::uint64_t a = 0; a < 16; ++a) {
     for (std::uint64_t b = 0; b < 16; ++b) {
       EXPECT_EQ(ev.evalOutputs(packOperands(4, a, b)).toUint(), a * b);
@@ -89,7 +90,7 @@ class ParitySweep : public ::testing::TestWithParam<int> {};
 TEST_P(ParitySweep, MatchesPopcountParity) {
   const int width = GetParam();
   const Netlist nl = makeParityTree(width);
-  NetlistEvaluator ev(nl);
+  oracles::ScalarEvaluator ev(nl);
   Rng rng(99);
   for (int iter = 0; iter < 30; ++iter) {
     const std::uint64_t v =
@@ -108,7 +109,7 @@ TEST_P(MuxSweep, SelectsTheAddressedInput) {
   const int selBits = GetParam();
   const int n = 1 << selBits;
   const Netlist nl = makeMux(selBits);
-  NetlistEvaluator ev(nl);
+  oracles::ScalarEvaluator ev(nl);
   Rng rng(5);
   for (int sel = 0; sel < n; ++sel) {
     const std::uint64_t data = rng.next() & ((1ULL << n) - 1);
@@ -128,7 +129,7 @@ class ComparatorSweep : public ::testing::TestWithParam<int> {};
 TEST_P(ComparatorSweep, EqualityOnly) {
   const int width = GetParam();
   const Netlist nl = makeComparator(width);
-  NetlistEvaluator ev(nl);
+  oracles::ScalarEvaluator ev(nl);
   Rng rng(11);
   const std::uint64_t mask = (1ULL << width) - 1;
   for (int iter = 0; iter < 30; ++iter) {
@@ -149,7 +150,7 @@ INSTANTIATE_TEST_SUITE_P(Widths, ComparatorSweep,
 
 TEST(Generators, Ip1MatchesHalfAdderBehaviour) {
   const Netlist ip1 = makeIp1HalfAdder();
-  NetlistEvaluator ev(ip1);
+  oracles::ScalarEvaluator ev(ip1);
   for (unsigned v = 0; v < 4; ++v) {
     const unsigned a = v & 1, b = (v >> 1) & 1;
     const Word out = ev.evalOutputs(Word::fromUint(2, v));
@@ -176,7 +177,7 @@ TEST(Generators, RandomNetlistIsValidAndDeterministic) {
   EXPECT_EQ(a.inputCount(), 8);
   EXPECT_EQ(a.outputCount(), 5);
   // Determinism: same seed, same structure, same behaviour.
-  NetlistEvaluator ea(a), eb(b);
+  oracles::ScalarEvaluator ea(a), eb(b);
   Rng stim(77);
   for (int i = 0; i < 20; ++i) {
     const Word in = Word::fromUint(8, stim.next() & 0xFF);
@@ -215,7 +216,7 @@ TEST(Generators, FoldDeadInputsMakesInputsLogicallyObservable) {
   EXPECT_TRUE(deadInputs(nl, outs).empty());
   for (NetId o : outs) nl.markOutput(o);
   nl.validate();
-  NetlistEvaluator ev(nl);
+  oracles::ScalarEvaluator ev(nl);
   const Word lo = ev.evalOutputs(Word::fromUint(2, 0b01));  // a=1, dead=0
   const Word hi = ev.evalOutputs(Word::fromUint(2, 0b11));  // a=1, dead=1
   EXPECT_NE(lo.bit(0), hi.bit(0));

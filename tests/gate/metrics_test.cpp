@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "gate/generators.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::gate {
 namespace {
@@ -57,14 +58,14 @@ TEST(Metrics, TogglesCountsChangesAndUnknowns) {
 
 TEST(Metrics, ZeroEnergyForIdenticalPatterns) {
   const Netlist nl = makeArrayMultiplier(4);
-  NetlistEvaluator ev(nl);
+  oracles::ScalarEvaluator ev(nl);
   const auto snap = ev.evaluate(Word::fromUint(8, 0x35));
   EXPECT_DOUBLE_EQ(transitionEnergyPj(nl, snap, snap), 0.0);
 }
 
 TEST(Metrics, EnergyPositiveForDifferentPatterns) {
   const Netlist nl = makeArrayMultiplier(4);
-  NetlistEvaluator ev(nl);
+  oracles::ScalarEvaluator ev(nl);
   const auto s1 = ev.evaluate(Word::fromUint(8, 0x00));
   const auto s2 = ev.evaluate(Word::fromUint(8, 0xFF));
   EXPECT_GT(transitionEnergyPj(nl, s1, s2), 0.0);
@@ -73,7 +74,7 @@ TEST(Metrics, EnergyPositiveForDifferentPatterns) {
 TEST(Metrics, GateLevelPowerOnConstantSequenceIsZero) {
   const Netlist nl = makeArrayMultiplier(4);
   const std::vector<Word> patterns(5, Word::fromUint(8, 0x12));
-  const PowerResult res = gateLevelPower(nl, patterns);
+  const PowerResult res = gateLevelPower(PackedEvaluator(nl), patterns);
   EXPECT_DOUBLE_EQ(res.avgPowerMw, 0.0);
   EXPECT_EQ(res.totalToggles, 0u);
   EXPECT_EQ(res.transitions, 4u);
@@ -87,16 +88,19 @@ TEST(Metrics, GateLevelPowerScalesWithActivity) {
     low.push_back(Word::fromUint(16, (i % 2 == 0) ? 0x0001 : 0x0000));
     high.push_back(Word::fromUint(16, (i % 2 == 0) ? 0xFFFF : 0x0000));
   }
-  const PowerResult pl = gateLevelPower(nl, low);
-  const PowerResult ph = gateLevelPower(nl, high);
+  const PackedEvaluator packed(nl);
+  const PowerResult pl = gateLevelPower(packed, low);
+  const PowerResult ph = gateLevelPower(packed, high);
   EXPECT_GT(ph.avgPowerMw, pl.avgPowerMw);
   EXPECT_GE(ph.peakPowerMw, ph.avgPowerMw);
 }
 
 TEST(Metrics, PowerOnShortSequenceIsZero) {
   const Netlist nl = makeHalfAdder();
-  EXPECT_DOUBLE_EQ(gateLevelPower(nl, {}).avgPowerMw, 0.0);
-  EXPECT_DOUBLE_EQ(gateLevelPower(nl, {Word::fromUint(2, 1)}).avgPowerMw, 0.0);
+  const PackedEvaluator packed(nl);
+  EXPECT_DOUBLE_EQ(gateLevelPower(packed, {}).avgPowerMw, 0.0);
+  EXPECT_DOUBLE_EQ(gateLevelPower(packed, {Word::fromUint(2, 1)}).avgPowerMw,
+                   0.0);
 }
 
 TEST(Metrics, SnapshotSizeMismatchThrows) {

@@ -5,6 +5,7 @@
 #include "core/rng.hpp"
 #include "fault/atpg.hpp"
 #include "gate/generators.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::gate {
 namespace {
@@ -15,7 +16,7 @@ TEST(NetlistIo, WriteParseRoundTripPreservesBehaviour) {
   EXPECT_EQ(back.inputCount(), orig.inputCount());
   EXPECT_EQ(back.outputCount(), orig.outputCount());
   EXPECT_EQ(back.gateCount(), orig.gateCount());
-  NetlistEvaluator a(orig), b(back);
+  oracles::ScalarEvaluator a(orig), b(back);
   Rng rng(3);
   for (int i = 0; i < 30; ++i) {
     const Word in = Word::fromUint(orig.inputCount(), rng.next());
@@ -35,7 +36,7 @@ TEST(NetlistIo, ParsesHandWrittenText) {
 )");
   EXPECT_EQ(nl.inputCount(), 2);
   EXPECT_EQ(nl.outputCount(), 2);
-  NetlistEvaluator ev(nl);
+  oracles::ScalarEvaluator ev(nl);
   EXPECT_EQ(ev.evalOutputs(Word::fromUint(2, 0b11)).toString(), "10");
 }
 
@@ -93,7 +94,7 @@ TEST_P(IoRoundTrip, RandomNetlists) {
       rng, 4 + static_cast<int>(rng.below(6)),
       10 + static_cast<int>(rng.below(60)), 1 + static_cast<int>(rng.below(4)));
   const Netlist back = parseNetlist(netlistToString(orig));
-  NetlistEvaluator a(orig), b(back);
+  oracles::ScalarEvaluator a(orig), b(back);
   for (int i = 0; i < 15; ++i) {
     const Word in = Word::fromUint(orig.inputCount(), rng.next());
     EXPECT_EQ(a.evalOutputs(in), b.evalOutputs(in)) << "seed " << GetParam();
@@ -116,7 +117,7 @@ TEST(C17, StructureMatchesIscas) {
 
 TEST(C17, KnownResponses) {
   const Netlist c17 = makeC17();
-  NetlistEvaluator ev(c17);
+  oracles::ScalarEvaluator ev(c17);
   // Inputs in declaration order N1 N2 N3 N6 N7 (bit0=N1).
   // All-zeros: N10=1, N11=1, N16=1, N19=1 -> N22=NAND(1,1)=0, N23=0.
   const Word out0 = ev.evalOutputs(Word::fromUint(5, 0b00000));

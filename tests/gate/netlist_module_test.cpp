@@ -6,6 +6,7 @@
 #include "core/sim_controller.hpp"
 #include "core/wiring.hpp"
 #include "gate/generators.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::gate {
 namespace {
@@ -124,6 +125,69 @@ TEST(NetlistModule, ActivityCountersAccumulate) {
   mod.clearPatternHistory(ctx);
   EXPECT_TRUE(mod.patternHistory(ctx).empty());
 }
+
+// A random word with each bit drawn from {0, 1, X, Z}.
+Word randomFourValued(Rng& rng, int width) {
+  Word w(width);
+  for (int i = 0; i < width; ++i) {
+    static constexpr Logic kValues[] = {Logic::L0, Logic::L1, Logic::X,
+                                        Logic::Z};
+    w.setBit(i, kValues[rng.below(4)]);
+  }
+  return w;
+}
+
+class ActivityVsOracle : public ::testing::TestWithParam<int> {};
+
+// The event path's counters, read from lane 0 of the packed engine, equal
+// the scalar oracle's per-transition toggles/transitionEnergyPj summed in
+// the same order — exactly, doubles included — under X/Z stimulus.
+TEST_P(ActivityVsOracle, CountersEqualTheScalarSums) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919);
+  const int nIn = 4 + static_cast<int>(rng.below(6));
+  const int nOut = 1 + static_cast<int>(rng.below(4));
+  auto nl = std::make_shared<Netlist>(makeRandomNetlist(
+      rng, nIn, 20 + static_cast<int>(rng.below(60)), nOut));
+  const TechParams tech;
+  const int lo = nIn / 2;
+  Circuit top("top");
+  auto& ca = top.makeWord(lo);
+  auto& cb = top.makeWord(nIn - lo);
+  auto& co = top.makeWord(nOut);
+  auto& mod = top.make<NetlistModule>(
+      "m", nl,
+      std::vector<NetlistModule::PortGroup>{{"a", &ca, 0, lo},
+                                            {"b", &cb, lo, nIn - lo}},
+      std::vector<NetlistModule::PortGroup>{{"o", &co, 0, nOut}}, tech);
+  mod.setRecordPatterns(true);
+
+  SimulationController sim(top);
+  const SimContext ctx{sim.scheduler(), nullptr};
+  for (int step = 0; step < 40; ++step) {
+    sim.inject(ca, randomFourValued(rng, lo));
+    if (rng.chance(0.7)) sim.inject(cb, randomFourValued(rng, nIn - lo));
+    sim.start();
+  }
+
+  const std::vector<Word>& history = mod.patternHistory(ctx);
+  ASSERT_EQ(history.size(), mod.evaluations(ctx));
+  ASSERT_GT(history.size(), 2u);
+  const oracles::ScalarEvaluator oracle(*nl);
+  std::uint64_t toggleSum = 0;
+  double energySum = 0.0;
+  std::vector<Logic> prev = oracle.evaluate(history[0]);
+  for (std::size_t i = 1; i < history.size(); ++i) {
+    const std::vector<Logic> curr = oracle.evaluate(history[i]);
+    toggleSum += toggles(prev, curr);
+    energySum += transitionEnergyPj(*nl, prev, curr, tech);
+    prev = curr;
+  }
+  EXPECT_EQ(mod.netToggles(ctx), toggleSum);
+  EXPECT_EQ(mod.switchingEnergyPj(ctx), energySum);
+  EXPECT_EQ(co.value(sim.scheduler().id()), oracle.evalOutputs(history.back()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ActivityVsOracle, ::testing::Range(1, 9));
 
 TEST(NetlistModule, GroupCoverageValidated) {
   auto nl = std::make_shared<Netlist>(makeHalfAdder());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "gate/packed_eval.hpp"
+
 namespace vcad::gate {
 namespace {
 
@@ -108,6 +110,18 @@ TEST(Netlist, LevelsIncreaseMonotonically) {
   EXPECT_EQ(lvl[static_cast<size_t>(cur)], 5);
 }
 
+// The library's evaluator on one word: PackedEvaluator::evalOutputs, one
+// lane. These hand-derived truth checks pin it independently of the
+// differential tests against the scalar oracle.
+Word evalOne(const PackedEvaluator& ev, const Word& in,
+             const StuckFault* fault = nullptr) {
+  std::vector<LanePlanes> planes;
+  Word out;
+  ev.evalOutputs(std::span<const Word>(&in, 1), std::span<Word>(&out, 1),
+                 planes, fault);
+  return out;
+}
+
 TEST(NetlistEvaluator, BasicGates) {
   Netlist nl;
   const NetId a = nl.addInput("a");
@@ -116,11 +130,11 @@ TEST(NetlistEvaluator, BasicGates) {
   nl.markOutput(nl.addGate(GateType::Or, {a, b}));
   nl.markOutput(nl.addGate(GateType::Xor, {a, b}));
   nl.markOutput(nl.addGate(GateType::Nand, {a, b}));
-  NetlistEvaluator ev(nl);
+  const PackedEvaluator ev(nl);
   for (unsigned v = 0; v < 4; ++v) {
     const bool av = (v & 1) != 0;
     const bool bv = (v & 2) != 0;
-    const Word out = ev.evalOutputs(Word::fromUint(2, v));
+    const Word out = evalOne(ev, Word::fromUint(2, v));
     EXPECT_EQ(out.bit(0), fromBool(av && bv));
     EXPECT_EQ(out.bit(1), fromBool(av || bv));
     EXPECT_EQ(out.bit(2), fromBool(av != bv));
@@ -133,12 +147,12 @@ TEST(NetlistEvaluator, XInputsPropagate) {
   const NetId a = nl.addInput("a");
   const NetId b = nl.addInput("b");
   nl.markOutput(nl.addGate(GateType::And, {a, b}));
-  NetlistEvaluator ev(nl);
+  const PackedEvaluator ev(nl);
   Word in(2);
   in.setBit(0, Logic::L0);  // controlling 0
-  EXPECT_EQ(ev.evalOutputs(in).bit(0), Logic::L0);
+  EXPECT_EQ(evalOne(ev, in).bit(0), Logic::L0);
   in.setBit(0, Logic::L1);
-  EXPECT_EQ(ev.evalOutputs(in).bit(0), Logic::X);
+  EXPECT_EQ(evalOne(ev, in).bit(0), Logic::X);
 }
 
 TEST(NetlistEvaluator, StuckFaultOnInternalNet) {
@@ -147,10 +161,10 @@ TEST(NetlistEvaluator, StuckFaultOnInternalNet) {
   const NetId x = nl.addGate(GateType::Not, {a}, "x");
   const NetId o = nl.addGate(GateType::Not, {x}, "o");
   nl.markOutput(o);
-  NetlistEvaluator ev(nl);
-  EXPECT_EQ(ev.evalOutputs(Word::fromUint(1, 1)).bit(0), Logic::L1);
-  EXPECT_EQ(ev.evalOutputs(Word::fromUint(1, 1), StuckFault{x, Logic::L1}).bit(0),
-            Logic::L0);
+  const PackedEvaluator ev(nl);
+  EXPECT_EQ(evalOne(ev, Word::fromUint(1, 1)).bit(0), Logic::L1);
+  const StuckFault stuck{x, Logic::L1};
+  EXPECT_EQ(evalOne(ev, Word::fromUint(1, 1), &stuck).bit(0), Logic::L0);
 }
 
 TEST(NetlistEvaluator, StuckFaultOnPrimaryInput) {
@@ -158,25 +172,24 @@ TEST(NetlistEvaluator, StuckFaultOnPrimaryInput) {
   const NetId a = nl.addInput("a");
   const NetId b = nl.addInput("b");
   nl.markOutput(nl.addGate(GateType::And, {a, b}));
-  NetlistEvaluator ev(nl);
-  EXPECT_EQ(
-      ev.evalOutputs(Word::fromUint(2, 0b11), StuckFault{a, Logic::L0}).bit(0),
-      Logic::L0);
+  const PackedEvaluator ev(nl);
+  const StuckFault stuck{a, Logic::L0};
+  EXPECT_EQ(evalOne(ev, Word::fromUint(2, 0b11), &stuck).bit(0), Logic::L0);
 }
 
 TEST(NetlistEvaluator, InputWidthChecked) {
   Netlist nl;
   nl.addInput("a");
-  NetlistEvaluator ev(nl);
-  EXPECT_THROW(ev.evaluate(Word::fromUint(2, 0)), std::invalid_argument);
+  const PackedEvaluator ev(nl);
+  EXPECT_THROW(evalOne(ev, Word::fromUint(2, 0)), std::invalid_argument);
 }
 
 TEST(NetlistEvaluator, ConstGates) {
   Netlist nl;
   nl.markOutput(nl.addGate(GateType::Const0, {}));
   nl.markOutput(nl.addGate(GateType::Const1, {}));
-  NetlistEvaluator ev(nl);
-  const Word out = ev.evalOutputs(Word(0));
+  const PackedEvaluator ev(nl);
+  const Word out = evalOne(ev, Word(0));
   EXPECT_EQ(out.bit(0), Logic::L0);
   EXPECT_EQ(out.bit(1), Logic::L1);
 }

@@ -1,7 +1,7 @@
 // Differential tests for the packed bit-parallel evaluator: every lane of
-// every packed pass must decode to exactly what the scalar NetlistEvaluator
-// computes — for random netlists, X/Z-heavy input blocks, and random
-// stuck-at faults.
+// every packed pass must decode to exactly what the scalar oracle
+// (oracles::ScalarEvaluator) computes — for random netlists, X/Z-heavy input
+// blocks, and random stuck-at faults.
 #include "gate/packed_eval.hpp"
 
 #include <gtest/gtest.h>
@@ -43,7 +43,7 @@ std::vector<Word> randomBlock(Rng& rng, int width, std::size_t n,
 void expectAllLanesMatchScalar(const Netlist& nl,
                                const std::vector<Word>& patterns,
                                const StuckFault* fault) {
-  const NetlistEvaluator eval(nl);
+  const oracles::ScalarEvaluator eval(nl);
   const PackedEvaluator packed(nl);
   std::optional<StuckFault> scalarFault;
   if (fault != nullptr) scalarFault = *fault;
@@ -66,6 +66,22 @@ void expectAllLanesMatchScalar(const Netlist& nl,
       ASSERT_EQ(packed.outputsOf(planes, static_cast<int>(l)),
                 eval.outputsOf(scalar));
     }
+  }
+
+  // The words-in, output-words-out call over the same patterns, pass
+  // boundaries included; its plane buffer ends holding the last pass.
+  std::vector<Word> outs(patterns.size());
+  std::vector<LanePlanes> held;
+  packed.evalOutputs(patterns, outs, held, fault);
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    ASSERT_EQ(outs[i], eval.evalOutputs(patterns[i], scalarFault))
+        << "pattern " << i;
+  }
+  ASSERT_EQ(held.size(), planes.size());
+  for (std::size_t n = 0; n < planes.size(); ++n) {
+    ASSERT_EQ(held[n].val, planes[n].val) << "net " << n;
+    ASSERT_EQ(held[n].known, planes[n].known) << "net " << n;
+    ASSERT_EQ(held[n].z, planes[n].z) << "net " << n;
   }
 }
 
@@ -221,7 +237,7 @@ TEST(PackedEval, OutputDiffMaskMatchesWordInequality) {
   for (int trial = 0; trial < 10; ++trial) {
     Rng gen(rng.next());
     const Netlist nl = makeRandomNetlist(gen, 6, 30, 3);
-    const NetlistEvaluator eval(nl);
+    const oracles::ScalarEvaluator eval(nl);
     const PackedEvaluator packed(nl);
     const auto patterns = randomBlock(rng, 6, 50, 20);
     const StuckFault fault{
@@ -258,6 +274,12 @@ TEST(PackedEval, PackRejectsBadShapes) {
   EXPECT_THROW(packed.pack(patterns, 60, 20), std::out_of_range);
   std::vector<Word> wrongWidth{Word::fromUint(3, 1)};
   EXPECT_THROW(packed.pack(wrongWidth, 0, 1), std::invalid_argument);
+  std::vector<LanePlanes> planes;
+  std::vector<Word> outs(1);
+  EXPECT_THROW(packed.evalOutputs(wrongWidth, outs, planes),
+               std::invalid_argument);
+  EXPECT_THROW(packed.evalOutputs(patterns, outs, planes),
+               std::invalid_argument);
 }
 
 TEST(EvalGateSpan, MatchesVectorOverload) {
@@ -283,7 +305,7 @@ TEST(EvaluateInto, MatchesEvaluateAndReusesBuffer) {
   Rng rng(0xbeef06);
   Rng gen(rng.next());
   const Netlist nl = makeRandomNetlist(gen, 5, 25, 3);
-  const NetlistEvaluator eval(nl);
+  const oracles::ScalarEvaluator eval(nl);
   std::vector<Logic> scratch;
   for (int i = 0; i < 30; ++i) {
     const Word in = randomWord(rng, 5, 20);
@@ -301,7 +323,8 @@ TEST(PackedPower, GateLevelPowerBitIdenticalToScalar) {
   Rng rng(0xbeef07);
   const Netlist mult = makeArrayMultiplier(4);
   const auto patterns = randomBlock(rng, mult.inputCount(), 200, 0);
-  const PowerResult packed = gateLevelPower(mult, patterns);
+  const PowerResult packed =
+      gateLevelPower(PackedEvaluator(mult), patterns);
   const PowerResult scalar = oracles::gateLevelPowerScalar(mult, patterns);
   EXPECT_EQ(packed.avgPowerMw, scalar.avgPowerMw);    // exact, incl. FP
   EXPECT_EQ(packed.peakPowerMw, scalar.peakPowerMw);  // exact, incl. FP
@@ -315,7 +338,8 @@ TEST(PackedPower, UnknownHeavyPatternsStillBitIdentical) {
     Rng gen(rng.next());
     const Netlist nl = makeRandomNetlist(gen, 7, 50, 4);
     const auto patterns = randomBlock(rng, 7, 130, 40);
-    const PowerResult packed = gateLevelPower(nl, patterns);
+    const PowerResult packed =
+        gateLevelPower(PackedEvaluator(nl), patterns);
     const PowerResult scalar = oracles::gateLevelPowerScalar(nl, patterns);
     EXPECT_EQ(packed.avgPowerMw, scalar.avgPowerMw);
     EXPECT_EQ(packed.peakPowerMw, scalar.peakPowerMw);
@@ -328,9 +352,10 @@ TEST(PackedPower, TransitionEnergiesMatchScalarPairwise) {
   Rng rng(0xbeef09);
   Rng gen(rng.next());
   const Netlist nl = makeRandomNetlist(gen, 6, 40, 3);
-  const NetlistEvaluator eval(nl);
+  const oracles::ScalarEvaluator eval(nl);
   const auto patterns = randomBlock(rng, 6, 90, 15);
-  const std::vector<double> energies = transitionEnergiesPj(nl, patterns);
+  const std::vector<double> energies =
+      transitionEnergiesPj(PackedEvaluator(nl), patterns);
   ASSERT_EQ(energies.size(), patterns.size() - 1);
   for (std::size_t i = 1; i < patterns.size(); ++i) {
     const double scalar = transitionEnergyPj(nl, eval.evaluate(patterns[i - 1]),

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/model.hpp"
+#include "oracles/oracles.hpp"
+
 namespace vcad::gate {
 namespace {
 
@@ -113,6 +116,60 @@ TEST(SeqEvaluator, RunFromResetIsDeterministic) {
   for (int i = 0; i < 30; ++i) inputs.push_back(Word::fromUint(3, stim.next()));
   SeqEvaluator a(m), b(m);
   EXPECT_EQ(a.run(inputs), b.run(inputs));
+}
+
+class SeqVsOracle : public ::testing::TestWithParam<int> {};
+
+// Every step of every machine — fault-free and under each collapsed fault
+// of its core, primary inputs included — equals one scalar oracle pass over
+// (state, inputs) split into {next state, outputs}, with X/Z stimulus.
+TEST_P(SeqVsOracle, EveryCollapsedFaultStepsLikeTheScalarOracle) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729);
+  const int stateBits = 2 + static_cast<int>(rng.below(4));
+  const int inputBits = 1 + static_cast<int>(rng.below(4));
+  const SeqNetlist m = makeRandomMachine(
+      rng, stateBits, inputBits, 1 + static_cast<int>(rng.below(3)),
+      15 + static_cast<int>(rng.below(30)));
+  const oracles::ScalarEvaluator oracle(m.comb());
+  std::vector<std::optional<StuckFault>> faults{std::nullopt};
+  for (const StuckFault& f : fault::collapseAll(m.comb()).representatives) {
+    faults.emplace_back(f);
+  }
+  std::vector<Word> stimulus;
+  for (int c = 0; c < 12; ++c) {
+    Word in = Word::fromUint(inputBits, rng.next());
+    if (rng.chance(0.25)) in.setBit(0, rng.chance(0.5) ? Logic::X : Logic::Z);
+    stimulus.push_back(in);
+  }
+  for (const std::optional<StuckFault>& f : faults) {
+    SeqEvaluator ev(m, f);
+    Word state = m.resetState();
+    for (std::size_t c = 0; c < stimulus.size(); ++c) {
+      const auto [next, outs] =
+          m.splitOutputs(oracle.evalOutputs(m.packInputs(state, stimulus[c]), f));
+      ASSERT_EQ(ev.step(stimulus[c]), outs)
+          << "seed=" << GetParam() << " cycle=" << c
+          << " fault net=" << (f ? f->net : kNoNet);
+      ASSERT_EQ(ev.state(), next);
+      state = next;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SeqVsOracle, ::testing::Range(1, 7));
+
+TEST(SeqEvaluator, SharedEngineMustBeCompiledFromTheSameMachine) {
+  Rng rng(5);
+  const SeqNetlist m = makeRandomMachine(rng, 3, 2, 2, 20);
+  const SeqNetlist copy = m;
+  auto engine = std::make_shared<const PackedEvaluator>(m.comb());
+  SeqEvaluator shared(m, engine);
+  SeqEvaluator own(m);
+  EXPECT_EQ(shared.step(Word::fromUint(2, 1)), own.step(Word::fromUint(2, 1)));
+  // An engine compiled from another copy is refused: that copy may die
+  // first.
+  EXPECT_THROW(SeqEvaluator(copy, engine), std::invalid_argument);
+  EXPECT_THROW(SeqEvaluator(m, nullptr), std::invalid_argument);
 }
 
 }  // namespace

@@ -140,23 +140,19 @@ MatrixDesign makeDatapathDesign(const FamilySpec& spec) {
   return d;
 }
 
-/// A block's public part: its netlist on the packed engine, up to 64
-/// patterns per pass. The compiled evaluator is shared and read-only; each
-/// call owns its plane buffer, so concurrent campaigns may call it at once.
+/// A block's public part: its netlist on the packed engine's words-in,
+/// output-words-out call, up to 64 patterns per pass. The compiled
+/// evaluator is shared and read-only; the plane buffer is per thread, so
+/// concurrent campaigns may call it at once.
 ip::PublicPart blockPublicPart(std::shared_ptr<const Netlist> nl) {
   ip::PublicPart pub;
   auto packed = std::make_shared<const gate::PackedEvaluator>(*nl);
   pub.functional = [nl, packed](std::span<const Word> in, std::span<Word> out,
                                 const rmi::Sandbox&) {
-    std::vector<gate::LanePlanes> planes;
-    constexpr std::size_t kLanes = gate::PackedEvaluator::kLanes;
-    for (std::size_t base = 0; base < in.size(); base += kLanes) {
-      const std::size_t lanes = std::min(kLanes, in.size() - base);
-      packed->evaluate(packed->pack(in, base, lanes), planes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        out[base + l] = packed->outputsOf(planes, static_cast<int>(l));
-      }
-    }
+    // Reused by every call on this thread: a single-word injection
+    // allocates nothing once the buffer has grown.
+    thread_local std::vector<gate::LanePlanes> planes;
+    packed->evalOutputs(in, out, planes);
   };
   return pub;
 }

@@ -4,6 +4,7 @@
 
 #include "gate/generators.hpp"
 #include "ip/remote_component.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::ip {
 namespace {
@@ -258,6 +259,54 @@ TEST(ProviderServer, EvalMatchesPublicPartFunctionalModel) {
     Word local;
     pub.functional({&in, 1}, {&local, 1}, sandbox);
     EXPECT_EQ(evResp.payload.readWord(), local);
+  }
+}
+
+// A random word with each bit drawn from {0, 1, X, Z}.
+Word randomFourValued(Rng& rng, int width) {
+  static constexpr Logic kValues[] = {Logic::L0, Logic::L1, Logic::X,
+                                      Logic::Z};
+  Word w(width);
+  for (int i = 0; i < width; ++i) w.setBit(i, kValues[rng.below(4)]);
+  return w;
+}
+
+TEST(ProviderServer, EvalFunctionEqualsTheScalarOracleOverFourValuedInputs) {
+  Fixture f;
+  ProviderHandle handle(f.channel);
+  rmi::Args args;
+  args.addU64(5);
+  auto resp =
+      handle.call(MethodId::Instantiate, 0, std::move(args), "MultFastLowPower");
+  const rmi::InstanceId id = resp.payload.readU64();
+  const gate::Netlist nl = gate::makeArrayMultiplier(5);
+  const oracles::ScalarEvaluator oracle(nl);
+  Rng rng(0xE7A1);
+  for (int i = 0; i < 60; ++i) {
+    const Word in = randomFourValued(rng, nl.inputCount());
+    rmi::Args ev;
+    ev.addWord(in);
+    auto evResp = handle.call(MethodId::EvalFunction, id, std::move(ev));
+    ASSERT_TRUE(evResp.ok());
+    EXPECT_EQ(evResp.payload.readWord(), oracle.evalOutputs(in)) << in;
+  }
+}
+
+TEST(PrivateComponent, EvalEqualsTheScalarOracleAtEveryComputeScale) {
+  Rng rng(0xE7A2);
+  for (int trial = 0; trial < 6; ++trial) {
+    const int nIn = 3 + static_cast<int>(rng.below(8));
+    auto nl = std::make_shared<const gate::Netlist>(gate::makeRandomNetlist(
+        rng, nIn, 10 + static_cast<int>(rng.below(60)),
+        1 + static_cast<int>(rng.below(6))));
+    const oracles::ScalarEvaluator oracle(*nl);
+    PrivateComponent pc(nl, {}, true, 1 + trial % 3);
+    for (int i = 0; i < 30; ++i) {
+      const Word in = randomFourValued(rng, nIn);
+      EXPECT_EQ(pc.eval(in), oracle.evalOutputs(in))
+          << "trial=" << trial << " in=" << in;
+    }
+    EXPECT_EQ(pc.evalCount(), 30u);
   }
 }
 

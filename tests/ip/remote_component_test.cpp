@@ -370,7 +370,7 @@ TEST(RemoteFaultClient, MatchesLocalFaultAnalysis) {
   const auto collapsed = fault::collapseAll(nl, true, false, false);
   EXPECT_EQ(remote.faultList(), fault::symbolicFaultList(nl, collapsed));
 
-  gate::NetlistEvaluator eval(nl);
+  oracles::ScalarEvaluator eval(nl);
   for (unsigned v = 0; v < 4; ++v) {
     const Word in = Word::fromUint(2, v);
     const auto remoteTable = remote.detectionTable(in);

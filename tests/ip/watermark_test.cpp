@@ -8,12 +8,13 @@
 
 #include "core/rng.hpp"
 #include "gate/generators.hpp"
+#include "oracles/oracles.hpp"
 
 namespace vcad::ip {
 namespace {
 
 using gate::Netlist;
-using gate::NetlistEvaluator;
+using oracles::ScalarEvaluator;
 
 std::vector<bool> signatureBits(std::uint64_t value, int bits) {
   std::vector<bool> s;
@@ -25,7 +26,7 @@ void expectSameFunction(const Netlist& a, const Netlist& b,
                         std::uint64_t seed) {
   ASSERT_EQ(a.inputCount(), b.inputCount());
   ASSERT_EQ(a.outputCount(), b.outputCount());
-  NetlistEvaluator ea(a), eb(b);
+  ScalarEvaluator ea(a), eb(b);
   Rng rng(seed);
   for (int i = 0; i < 40; ++i) {
     const Word in = Word::fromUint(a.inputCount(), rng.next());

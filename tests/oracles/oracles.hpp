@@ -1,10 +1,13 @@
-// Reference paths the shipped library no longer carries: the one-at-a-time
-// loops the optimized engines replaced, kept here as differential-test
-// oracles. Tests and benches link vcad_oracles; nothing under src/ does.
+// Reference paths the shipped library no longer carries: the scalar netlist
+// evaluator and the one-at-a-time loops the optimized engines replaced, kept
+// here as differential-test oracles. The library evaluates netlists only on
+// gate::PackedEvaluator; tests and benches link vcad_oracles to hold it (and
+// everything built on it) to these. Nothing under src/ does.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/result_store.hpp"
@@ -16,6 +19,38 @@
 #include "gate/metrics.hpp"
 
 namespace vcad::oracles {
+
+/// The scalar evaluator: complete input-to-output passes, one pattern at a
+/// time and one Logic value per net, optionally with one injected stuck-at
+/// fault. It precomputes the topological order once and is immutable
+/// afterwards. Every packed pass must decode to what it computes.
+class ScalarEvaluator {
+ public:
+  explicit ScalarEvaluator(const gate::Netlist& nl);
+
+  const gate::Netlist& netlist() const { return *nl_; }
+
+  /// Full evaluation. `inputs` bit i corresponds to primaryInputs()[i].
+  /// Returns the value of every net.
+  std::vector<Logic> evaluate(const Word& inputs,
+                              std::optional<gate::StuckFault> fault = {}) const;
+
+  /// Same, writing every net value into `values` (resized to netCount()),
+  /// so a reused vector keeps the pass free of heap traffic.
+  void evaluateInto(const Word& inputs, std::vector<Logic>& values,
+                    std::optional<gate::StuckFault> fault = {}) const;
+
+  /// Extracts the primary-output word from a net-value vector.
+  Word outputsOf(const std::vector<Logic>& netValues) const;
+
+  /// Convenience: evaluate and return only the outputs.
+  Word evalOutputs(const Word& inputs,
+                   std::optional<gate::StuckFault> fault = {}) const;
+
+ private:
+  const gate::Netlist* nl_;
+  std::vector<int> topo_;
+};
 
 /// The serial virtual fault campaign: per pattern, a fault-free run on a
 /// fresh controller, then per component one detectionTable() fetch on a
@@ -42,7 +77,7 @@ fault::CampaignResult runScalar(const fault::SerialFaultSimulator& sim,
 /// erroneous outputs by output pattern string (fault names sorted). The
 /// packed fault::buildDetectionTables must match it byte for byte.
 fault::DetectionTable buildDetectionTable(
-    const gate::NetlistEvaluator& eval, const fault::CollapsedFaults& collapsed,
+    const ScalarEvaluator& eval, const fault::CollapsedFaults& collapsed,
     const Word& inputs);
 
 /// Gate-level average power walking the scalar evaluator one pattern at a

@@ -5,7 +5,7 @@ namespace vcad::oracles {
 
 fault::CampaignResult runScalar(const fault::SerialFaultSimulator& sim,
                                 const std::vector<Word>& patterns) {
-  const gate::NetlistEvaluator eval(sim.netlist());
+  const ScalarEvaluator eval(sim.netlist());
   const std::vector<gate::StuckFault>& faults = sim.faults();
   fault::CampaignResult res;
   res.faultList = sim.symbols();

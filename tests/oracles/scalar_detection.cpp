@@ -8,7 +8,7 @@
 namespace vcad::oracles {
 
 fault::DetectionTable buildDetectionTable(
-    const gate::NetlistEvaluator& eval, const fault::CollapsedFaults& collapsed,
+    const ScalarEvaluator& eval, const fault::CollapsedFaults& collapsed,
     const Word& inputs) {
   const Word faultFree = eval.evalOutputs(inputs);
   std::map<std::string, fault::DetectionTable::Row> byOutput;

@@ -10,7 +10,7 @@ gate::PowerResult gateLevelPowerScalar(const gate::Netlist& nl,
                                        const gate::TechParams& tech) {
   gate::PowerResult res;
   if (patterns.size() < 2) return res;
-  gate::NetlistEvaluator eval(nl);
+  ScalarEvaluator eval(nl);
   std::vector<Logic> prev = eval.evaluate(patterns[0]);
   std::vector<Logic> curr;
   for (std::size_t p = 1; p < patterns.size(); ++p) {
